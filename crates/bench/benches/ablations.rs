@@ -1,4 +1,4 @@
-//! A1/A2 — ablations of the engine's design choices (DESIGN.md §3).
+//! A1/A2 — ablations of the engine's design choices.
 //!
 //! * **A1 — GC cadence**: the copying collector trades churn for peak
 //!   memory; outputs never change (asserted in tests). Sweeping the

@@ -1,9 +1,9 @@
-//! Regenerate the experiment tables of `EXPERIMENTS.md`.
+//! Print the experiment tables E1–E7.
 //!
 //! Usage: `cargo run --release -p cer-bench --bin tables -- [e1|…|e7|all]`
 //!
-//! Each experiment prints a markdown table; the claims being checked are
-//! listed in `DESIGN.md`'s per-experiment index. Absolute numbers are
+//! Each experiment prints a markdown table; the claim being checked is
+//! stated above the experiment's function below. Absolute numbers are
 //! machine-dependent; the *shapes* (growth rates, who wins, crossovers)
 //! are what reproduce the paper's theorems.
 

@@ -1,9 +1,9 @@
 //! # cer-bench — benchmark harness
 //!
 //! Shared workload builders for the criterion benches and the `tables`
-//! binary. Each experiment of `DESIGN.md`'s per-experiment index (E1–E7)
-//! has a criterion bench (statistical timing) and a row-printer in
-//! `src/bin/tables.rs` (the tables recorded in `EXPERIMENTS.md`).
+//! binary. Each experiment E1–E7 (the claim each one checks is stated
+//! above its function in `src/bin/tables.rs`) has a criterion bench
+//! (statistical timing) and a row-printer in `src/bin/tables.rs`.
 
 use cer_automata::ccea::Ccea;
 use cer_automata::pcea::{Pcea, PceaBuilder, StateId};

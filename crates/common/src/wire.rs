@@ -57,6 +57,13 @@ impl WireWriter {
         Self::default()
     }
 
+    /// A writer that appends to `buf`, keeping what it already holds —
+    /// lets a caller encode many messages back to back into one reused
+    /// buffer (take it back with [`into_bytes`](Self::into_bytes)).
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

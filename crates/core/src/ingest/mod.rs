@@ -114,6 +114,15 @@
 //! never-blocking producer and counts every tuple it sheds (per shard
 //! queue, in [`QueueStats::dropped`]).
 //!
+//! Workers hand matches to the registry in chunks, and consumers may
+//! take them in chunks ([`Subscription::recv_all`]). A chunk is a
+//! contiguous run of one worker's enumeration order, and the last chunk
+//! of a drained batch is published before the worker takes its next
+//! message, so neither membership, nor a query's position order on a
+//! channel, nor what a fence means depends on chunking; channel
+//! `capacity` keeps counting queued events
+//! (`tests/chunked_delivery.rs`).
+//!
 //! `tests/ingest_async.rs` checks the equivalence differentially across
 //! shard counts, producer counts, partition modes and both window kinds
 //! (reconstructing the stamped order from the producers' receipts and

@@ -23,10 +23,12 @@
 //! * `shard_eval` / `prefilter` / `eval_tail` — per-shard batch
 //!   evaluation, with the shared-prefilter phase split from the
 //!   fire/index/enumerate tail;
-//! * delivery lives on the subscription registry;
+//! * delivery lives on the subscription registry, one sample per
+//!   publish call (a chunk of matches);
 //! * `e2e` — true ingest→match-delivery latency, measured from an
 //!   `Instant` captured at block reservation and carried on the stamped
-//!   batch. Sampled every Nth delivered match
+//!   batch, and read once per delivered chunk (every sampled match of
+//!   a chunk records that reading). Sampled every Nth delivered match
 //!   ([`RuntimeConfig::e2e_sample_every`](crate::config::RuntimeConfig::e2e_sample_every));
 //!   the default is every match.
 //!
@@ -298,16 +300,16 @@ impl PipelineMetrics {
         }
     }
 
-    /// Whether this delivered match should contribute an e2e sample:
-    /// every `sample_every`-th match does. One relaxed `fetch_add`; the
+    /// How many of the next `n` delivered matches contribute an e2e
+    /// sample: every `sample_every`-th match in global delivery order
+    /// does. One relaxed `fetch_add` per delivered chunk; the
     /// histograms stay unbiased under uniform sampling because every
     /// percentile is a ratio of bucket counts.
     #[inline]
-    pub fn e2e_should_sample(&self) -> bool {
+    pub fn e2e_samples(&self, n: u64) -> u64 {
         let every = self.e2e_sample_every.load(Ordering::Relaxed).max(1);
-        self.e2e_ticks
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every)
+        let first = self.e2e_ticks.fetch_add(n, Ordering::Relaxed);
+        (first + n).div_ceil(every) - first.div_ceil(every)
     }
 }
 
@@ -318,12 +320,16 @@ mod tests {
     #[test]
     fn e2e_sampling_period_is_respected() {
         let m = PipelineMetrics::new(1, EVENT_JOURNAL_CAPACITY, 4);
-        let sampled = (0..16).filter(|_| m.e2e_should_sample()).count();
+        let sampled: u64 = (0..16).map(|_| m.e2e_samples(1)).sum();
         assert_eq!(sampled, 4);
+        // A chunk samples exactly the ticks it covers: 16..26 holds
+        // 16, 20 and 24.
+        assert_eq!(m.e2e_samples(10), 3);
+        assert_eq!(m.e2e_samples(2), 0);
+        assert_eq!(m.e2e_samples(1), 1);
         // 0 is clamped to 1: every match samples.
         let m = PipelineMetrics::new(1, EVENT_JOURNAL_CAPACITY, 0);
-        let sampled = (0..5).filter(|_| m.e2e_should_sample()).count();
-        assert_eq!(sampled, 5);
+        assert_eq!(m.e2e_samples(5), 5);
     }
 
     #[test]

@@ -1858,7 +1858,7 @@ impl Runtime {
         );
         out.push_histogram(
             "cer_delivery_nanos",
-            "Match publish latency across subscriber channels",
+            "Latency of one publish call (one chunk of matches) across subscriber channels",
             &[],
             self.shared.subs.delivery.snapshot(),
         );
@@ -2221,12 +2221,37 @@ fn host_query(
     groups[gi].members.push(k);
 }
 
+/// How many completed matches a shard worker stages before handing them
+/// to the subscription registry in one publish call. Large enough that
+/// the registry and queue locks are paid once per hundreds of matches,
+/// small enough that a tuple completing millions of matches streams to
+/// its consumers while it is still being enumerated and that the staged
+/// valuations never amount to more than a few tens of KiB.
+const MATCH_CHUNK: usize = 256;
+
+/// Publish the staged matches (one chunk) and record, for the e2e
+/// samples that fall inside it, the latency since their batch was
+/// reserved at `ingest_at`.
+fn deliver(shared: &IngestShared, chunk: &mut Vec<MatchEvent>, ingest_at: std::time::Instant) {
+    let n = chunk.len() as u64;
+    if n == 0 {
+        return;
+    }
+    shared.subs.publish(chunk);
+    let sampled = shared.metrics.e2e_samples(n);
+    if sampled > 0 {
+        let nanos = u64::try_from(ingest_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        shared.metrics.e2e.record_n(nanos, sampled);
+    }
+}
+
 /// One worker thread: hosts its queries' evaluators and a local routing
 /// table, drains its bounded ingest queue in FIFO order — coalescing
 /// consecutive tuple batches up to [`IngestConfig::max_batch`](crate::ingest::IngestConfig::max_batch) per
 /// wakeup — evaluates each query's subsequence of the coalesced slice
 /// through the vectorized batch path, and publishes completed matches
-/// to the subscription registry.
+/// to the subscription registry in chunks of at most [`MATCH_CHUNK`],
+/// the last one when the drained batch ends.
 ///
 /// The queue, stage histograms and shard geometry are spawn-time
 /// parameters: they name the worker's *epoch*, and a rescale replaces
@@ -2251,6 +2276,9 @@ fn shard_loop(
     let mut cache = PredicateCache::default();
     // Reusable per-batch scratch: which queries have a subscriber.
     let mut listening: Vec<bool> = Vec::new();
+    // Completed matches on their way to the subscriber channels; see
+    // `MATCH_CHUNK`.
+    let mut chunk: Vec<MatchEvent> = Vec::new();
     // Local routing: relation → indices into `groups`.
     let mut routes: FxHashMap<RelationId, Vec<usize>> = FxHashMap::default();
     let mut wildcards: Vec<usize> = Vec::new();
@@ -2280,8 +2308,9 @@ fn shard_loop(
                 // listening for the query's events; gate once per batch
                 // rather than per tuple (subscriber churn mid-batch is
                 // already racy by construction).
-                listening.clear();
-                listening.extend(queries.iter().map(|q| shared.subs.has_subscriber_for(q.id)));
+                shared
+                    .subs
+                    .listening(queries.iter().map(|q| q.id), &mut listening);
                 cache.begin_batch(&tuples);
                 // Select each *group's* subsequence of the slice (every
                 // member shares listens and partition, so the group
@@ -2325,13 +2354,13 @@ fn shard_loop(
                             listening[k],
                             Some((&stage.prefilter, &stage.eval_tail)),
                             |position, v| {
-                                shared.subs.publish(&MatchEvent {
+                                chunk.push(MatchEvent {
                                     position,
                                     query: id,
                                     valuation: v.clone(),
                                 });
-                                if shared.metrics.e2e_should_sample() {
-                                    shared.metrics.e2e.record_duration(ingest_at.elapsed());
+                                if chunk.len() >= MATCH_CHUNK {
+                                    deliver(&shared, &mut chunk, ingest_at);
                                 }
                             },
                         );
@@ -2352,6 +2381,10 @@ fn shard_loop(
                         }
                     }
                 }
+                // Nothing stays staged across messages: whatever fence
+                // follows this batch in the queue (barrier, snapshot,
+                // rescale) finds its matches already in the channels.
+                deliver(&shared, &mut chunk, ingest_at);
                 stage.eval.record_duration(eval_at.elapsed());
             }
             ShardMsg::Register {

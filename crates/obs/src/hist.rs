@@ -136,7 +136,14 @@ impl Histogram {
     /// Record one sample (nanoseconds). One relaxed atomic add.
     #[inline]
     pub fn record(&self, nanos: u64) {
-        self.counts[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.record_n(nanos, 1);
+    }
+
+    /// Record `n` samples of the same value — still one relaxed atomic
+    /// add, for callers that time a whole chunk of events at once.
+    #[inline]
+    pub fn record_n(&self, nanos: u64, n: u64) {
+        self.counts[bucket_index(nanos)].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record a [`Duration`] sample, saturating at `u64::MAX` ns.

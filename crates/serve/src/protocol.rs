@@ -47,15 +47,42 @@ pub const DEFAULT_MAX_FRAME: usize = 16 << 20;
 
 /// Write one frame: `len` prefix plus `payload`, then flush.
 ///
+/// Prefix and payload are assembled first and leave in a single
+/// `write_all`, so on a no-delay socket a small frame is one syscall
+/// and one segment, not two.
+///
 /// The caller is responsible for `payload.len() <= max_frame` on its
 /// side; the function only refuses payloads whose length cannot be
 /// represented at all.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload over 4 GiB"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Append one whole frame — `len` prefix plus the encoded `msg` — to
+/// `buf`, with no intermediate payload buffer: the bytes are exactly
+/// what [`write_frame`] sends for [`encode_message`]`(msg)`, so frames
+/// encoded back to back into one buffer leave in one write. On error
+/// `buf` is left as it was.
+pub(crate) fn encode_frame_into<T: Wire>(buf: &mut Vec<u8>, msg: &T) -> Result<(), WireError> {
+    let start = buf.len();
+    let mut w = WireWriter::appending_to(std::mem::take(buf));
+    w.put_u32(0);
+    let len = msg.encode(&mut w).and_then(|()| {
+        u32::try_from(w.len() - start - 4)
+            .map_err(|_| WireError::Corrupt("frame payload over 4 GiB"))
+    });
+    *buf = w.into_bytes();
+    match len {
+        Ok(len) => buf[start..start + 4].copy_from_slice(&len.to_le_bytes()),
+        Err(_) => buf.truncate(start),
+    }
+    len.map(drop)
 }
 
 /// Read one frame's payload from a stream.
@@ -779,6 +806,24 @@ impl Wire for Response {
     }
 }
 
+/// A sink that records every `write` call it receives.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct RecordingWrite {
+    pub writes: Vec<Vec<u8>>,
+}
+
+#[cfg(test)]
+impl Write for RecordingWrite {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,6 +846,36 @@ mod tests {
         assert!(read_frame(&mut cursor, DEFAULT_MAX_FRAME)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn one_frame_is_one_write() {
+        let mut sink = RecordingWrite::default();
+        write_frame(&mut sink, b"abc").unwrap();
+        assert_eq!(sink.writes, [b"\x03\0\0\0abc".to_vec()]);
+    }
+
+    #[test]
+    fn encode_frame_into_appends_what_write_frame_sends() {
+        let msgs = [
+            Response::Pong,
+            Response::Ingested {
+                start: 7,
+                end: 9,
+                dropped: 0,
+            },
+            Response::Error {
+                code: 3,
+                message: "no".into(),
+            },
+        ];
+        let mut appended = b"kept".to_vec();
+        let mut written = b"kept".to_vec();
+        for msg in &msgs {
+            encode_frame_into(&mut appended, msg).unwrap();
+            write_frame(&mut written, &encode_message(msg).unwrap()).unwrap();
+        }
+        assert_eq!(appended, written);
     }
 
     #[test]

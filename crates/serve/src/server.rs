@@ -6,13 +6,21 @@
 //! * one **accept thread** blocks on [`TcpListener::accept`] and spawns
 //!   a handler thread per connection;
 //! * each **connection thread** loops `read_frame → decode → handle →
-//!   write_frame`, with a short read timeout so it can observe the
-//!   server-wide shutdown flag between frames;
-//! * a connection that subscribes gets a **pusher thread** that drains
-//!   its [`Subscription`](cer_core::ingest::Subscription) and writes
-//!   [`Response::Event`] frames; pusher
-//!   and handler share the socket through a mutex taken per whole
-//!   frame, so frames never interleave;
+//!   reply`, with a short read timeout so it can observe the
+//!   server-wide shutdown flag between frames; a reply is one frame in
+//!   one write;
+//! * a connection that subscribes gets a **pusher thread** that takes
+//!   everything its [`Subscription`]
+//!   holds, encodes the [`Response::Event`] frames back to back into
+//!   one reused buffer and writes it — so a backlog leaves as a few
+//!   large writes, while an idle connection still sends every event the
+//!   moment it arrives (the buffer is flushed whenever the taken events
+//!   run out; there is no timer). Pusher and handler share the socket
+//!   through a mutex taken per *buffer* of whole frames (at most
+//!   64 KiB), so frames never interleave, and a waiting reply goes
+//!   ahead of the pusher's next buffer, so an ack is never stuck behind
+//!   more than one. The bytes on the wire are the same as one write per
+//!   frame would produce;
 //! * the **control plane** (submit/deregister/stats/snapshot/drain)
 //!   goes through one `Mutex<Runtime>`; the **hot path** (ingest) uses
 //!   a cloned lock-free [`IngestHandle`], so concurrent producers never
@@ -30,14 +38,14 @@
 //! [`Response::Error`] carries; the connection survives all of them.
 
 use crate::protocol::{
-    decode_message, encode_message, read_frame, write_frame, AutoscaleSummary, DurabilitySummary,
-    Frontend, Request, Response, StatsSummary, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    decode_message, encode_frame_into, read_frame, AutoscaleSummary, DurabilitySummary, Frontend,
+    Request, Response, StatsSummary, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use cer_common::Schema;
-use cer_core::ingest::{IngestHandle, SubscriptionFilter};
+use cer_core::ingest::{IngestHandle, Subscription, SubscriptionFilter};
 use cer_core::runtime::{QuerySpec, Runtime, RuntimeStats};
 use cer_core::{AutoscalePolicy, Controller, Error, RuntimeConfig};
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -323,6 +331,88 @@ fn autoscale_status(shared: &Shared) -> Result<Response, Error> {
     }))
 }
 
+/// Most bytes of [`Response::Event`] frames the pusher writes per hold
+/// of the connection's writer lock. A reply that becomes ready while
+/// the pusher works through a backlog waits for at most one such write;
+/// the value also caps the pusher's reused encode buffer.
+const PUSH_BUF_BYTES: usize = 64 << 10;
+
+/// The write half of a connection, shared by its handler thread (one
+/// reply per request) and its pusher thread (Event frames). Every write
+/// under the lock is a run of whole frames, so frames never interleave.
+struct ConnWriter<W> {
+    stream: Mutex<W>,
+    /// Up while the handler waits for `stream` with a reply in hand. A
+    /// std mutex is not fair: without this the pusher could re-take the
+    /// lock buffer after buffer while the reply starves behind a whole
+    /// backlog of events.
+    reply_waiting: AtomicBool,
+}
+
+impl<W: Write> ConnWriter<W> {
+    fn new(stream: W) -> Self {
+        ConnWriter {
+            stream: Mutex::new(stream),
+            reply_waiting: AtomicBool::new(false),
+        }
+    }
+
+    /// Write a request's reply, ahead of any Event buffer not yet begun.
+    fn reply(&self, frame: &[u8]) -> io::Result<()> {
+        self.reply_waiting.store(true, Ordering::SeqCst);
+        let mut stream = self.stream.lock().expect("connection writer poisoned");
+        self.reply_waiting.store(false, Ordering::SeqCst);
+        stream.write_all(frame)
+    }
+
+    /// Write one buffer of Event frames, after any waiting reply.
+    fn push(&self, frames: &[u8]) -> io::Result<()> {
+        while self.reply_waiting.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
+        self.stream
+            .lock()
+            .expect("connection writer poisoned")
+            .write_all(frames)
+    }
+}
+
+/// The pusher thread's loop: wait for the subscription to hold events,
+/// take *all* of them, encode them back to back as [`Response::Event`]
+/// frames into one reused buffer and write that buffer whenever it
+/// reaches [`PUSH_BUF_BYTES`] and when the taken events run out. An
+/// idle connection therefore sends each event the moment it arrives,
+/// one frame per write, and frames coalesce only while the socket is
+/// the slower side — there is no timer and nothing to tune. The byte
+/// stream is the same either way: the events' frames in channel order.
+fn push_events<W: Write>(
+    sub: &Subscription,
+    writer: &ConnWriter<W>,
+    tick: Duration,
+    stopped: impl Fn() -> bool,
+) {
+    let mut events = Vec::new();
+    let mut frames = Vec::new();
+    while !stopped() {
+        if sub.recv_all(tick, &mut events) == 0 {
+            continue;
+        }
+        let mut left = events.len();
+        for event in events.drain(..) {
+            left -= 1;
+            if encode_frame_into(&mut frames, &Response::Event(event)).is_err() {
+                return;
+            }
+            if frames.len() >= PUSH_BUF_BYTES || left == 0 {
+                if writer.push(&frames).is_err() || stopped() {
+                    return;
+                }
+                frames.clear();
+            }
+        }
+    }
+}
+
 /// The per-connection subscription: a stop flag shared with the pusher
 /// thread plus the pusher's handle.
 struct ActiveSubscription {
@@ -343,7 +433,7 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(write_half));
+    let writer = Arc::new(ConnWriter::new(write_half));
     let mut read_half = stream;
     let mut subscription: Option<ActiveSubscription> = None;
 
@@ -387,16 +477,17 @@ fn error_response(e: &Error) -> Response {
     }
 }
 
-fn send(writer: &Arc<Mutex<TcpStream>>, response: &Response) -> io::Result<()> {
-    let payload = encode_message(response)
+/// Send one reply: the whole frame in one write.
+fn send(writer: &ConnWriter<TcpStream>, response: &Response) -> io::Result<()> {
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, response)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
-    let mut w = writer.lock().expect("connection writer poisoned");
-    write_frame(&mut *w, &payload)
+    writer.reply(&frame)
 }
 
 fn handle_request(
     shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<ConnWriter<TcpStream>>,
     subscription: &mut Option<ActiveSubscription>,
     request: Request,
 ) -> Result<Response, Error> {
@@ -488,16 +579,15 @@ fn handle_request(
             let pusher = thread::Builder::new()
                 .name("cer-serve-push".into())
                 .spawn(move || {
-                    let tick = pusher_shared.config.poll_interval;
-                    while !pusher_stop.load(Ordering::SeqCst)
-                        && !pusher_shared.shutdown.load(Ordering::SeqCst)
-                    {
-                        if let Some(event) = sub.recv_timeout(tick) {
-                            if send(&pusher_writer, &Response::Event(event)).is_err() {
-                                break;
-                            }
-                        }
-                    }
+                    push_events(
+                        &sub,
+                        &pusher_writer,
+                        pusher_shared.config.poll_interval,
+                        || {
+                            pusher_stop.load(Ordering::SeqCst)
+                                || pusher_shared.shutdown.load(Ordering::SeqCst)
+                        },
+                    )
                 })
                 .map_err(|e| Error::Protocol(format!("cannot spawn pusher thread: {e}")))?;
             *subscription = Some(ActiveSubscription { stop, pusher });
@@ -667,4 +757,179 @@ fn validate_tuple(schema: &Schema, t: &cer_common::Tuple) -> Result<(), Error> {
         }));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{encode_message, write_frame, RecordingWrite};
+    use cer_common::tuple::tup;
+    use cer_core::runtime::MatchEvent;
+    use cer_core::window::WindowPolicy;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    /// A runtime whose one subscription holds `side * side` delivered
+    /// events (a star query: `side` tuples on each arm, then the hub),
+    /// plus those same events in channel order.
+    fn queued_events(side: usize) -> (Runtime, Subscription, Vec<MatchEvent>) {
+        let mut schema = Schema::new();
+        let pcea = compile_query_text(
+            &mut schema,
+            Frontend::Hcq,
+            "Q(x, y, z) <- A(x), B(x, y), C(x, z)",
+        )
+        .unwrap();
+        let mut rt = Runtime::new(RuntimeConfig::new(1));
+        rt.register(QuerySpec::new("star", pcea, WindowPolicy::Count(1 << 20)))
+            .unwrap();
+        let reference = rt.subscribe_with(
+            SubscriptionFilter::All,
+            usize::MAX,
+            cer_core::BackpressurePolicy::Block,
+        );
+        let sub = rt.subscribe_with(
+            SubscriptionFilter::All,
+            usize::MAX,
+            cer_core::BackpressurePolicy::Block,
+        );
+        let [a, b, c] = ["A", "B", "C"].map(|name| schema.relation(name).unwrap());
+        let arm = |rel| (0..side as i64).map(move |i| tup(rel, [0, i]));
+        let stream: Vec<_> = arm(b).chain(arm(c)).chain([tup(a, [0i64])]).collect();
+        rt.ingest_handle().push_batch(&stream).unwrap();
+        rt.drain();
+        let events = reference.drain();
+        assert_eq!(events.len(), side * side);
+        (rt, sub, events)
+    }
+
+    fn event_frame(event: &MatchEvent) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(
+            &mut frame,
+            &encode_message(&Response::Event(event.clone())).unwrap(),
+        )
+        .unwrap();
+        frame
+    }
+
+    /// However the pusher cuts its writes, the bytes a client reads are
+    /// one `write_frame(encode_message(Event))` per event, in channel
+    /// order, and no write exceeds the cap by more than a frame.
+    #[test]
+    fn pushed_bytes_are_the_per_event_frames_in_order() {
+        // 1 and 25 events fit one buffer, 900 cross the byte cap once,
+        // 3600 several times.
+        for side in [1, 5, 30, 60] {
+            let (_rt, sub, events) = queued_events(side);
+            let expected: Vec<u8> = events.iter().flat_map(event_frame).collect();
+            let longest = events.iter().map(|e| event_frame(e).len()).max().unwrap();
+            let writer = ConnWriter::new(RecordingWrite::default());
+            let written = || -> usize {
+                let stream = writer.stream.lock().unwrap();
+                stream.writes.iter().map(Vec::len).sum()
+            };
+            push_events(&sub, &writer, Duration::from_millis(1), || {
+                written() >= expected.len()
+            });
+            let writes = &writer.stream.lock().unwrap().writes;
+            assert_eq!(writes.concat(), expected, "side {side}");
+            let (last, full) = writes.split_last().unwrap();
+            assert!(full
+                .iter()
+                .chain([last])
+                .all(|w| w.len() < PUSH_BUF_BYTES + longest));
+            assert!(full.iter().all(|w| w.len() >= PUSH_BUF_BYTES));
+        }
+    }
+
+    /// A socket that, inside its `gate`-th `write_all` (the writer lock
+    /// held), reports on `entered` and waits for `resume`; it logs the
+    /// length of every `write_all`.
+    struct GatedStream {
+        stream: TcpStream,
+        lens: Vec<usize>,
+        gate: usize,
+        entered: Sender<()>,
+        resume: Receiver<()>,
+    }
+
+    impl Write for GatedStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.stream.write(buf)
+        }
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.lens.push(buf.len());
+            if self.lens.len() == self.gate {
+                self.entered.send(()).unwrap();
+                self.resume.recv().unwrap();
+            }
+            self.stream.write_all(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Over loopback: a reply issued while the pusher is deep in a
+    /// 10⁵-event backlog reaches the peer right after the buffer that
+    /// was being written — not behind the backlog.
+    #[test]
+    fn a_reply_waits_for_at_most_one_event_buffer() {
+        let (_rt, sub, events) = queued_events(317);
+        assert!(events.len() > 100_000);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (entered, has_entered) = channel();
+        let (resume, resumed) = channel();
+        let writer = ConnWriter::new(GatedStream {
+            stream: listener.accept().unwrap().0,
+            lens: Vec::new(),
+            gate: 2,
+            entered,
+            resume: resumed,
+        });
+        let mut pong = Vec::new();
+        encode_frame_into(&mut pong, &Response::Pong).unwrap();
+        let done = AtomicBool::new(false);
+        let event_bytes_before_pong = thread::scope(|s| {
+            // The peer reads to the end of the stream, so the pusher
+            // never stalls on a full socket.
+            let reader = s.spawn(|| {
+                let (mut before, mut seen_pong) = (0, false);
+                while let Some(payload) = read_frame(&mut peer, DEFAULT_MAX_FRAME).unwrap() {
+                    match decode_message::<Response>(&payload).unwrap() {
+                        Response::Pong => seen_pong = true,
+                        Response::Event(_) if !seen_pong => before += 4 + payload.len(),
+                        Response::Event(_) => {}
+                        other => panic!("unexpected frame {other:?}"),
+                    }
+                }
+                assert!(seen_pong);
+                before
+            });
+            let pusher = s.spawn(|| {
+                push_events(&sub, &writer, Duration::from_millis(1), || {
+                    done.load(Ordering::SeqCst)
+                })
+            });
+            // The pusher is inside its second write, holding the lock.
+            has_entered.recv().unwrap();
+            let replier = s.spawn(|| writer.reply(&pong).unwrap());
+            while !writer.reply_waiting.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            resume.send(()).unwrap();
+            replier.join().unwrap();
+            done.store(true, Ordering::SeqCst);
+            pusher.join().unwrap();
+            let gated = writer.stream.lock().unwrap();
+            gated.stream.shutdown(std::net::Shutdown::Write).unwrap();
+            reader.join().unwrap()
+        });
+        // Issued during the second buffer, the reply went out third.
+        let lens = &writer.stream.lock().unwrap().lens;
+        assert_eq!(lens[2], pong.len());
+        assert_eq!(event_bytes_before_pong, lens[0] + lens[1]);
+        assert!(lens[..2].iter().all(|len| *len < PUSH_BUF_BYTES + 256));
+    }
 }
