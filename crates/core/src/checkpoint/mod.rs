@@ -24,11 +24,12 @@
 //! is position order. Control traffic (barriers, registration) rides
 //! the same order as zero-width blocks.
 //!
-//! `snapshot()` reserves one zero-width **epoch block** at position
-//! `P = next_pos` and stages a `Snapshot` fence into every shard's
-//! reorder buffer under that block id, all inside a single sequencer
-//! lock acquisition. Consistency is then inherited from the sequencer's
-//! ordering invariants:
+//! `snapshot()` is one [control fence](crate::ingest#the-control-fence)
+//! (the ordering argument is stated there once, for every structural
+//! operation): it reserves one zero-width **epoch block** at position
+//! `P = next_pos` and stages a capture job into every shard's reorder
+//! buffer under that block id before completing it. Consistency is
+//! then inherited from the sequencer's ordering invariants:
 //!
 //! 1. Every block reserved *before* the epoch block holds positions
 //!    `< P`, and the reorder watermark cannot pass a

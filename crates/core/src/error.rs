@@ -65,7 +65,7 @@ pub enum ErrorCode {
     NotASnapshot = 40,
     /// [`SnapshotError::UnknownVersion`].
     UnknownSnapshotVersion = 41,
-    /// [`SnapshotError::ShardWorkerDied`].
+    /// [`SnapshotError::ShardWorkerDied`] / [`RuntimeError::ShardWorkerDied`].
     ShardWorkerDied = 42,
     /// [`SnapshotError::BadDefinition`].
     BadDefinition = 43,
@@ -218,6 +218,7 @@ impl Error {
                 RuntimeError::ReplaceIncompatible { .. } => ErrorCode::ReplaceIncompatible,
                 RuntimeError::InvalidShardCount { .. } => ErrorCode::InvalidShardCount,
                 RuntimeError::UnserializableQuery { .. } => ErrorCode::UnserializableQuery,
+                RuntimeError::ShardWorkerDied => ErrorCode::ShardWorkerDied,
             },
             Error::Ingest(IngestError::RuntimeClosed) => ErrorCode::RuntimeClosed,
             Error::Snapshot(e) => match e {

@@ -72,6 +72,8 @@ use crate::api::Evaluator;
 use crate::ds::EnumStructure;
 use crate::enumerate;
 use crate::fire::FireStage;
+use crate::metrics::MetricRead::{Counter, Gauge};
+use crate::metrics::MetricRow;
 use crate::window::WindowClock;
 pub use crate::window::WindowPolicy;
 use cer_automata::pcea::Pcea;
@@ -99,6 +101,38 @@ pub struct EngineStats {
     /// sharding its outputs may then depend on the shard count; see the
     /// hazard note in [`crate::window`].
     pub ts_regressions: u64,
+}
+
+impl EngineStats {
+    /// Exported per registered query, summed across shards (labels
+    /// `query`, `name`).
+    pub(crate) const ROWS: &'static [MetricRow<Self>] = &[
+        (
+            "cer_query_positions_total",
+            "Stream positions evaluated per query",
+            Counter(|st| st.positions),
+        ),
+        (
+            "cer_query_arena_nodes",
+            "Live enumeration-arena nodes per query",
+            Gauge(|st| st.arena_nodes as u64),
+        ),
+        (
+            "cer_query_extends_total",
+            "Extend operations per query",
+            Counter(|st| st.extends),
+        ),
+        (
+            "cer_query_unions_total",
+            "Union operations per query",
+            Counter(|st| st.unions),
+        ),
+        (
+            "cer_query_ts_regressions_total",
+            "Out-of-order timestamps clamped by time-window clocks",
+            Counter(|st| st.ts_regressions),
+        ),
+    ];
 }
 
 /// The streaming evaluator of Theorem 5.1.
@@ -202,6 +236,12 @@ impl StreamingEvaluator {
         }
     }
 
+    /// The keys of the look-up table `H`.
+    #[cfg(test)]
+    pub(crate) fn index_keys(&self) -> Vec<crate::fire::HKey> {
+        self.stage.index_keys()
+    }
+
     /// Update phase of Algorithm 1 for one tuple. Returns the position it
     /// occupied. Call an output method afterwards — or use the combined
     /// [`push_for_each`](Self::push_for_each) /
@@ -237,18 +277,25 @@ impl StreamingEvaluator {
         self.stage
             .update_indices(&self.pcea, &mut self.ds, t, lo, &mut self.stats);
 
+        self.since_gc += 1;
+        self.maybe_collect();
+        i
+    }
+
+    /// The GC cadence check: run the copying collector once
+    /// `since_gc` reaches the configured cadence (0 = the window's
+    /// default).
+    fn maybe_collect(&mut self) {
         let gc_every = if self.gc_every == 0 {
             self.clock.default_gc_every()
         } else {
             self.gc_every
         };
-        self.since_gc += 1;
         if self.since_gc >= gc_every {
             self.since_gc = 0;
             self.stats.collections += 1;
-            self.stage.collect_garbage(&mut self.ds, lo);
+            self.stage.collect_garbage(&mut self.ds, self.current_lo);
         }
-        i
     }
 
     /// The shared core of the batch entry points: evaluate `len` stamped
@@ -327,32 +374,13 @@ impl StreamingEvaluator {
                 .update_indices(&self.pcea, &mut self.ds, t, lo, &mut self.stats);
             self.since_gc += 1;
             if let Some(n_labels) = labels {
-                for q in self.pcea.finals() {
-                    for &n in self.stage.nodes_at(q.index()) {
-                        enumerate::for_each_valuation_from(
-                            &self.ds,
-                            n,
-                            lo,
-                            n_labels,
-                            &mut |v: &Valuation| f(i, v),
-                        );
-                    }
-                }
+                self.enumerate_position(lo, n_labels, |v| f(i, v));
             }
         }
         // Amortized GC: the cadence check runs once per batch. Collection
         // is transparent to outputs, so deferring it within the batch
         // only lets the arena overshoot by at most one batch.
-        let gc_every = if self.gc_every == 0 {
-            self.clock.default_gc_every()
-        } else {
-            self.gc_every
-        };
-        if self.since_gc >= gc_every {
-            self.since_gc = 0;
-            self.stats.collections += 1;
-            self.stage.collect_garbage(&mut self.ds, self.current_lo);
-        }
+        self.maybe_collect();
     }
 
     /// Batch update: push a whole slice at consecutive positions,
@@ -606,16 +634,18 @@ impl StreamingEvaluator {
     /// Enumerate this position's new outputs (`⟦P⟧^w_i(S)`), calling `f`
     /// once per valuation. Must follow [`push`](Self::push) for the same
     /// position.
-    pub fn for_each_output<F: FnMut(&Valuation)>(&self, mut f: F) {
+    pub fn for_each_output<F: FnMut(&Valuation)>(&self, f: F) {
+        self.enumerate_position(self.current_lo, self.pcea.num_labels(), f);
+    }
+
+    /// The enumeration phase at the position just updated: every node
+    /// that reached a final state holds exactly this position's new
+    /// outputs with `min(ν) ≥ lo`. `n_labels = 0` yields placeholder
+    /// valuations — enough to count without materializing.
+    fn enumerate_position<F: FnMut(&Valuation)>(&self, lo: u64, n_labels: usize, mut f: F) {
         for q in self.pcea.finals() {
             for &n in self.stage.nodes_at(q.index()) {
-                enumerate::for_each_valuation_from(
-                    &self.ds,
-                    n,
-                    self.current_lo,
-                    self.pcea.num_labels(),
-                    &mut f,
-                );
+                enumerate::for_each_valuation_from(&self.ds, n, lo, n_labels, &mut f);
             }
         }
     }
@@ -637,13 +667,7 @@ impl StreamingEvaluator {
     /// Count this position's new outputs without materializing them.
     fn count_outputs(&self) -> usize {
         let mut n = 0usize;
-        for q in self.pcea.finals() {
-            for &node in self.stage.nodes_at(q.index()) {
-                enumerate::for_each_valuation_from(&self.ds, node, self.current_lo, 0, |_| {
-                    n += 1;
-                });
-            }
-        }
+        self.enumerate_position(self.current_lo, 0, |_| n += 1);
         n
     }
 

@@ -49,7 +49,7 @@ use cer_common::hash::FxHashMap;
 use cer_common::Tuple;
 
 /// Look-up table key: `(transition index, source slot, join key)`.
-type HKey = (u32, u32, Key);
+pub(crate) type HKey = (u32, u32, Key);
 
 /// The mutable state of the firing and indexing stages.
 #[derive(Clone, Debug)]
@@ -83,6 +83,12 @@ impl FireStage {
     /// Entries currently in `H`.
     pub(crate) fn index_entries(&self) -> usize {
         self.h.len()
+    }
+
+    /// The keys of `H` (tests check that placed replicas partition them).
+    #[cfg(test)]
+    pub(crate) fn index_keys(&self) -> Vec<HKey> {
+        self.h.keys().cloned().collect()
     }
 
     /// Nodes created at the current position targeting state `q`.

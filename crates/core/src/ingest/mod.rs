@@ -56,19 +56,38 @@
 //! completes in bounded time and sparse or empty blocks (blocks that
 //! routed nothing to a shard) simply have no entry to release.
 //!
-//! Control traffic rides the same order: `IngestShared::barrier`,
-//! registration and deregistration each reserve a **zero-width** block
-//! (no positions) and stage their control message into the reorder
-//! buffers under that block id. A barrier is therefore delivered to a
-//! worker only after every block reserved before it — *staged or not* —
-//! has completed and been released: the watermark cannot pass a
-//! reserved-but-unstaged block, which is exactly the fence `drain()`
-//! needs. Registration mutates the routing tables and reserves its
-//! zero-width block under the same lock acquisition, so a block's router
-//! snapshot agrees with its position in block order: blocks before the
-//! registration were routed with the old tables and are delivered ahead
-//! of the `Register` message, blocks after with the new tables, behind
-//! it.
+//! # The control fence
+//!
+//! Control traffic rides the same order. **Every** structural operation
+//! on the runtime — register, deregister, replace, snapshot, rescale,
+//! restore, a stats poll, `drain()` — reaches the shard workers through
+//! one primitive, the `Fence`: under one sequencer lock acquisition it
+//! runs the operation's *edit* (to the routing tables, the queue set,
+//! the counters) and reserves a **zero-width** block (no positions);
+//! then it stages one control job per target shard into the reorder
+//! buffers under that block id, completes the block, and has exactly
+//! one typed reply per target to collect (only a registration does not
+//! wait for them).
+//!
+//! The ordering argument, stated once for all of them: the edit and
+//! the reservation share one lock acquisition, so the routing epoch
+//! agrees with block order — blocks reserved before the fence were
+//! routed with the old tables (and into the old queue set) and are
+//! released *ahead* of the fence's jobs; blocks reserved after it see
+//! the edit and are released *behind* them. The watermark cannot pass a
+//! reserved block that has not completed — *staged or not* — so a job
+//! is delivered to its worker only after every earlier block has
+//! completed and been released, and before any later one. Every target
+//! therefore runs its job at exactly the same point of the stream: a
+//! fence is a zero-width cut in position order, whatever the shard
+//! count and whatever producers do meanwhile. (Jobs are staged after
+//! the lock is dropped but before the block completes, which is all
+//! the argument needs — producers stage their tuple slices the same
+//! way.) A second block reserved in the same acquisition (`rescale`)
+//! stays incomplete while state moves between worker sets: everything
+//! stamped after the fence waits in the reorder buffers, not in parked
+//! producers. A reply proves its shard processed everything ahead of
+//! the fence, which is exactly what `drain()` needs.
 //!
 //! # Position-sequencing soundness
 //!
@@ -164,17 +183,18 @@ mod subscribe;
 pub use queue::QueueStats;
 pub use subscribe::{Subscription, SubscriptionFilter};
 
-pub(crate) use queue::{Closed, InstallQuery, ShardMsg, ShardQueue, ShardState};
+pub(crate) use queue::{Closed, ShardMsg, ShardQueue, TupleBatch};
 pub(crate) use subscribe::SubscriptionRegistry;
 
 use crate::metrics::{PipelineEvent, PipelineMetrics};
-use crate::runtime::Partition;
+use crate::runtime::{Partition, QueryId, ShardHost};
 use cer_common::hash::{FxBuildHasher, FxHashMap};
 use cer_common::{RelationId, Tuple};
 use std::collections::VecDeque;
 use std::fmt;
 use std::hash::BuildHasher;
 use std::ops::Range;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -257,7 +277,8 @@ pub struct IngestReceipt {
 }
 
 /// Routing metadata for one registered query, kept so tables can be
-/// rebuilt when a query is deregistered.
+/// rebuilt when a query is deregistered — and, with the evaluator, all
+/// a shard worker needs to adopt the query.
 #[derive(Clone)]
 pub(crate) struct QueryMeta {
     pub alive: bool,
@@ -342,6 +363,35 @@ impl Router {
             }
         }
         counts
+    }
+
+    /// Homes for one more query given the pinned load so far: every
+    /// shard for `ByKey`; for `ByQuery` the least-loaded shard (lowest
+    /// index on ties), whose count is bumped.
+    pub fn pick_homes(partition: Partition, pinned: &mut [usize]) -> Vec<usize> {
+        match partition {
+            Partition::ByQuery => {
+                let least = (0..pinned.len()).min_by_key(|&s| pinned[s]).unwrap_or(0);
+                pinned[least] += 1;
+                vec![least]
+            }
+            Partition::ByKey { .. } => (0..pinned.len()).collect(),
+        }
+    }
+
+    /// Re-home every live query for a worker set of `n_shards` —
+    /// deterministically, in id order, as if each had just been
+    /// registered on an empty runtime — and rebuild the tables. Returns
+    /// every live query with its new routing metadata.
+    pub fn rehome(&mut self, n_shards: usize) -> Vec<(QueryId, QueryMeta)> {
+        let mut pinned = vec![0usize; n_shards];
+        let mut placements = Vec::new();
+        for (i, meta) in self.metas.iter_mut().enumerate().filter(|(_, m)| m.alive) {
+            meta.homes = Self::pick_homes(meta.partition, &mut pinned);
+            placements.push((QueryId(i as u32), meta.clone()));
+        }
+        self.rebuild();
+        placements
     }
 
     /// Bitmask of shards the tuple must reach.
@@ -432,6 +482,12 @@ impl SeqCore {
         seq
     }
 
+    /// The queues of the shards hosting query `id`.
+    pub fn home_queues(&self, id: QueryId) -> Vec<Arc<ShardQueue>> {
+        let homes = &self.router.metas[id.0 as usize].homes;
+        homes.iter().map(|&s| Arc::clone(&self.queues[s])).collect()
+    }
+
     /// Mark `id` complete. Returns the new low watermark when it
     /// advanced (the caller must then broadcast it to the shard reorder
     /// buffers), `None` when an earlier block is still in flight.
@@ -495,19 +551,20 @@ impl IngestShared {
         }
     }
 
-    /// Log a stamped operation to the attached WAL, if any, recording
-    /// append volume and fsync latency. On an append error the WAL has
-    /// already poisoned itself (logging stops, serving continues); this
-    /// journals the failure once. Never fails the operation: its block
-    /// is already stamped and in flight to the shards.
+    /// Log a stamped operation to the attached WAL, if any (`payload`
+    /// is only encoded then), recording append volume and fsync
+    /// latency. On an append error the WAL has already poisoned itself
+    /// (logging stops, serving continues); this journals the failure
+    /// once. Never fails the operation: its block is already stamped
+    /// and in flight to the shards.
     pub(crate) fn wal_append(
         &self,
         wal_seq: u64,
         position: u64,
-        payload: Result<Vec<u8>, crate::durability::DurabilityError>,
+        payload: impl FnOnce() -> Result<Vec<u8>, crate::durability::DurabilityError>,
     ) {
         let Some(wal) = self.wal.get() else { return };
-        let appended = match payload {
+        let appended = match payload() {
             Ok(p) => wal.append(wal_seq, p),
             Err(e) => {
                 wal.poison();
@@ -601,10 +658,9 @@ impl IngestShared {
         // Log the stamped batch before staging: the WAL sees the full
         // reserved block (under `DropNewest`, replay may keep tuples
         // the original run shed — the differential tests use `Block`).
-        if self.wal.get().is_some() {
-            let payload = crate::durability::encode_batch(wal_seq, start, batch);
-            self.wal_append(wal_seq, start, payload);
-        }
+        self.wal_append(wal_seq, start, || {
+            crate::durability::encode_batch(wal_seq, start, batch)
+        });
         // Outside the lock: route, hash and clone on this producer's
         // thread, striping the per-tuple work across producers. The
         // outer staging vector is thread-local scratch (each staged
@@ -693,42 +749,39 @@ impl IngestShared {
         })
     }
 
-    /// Fence across all shards: returns once every message ordered
-    /// before the call — tuple blocks (reserved or staged),
-    /// registrations — has been fully processed and its match events
-    /// published.
-    ///
-    /// The barrier reserves a zero-width block, so it is released to
-    /// each worker only after the watermark passes every block reserved
-    /// before it: reserved-but-unstaged blocks are fenced too.
-    pub fn barrier(&self) -> Result<(), IngestError> {
-        let (reply, done) = std::sync::mpsc::channel();
-        let (id, queues) = {
-            let mut seq = self.seq.lock().expect("sequencer poisoned");
-            (seq.reserve(0).0, Arc::clone(&seq.queues))
+    /// Open a [`Fence`]: under **one** sequencer lock acquisition run
+    /// `edit` (the operation's change to the router, the queue set or
+    /// the counters — it may also take or read the `wal_seq`) and
+    /// reserve `blocks` consecutive zero-width blocks.
+    pub fn fence<T>(&self, blocks: u64, edit: impl FnOnce(&mut SeqCore) -> T) -> (Fence<'_>, T) {
+        let mut seq = self.seq.lock().expect("sequencer poisoned");
+        let out = edit(&mut seq);
+        let first = seq.next_block;
+        for _ in 0..blocks {
+            seq.reserve(0);
+        }
+        let fence = Fence {
+            shared: self,
+            blocks: first..first + blocks,
+            position: seq.next_pos,
         };
-        let mut closed = false;
-        for q in queues.iter() {
-            if q.stage_control(
-                id,
-                ShardMsg::Barrier {
-                    reply: reply.clone(),
-                },
-            )
-            .is_err()
-            {
-                closed = true;
-            }
-        }
-        self.finish_block(id);
-        drop(reply);
-        if closed {
-            return Err(IngestError::RuntimeClosed);
-        }
-        for _ in 0..queues.len() {
-            done.recv().map_err(|_| IngestError::RuntimeClosed)?;
-        }
-        Ok(())
+        (fence, out)
+    }
+
+    /// The fence that edits nothing: run `job` on every current shard at
+    /// one point of the position order. Returns the fence position, the
+    /// `wal_seq` high-water read under the same lock acquisition (every
+    /// logged operation below it was reserved before the fence, so a
+    /// recovery replay filter `seq >= wal_seq` is exact) and the
+    /// replies in shard order. `drain()` is `fence_all(|_| ())`.
+    pub fn fence_all<R: Send + 'static>(
+        &self,
+        job: impl Fn(&mut ShardHost) -> R + Clone + Send + 'static,
+    ) -> Result<(u64, u64, Vec<R>), ShardWorkerDied> {
+        let (mut fence, (wal_seq, queues)) =
+            self.fence(1, |seq| (seq.next_wal_seq, Arc::clone(&seq.queues)));
+        let jobs = queues.iter().map(|q| (Arc::clone(q), job.clone()));
+        Ok((fence.position, wal_seq, fence.stage(jobs)?.collect()?))
     }
 
     /// Close the pipeline: every shard queue is closed (workers drain
@@ -751,6 +804,94 @@ impl IngestShared {
             q.close();
         }
         self.subs.close_all();
+    }
+}
+
+/// A shard worker vanished: its queue was closed when a [`Fence`] staged
+/// its job, or it dropped the job unanswered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ShardWorkerDied;
+
+/// The one control fence — see [the module docs](self#the-control-fence)
+/// for what it is and for the ordering argument every structural
+/// operation inherits from it.
+///
+/// A `Fence` is a run of reserved, not yet completed zero-width blocks
+/// ([`IngestShared::fence`]); each [`stage`](Self::stage) call spends
+/// the next one: it stages one control job per target shard under that
+/// block id, completes the block, and hands back the [`Replies`] to
+/// collect. Blocks never staged are completed on drop, so no path can
+/// wedge the reorder watermark.
+pub(crate) struct Fence<'a> {
+    shared: &'a IngestShared,
+    blocks: Range<u64>,
+    /// The stream position of the cut: tuples stamped below it are
+    /// ahead of the fence, everything at or above is behind it.
+    pub position: u64,
+}
+
+impl Fence<'_> {
+    /// Spend the next reserved block: stage one job per target under
+    /// it, then complete it. Each job runs on its shard's worker thread
+    /// and its return value is that target's reply. Fails when a
+    /// target's queue was already closed.
+    pub fn stage<R, J>(
+        &mut self,
+        jobs: impl IntoIterator<Item = (Arc<ShardQueue>, J)>,
+    ) -> Result<Replies<R>, ShardWorkerDied>
+    where
+        R: Send + 'static,
+        J: FnOnce(&mut ShardHost) -> R + Send + 'static,
+    {
+        assert!(!self.blocks.is_empty(), "fence has no reserved block left");
+        let block = self.blocks.start;
+        let (reply, inbox) = channel();
+        let mut targets = 0;
+        let mut closed = false;
+        for (k, (queue, job)) in jobs.into_iter().enumerate() {
+            let reply = reply.clone();
+            let job = Box::new(move |host: &mut ShardHost| {
+                let _ = reply.send((k, job(host)));
+            });
+            closed |= queue.stage_control(block, job).is_err();
+            targets += 1;
+        }
+        self.blocks.start += 1;
+        self.shared.finish_block(block);
+        if closed {
+            return Err(ShardWorkerDied);
+        }
+        Ok(Replies { inbox, targets })
+    }
+}
+
+impl Drop for Fence<'_> {
+    fn drop(&mut self) {
+        for block in self.blocks.clone() {
+            self.shared.finish_block(block);
+        }
+    }
+}
+
+/// The pending replies of one staged [`Fence`] block: exactly one per
+/// target. Dropping them unawaited is fine — the jobs still run at the
+/// fence, and a later fence proves they did.
+pub(crate) struct Replies<R> {
+    inbox: Receiver<(usize, R)>,
+    targets: usize,
+}
+
+impl<R> Replies<R> {
+    /// Wait for every target's reply; returns them in target order. A
+    /// reply proves that shard processed everything ahead of the fence.
+    /// Fails when a worker vanished with its job unanswered.
+    pub fn collect(self) -> Result<Vec<R>, ShardWorkerDied> {
+        let mut out: Vec<Option<R>> = (0..self.targets).map(|_| None).collect();
+        for _ in 0..self.targets {
+            let (k, reply) = self.inbox.recv().map_err(|_| ShardWorkerDied)?;
+            out[k] = Some(reply);
+        }
+        Ok(out.into_iter().flatten().collect())
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! Each shard worker owns one [`ShardQueue`]: a mutex-and-condvar MPSC
 //! queue that carries position-stamped tuple batches *and* control
-//! messages (register, deregister, stats, barriers). Capacity is
-//! accounted in **tuples**, not messages, and only tuple batches count —
-//! control traffic always gets through, so a saturated firehose can
-//! never wedge registration or shutdown.
+//! jobs (the per-shard half of every [`Fence`](super::Fence)). Capacity
+//! is accounted in **tuples**, not messages, and only tuple batches
+//! count — control traffic always gets through, so a saturated firehose
+//! can never wedge registration or shutdown.
 //!
 //! In front of the worker FIFO sits the **reorder stage**: producers of
 //! the striped sequencer ([`crate::ingest`]) stage each position block's
@@ -29,15 +29,13 @@
 //! released to the FIFO.
 
 use super::BackpressurePolicy;
-use crate::evaluator::{EngineStats, StreamingEvaluator};
-use crate::runtime::{Partition, QueryId, SharedEvalStats};
-use crate::window::WindowPolicy;
-use cer_automata::pcea::Pcea;
-use cer_common::{RelationId, Tuple};
+use crate::metrics::MetricRead::{self, Counter, Gauge};
+use crate::metrics::MetricRow;
+use crate::runtime::ShardHost;
+use cer_common::Tuple;
 use cer_obs::Histogram;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -58,104 +56,21 @@ pub(crate) struct TupleBatch {
     pub released_at: Instant,
 }
 
-/// One shard's reply to a [`ShardMsg::Stats`] probe: the replying
-/// shard's index, its per-query engine counters, and its shared-eval
-/// cache counters.
-pub(crate) type StatsReply = (usize, Vec<(QueryId, EngineStats)>, SharedEvalStats);
+/// A control job: runs on the shard worker's thread against its
+/// [`ShardHost`], at the point of the released position order its
+/// zero-width block occupies. Built only by
+/// [`Fence::stage`](super::Fence::stage), which wraps the caller's typed
+/// job together with its reply channel.
+pub(crate) type ControlJob = Box<dyn FnOnce(&mut ShardHost) + Send>;
 
 /// What travels to a shard worker. Tuple batches compete for queue
-/// capacity; everything else is control traffic and always admitted.
+/// capacity; control jobs are always admitted.
 pub(crate) enum ShardMsg {
     /// Position-stamped tuples in increasing position order.
     Tuples(TupleBatch),
-    /// Host a new query on this shard. `state` carries a restored
-    /// evaluator (checkpoint restore) instead of starting fresh.
-    Register {
-        id: QueryId,
-        pcea: Pcea,
-        window: WindowPolicy,
-        partition: Partition,
-        gc_every: u64,
-        listens: Option<Vec<RelationId>>,
-        state: Option<Box<StreamingEvaluator>>,
-    },
-    /// Epoch-block state fence shared by snapshot and rescale
-    /// ([`crate::checkpoint`]): capture every hosted query's evaluator
-    /// at exactly this point of the released position order and reply
-    /// with the in-memory [`ShardState`]. `detach: false` (snapshot)
-    /// clones the evaluators and keeps serving; `detach: true`
-    /// (rescale) moves them out — the worker exits after replying and
-    /// its queue is retired.
-    Extract {
-        detach: bool,
-        reply: Sender<ShardState>,
-    },
-    /// Rescale install fence: adopt merged evaluators for the new shard
-    /// topology. The whole shard's worth of queries rides one message
-    /// because the reorder buffer keys entries by block id — a zero-
-    /// width block carries exactly one control message per shard.
-    /// Replies once the state is installed, i.e. this worker serves
-    /// positions from the fence onward.
-    Install {
-        queries: Vec<InstallQuery>,
-        reply: Sender<()>,
-    },
-    /// Hot-swap a hosted query's automaton in place
-    /// (`Runtime::replace`): the accumulated state is handed to the
-    /// recompiled automaton at exactly this point of the position
-    /// order. Replies whether this shard hosted (and swapped) the
-    /// query; compatibility was validated by the control plane.
-    Replace {
-        id: QueryId,
-        pcea: Pcea,
-        window: WindowPolicy,
-        gc_every: u64,
-        listens: Option<Vec<RelationId>>,
-        reply: Sender<bool>,
-    },
-    /// Drop a hosted query; replies with its final engine counters
-    /// (`None` if this shard never hosted it).
-    Deregister {
-        id: QueryId,
-        reply: Sender<Option<EngineStats>>,
-    },
-    /// Report per-query engine counters (tagged with the replying
-    /// shard's index, so the runtime can surface per-shard breakdowns
-    /// alongside the summed totals).
-    Stats { reply: Sender<StatsReply> },
-    /// FIFO fence: the worker replies once every earlier message on this
-    /// queue has been fully processed (tuples evaluated, match events
-    /// published).
-    Barrier { reply: Sender<()> },
-}
-
-/// One shard's reply to a [`ShardMsg::Extract`] fence: the movable
-/// per-shard engine state — every hosted query's evaluator, captured at
-/// the epoch position. This is the in-memory value the checkpoint wire
-/// format encodes on the control plane ([`crate::checkpoint`]) and that
-/// `Runtime::rescale` moves between worker sets with **zero**
-/// encode/decode.
-pub(crate) struct ShardState {
-    /// Which shard replied.
-    pub shard: usize,
-    /// `(query, evaluator)` per hosted query, in hosting order.
-    pub queries: Vec<(QueryId, Box<StreamingEvaluator>)>,
-    /// How long the capture stalled this shard's worker, in nanoseconds
-    /// (surfaced as a `RuntimeStats` counter by both snapshot and
-    /// rescale).
-    pub capture_nanos: u64,
-}
-
-/// One query's ready-to-serve state handed to a new worker during
-/// `Runtime::rescale` — one element of [`ShardMsg::Install`]. The
-/// evaluator carries its own automaton, window clock and GC cadence;
-/// routing metadata rides alongside so the worker can rebuild its
-/// local tables exactly as a restore-time register would.
-pub(crate) struct InstallQuery {
-    pub id: QueryId,
-    pub partition: Partition,
-    pub listens: Option<Vec<RelationId>>,
-    pub state: Box<StreamingEvaluator>,
+    /// One structural operation's work for this shard (adopt, evict,
+    /// swap, capture, stats, or nothing at all for a barrier).
+    Control(ControlJob),
 }
 
 /// Occupancy counters of one shard queue, readable at any time.
@@ -205,6 +120,57 @@ pub struct QueueStats {
     pub reorder_released: u64,
 }
 
+impl QueueStats {
+    /// Exported per shard (label `shard`).
+    pub(crate) const ROWS: &'static [MetricRow<Self>] = &[
+        (
+            "cer_queue_depth",
+            "Tuples currently staged or queued per shard",
+            Gauge(|q| q.depth as u64),
+        ),
+        (
+            "cer_queue_high_water",
+            "Maximum queue depth ever observed per shard",
+            Gauge(|q| q.high_water as u64),
+        ),
+        (
+            "cer_queue_dropped_total",
+            "Tuples dropped by DropNewest per shard",
+            Counter(|q| q.dropped),
+        ),
+        (
+            "cer_drained_batches_total",
+            "Coalesced batches handed to the shard worker",
+            Counter(|q| q.drained_batches),
+        ),
+        (
+            "cer_drained_tuples_total",
+            "Tuples handed to the shard worker",
+            Counter(|q| q.drained_tuples),
+        ),
+        (
+            "cer_max_drain_batch",
+            "Largest coalesced batch handed to the worker",
+            Gauge(|q| q.max_drain_batch as u64),
+        ),
+        (
+            "cer_reorder_pending",
+            "Blocks currently held in the reorder buffer",
+            Gauge(|q| q.reorder_pending as u64),
+        ),
+        (
+            "cer_reorder_high_water",
+            "Maximum reorder-buffer occupancy ever observed",
+            Gauge(|q| q.reorder_high_water as u64),
+        ),
+        (
+            "cer_reorder_released_total",
+            "Entries released from the reorder buffer in block order",
+            Counter(|q| q.reorder_released),
+        ),
+    ];
+}
+
 /// A reorder-buffer entry: one block's slice for this shard, or a
 /// position-ordered control message riding a zero-width block.
 enum Staged {
@@ -217,7 +183,7 @@ enum Staged {
         /// reorder-hold clock.
         staged_at: Instant,
     },
-    Control(ShardMsg),
+    Control(ControlJob),
 }
 
 struct Inner {
@@ -263,6 +229,20 @@ pub(crate) struct ShardQueue {
 }
 
 impl ShardQueue {
+    /// Exported per shard (label `shard`).
+    pub const ROWS: &'static [MetricRow<Self>] = &[
+        (
+            "cer_reorder_hold_nanos",
+            "Time staged blocks waited in the reorder buffer",
+            MetricRead::Histogram(|q| &q.reorder_hold),
+        ),
+        (
+            "cer_queue_wait_nanos",
+            "Time released batches waited in the shard FIFO",
+            MetricRead::Histogram(|q| &q.queue_wait),
+        ),
+    ];
+
     pub fn new(capacity: usize) -> Self {
         ShardQueue {
             inner: Mutex::new(Inner {
@@ -344,15 +324,14 @@ impl ShardQueue {
         Ok(dropped)
     }
 
-    /// Stage a position-ordered control message (register, deregister,
-    /// barrier) under a zero-width block id; bypasses the capacity bound
-    /// and is never dropped.
-    pub fn stage_control(&self, block: u64, msg: ShardMsg) -> Result<(), Closed> {
+    /// Stage a control job under a zero-width block id; bypasses the
+    /// capacity bound and is never dropped.
+    pub fn stage_control(&self, block: u64, job: ControlJob) -> Result<(), Closed> {
         let mut inner = self.inner.lock().expect("ingest queue poisoned");
         if inner.closed {
             return Err(Closed);
         }
-        inner.pending.insert(block, Staged::Control(msg));
+        inner.pending.insert(block, Staged::Control(job));
         inner.reorder_high_water = inner.reorder_high_water.max(inner.pending.len());
         self.has_pending.store(true, Ordering::Release);
         Ok(())
@@ -398,7 +377,7 @@ impl ShardQueue {
                         released_at,
                     })
                 }
-                Staged::Control(msg) => msg,
+                Staged::Control(job) => ShardMsg::Control(job),
             };
             inner.msgs.push_back(msg);
             inner.reorder_released += 1;
@@ -410,19 +389,6 @@ impl ShardQueue {
         if moved {
             self.not_empty.notify_one();
         }
-    }
-
-    /// Enqueue an *unordered* control message (stats polls) directly on
-    /// the worker FIFO; bypasses both the reorder stage and the capacity
-    /// bound.
-    pub fn push_control(&self, msg: ShardMsg) -> Result<(), Closed> {
-        let mut inner = self.inner.lock().expect("ingest queue poisoned");
-        if inner.closed {
-            return Err(Closed);
-        }
-        inner.msgs.push_back(msg);
-        self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Park until the queue has room below its capacity bound (the
@@ -620,18 +586,13 @@ mod tests {
         let dropped =
             stage_released(&q, 1, stamped(r, 5, 2), BackpressurePolicy::DropNewest).unwrap();
         assert_eq!(dropped, 2);
-        let (tx, rx) = std::sync::mpsc::channel();
-        q.stage_control(2, ShardMsg::Barrier { reply: tx }).unwrap();
+        q.stage_control(2, Box::new(|_| ())).unwrap();
         q.release_up_to(3);
         match q.pop().unwrap() {
             ShardMsg::Tuples(b) => assert_eq!(b.tuples.len(), 3),
             _ => panic!("tuples first"),
         }
-        match q.pop().unwrap() {
-            ShardMsg::Barrier { reply } => reply.send(()).unwrap(),
-            _ => panic!("barrier second"),
-        }
-        rx.recv().unwrap();
+        assert!(matches!(q.pop().unwrap(), ShardMsg::Control(_)));
         assert_eq!(q.stats().depth, 0);
     }
 
@@ -643,8 +604,7 @@ mod tests {
         stage(&q, 0, stamped(r, 0, 3), BackpressurePolicy::Block).unwrap();
         stage(&q, 1, stamped(r, 3, 3), BackpressurePolicy::Block).unwrap();
         stage(&q, 2, stamped(r, 6, 3), BackpressurePolicy::Block).unwrap();
-        let (tx, _rx) = std::sync::mpsc::channel();
-        q.stage_control(3, ShardMsg::Barrier { reply: tx }).unwrap();
+        q.stage_control(3, Box::new(|_| ())).unwrap();
         stage(&q, 4, stamped(r, 9, 2), BackpressurePolicy::Block).unwrap();
         q.release_up_to(5);
         // max_batch 5: the first two blocks coalesce (3 < 5, then 6 ≥ 5
@@ -658,10 +618,7 @@ mod tests {
             ShardMsg::Tuples(b) => assert_eq!(b.tuples.len(), 3),
             _ => panic!("tuples second"),
         }
-        assert!(matches!(
-            q.pop_batch(100).unwrap(),
-            ShardMsg::Barrier { .. }
-        ));
+        assert!(matches!(q.pop_batch(100).unwrap(), ShardMsg::Control(_)));
         match q.pop_batch(100).unwrap() {
             ShardMsg::Tuples(b) => assert_eq!(b.tuples.len(), 2),
             _ => panic!("tuples last"),

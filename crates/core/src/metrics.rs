@@ -38,7 +38,7 @@
 //! tuples.
 
 use crate::runtime::QueryId;
-use cer_obs::{Counter, Histogram, Journal};
+use cer_obs::{Counter, Histogram, Journal, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How many [`PipelineEvent`]s the journal retains before overwriting
@@ -215,6 +215,41 @@ impl PipelineEvent {
     }
 }
 
+/// How an exported metric is read off its source `T`, and as which
+/// Prometheus kind.
+pub(crate) enum MetricRead<T: 'static> {
+    Counter(fn(&T) -> u64),
+    Gauge(fn(&T) -> u64),
+    Histogram(fn(&T) -> &Histogram),
+}
+
+/// One exported metric, stated once next to the thing it reads:
+/// `(name, help text, kind + reader)`. The export
+/// ([`Runtime::metrics_snapshot`](crate::runtime::Runtime::metrics_snapshot))
+/// is a loop over tables of these.
+pub(crate) type MetricRow<T> = (&'static str, &'static str, MetricRead<T>);
+
+/// Export a table metric-major: each row once per `(labels, source)`
+/// item, so same-name samples stay adjacent (one uninterrupted group
+/// per name, as the Prometheus text format requires).
+pub(crate) fn export_rows<T>(
+    out: &mut MetricsSnapshot,
+    rows: &[MetricRow<T>],
+    items: &[(Vec<(&str, String)>, &T)],
+) {
+    for (name, help, read) in rows {
+        for (labels, src) in items {
+            match read {
+                MetricRead::Counter(f) => out.push_counter(name, help, labels, f(src)),
+                MetricRead::Gauge(f) => out.push_gauge(name, help, labels, f(src)),
+                MetricRead::Histogram(f) => {
+                    out.push_histogram(name, help, labels, f(src).snapshot())
+                }
+            }
+        }
+    }
+}
+
 /// Per-shard evaluation-stage histograms, recorded by that shard's
 /// worker thread.
 #[derive(Default)]
@@ -226,6 +261,27 @@ pub(crate) struct ShardStageMetrics {
     pub prefilter: Histogram,
     /// The fire/index/enumerate tail, split from the prefilter.
     pub eval_tail: Histogram,
+}
+
+impl ShardStageMetrics {
+    /// Exported per shard (label `shard`).
+    pub const ROWS: &'static [MetricRow<Self>] = &[
+        (
+            "cer_shard_eval_nanos",
+            "Whole drained-batch evaluation time per shard",
+            MetricRead::Histogram(|s| &s.eval),
+        ),
+        (
+            "cer_shared_prefilter_nanos",
+            "Shared-prefilter phase of batch evaluation per shard",
+            MetricRead::Histogram(|s| &s.prefilter),
+        ),
+        (
+            "cer_eval_tail_nanos",
+            "Fire/index/enumerate tail of batch evaluation per shard",
+            MetricRead::Histogram(|s| &s.eval_tail),
+        ),
+    ];
 }
 
 /// The per-runtime metrics registry. Lives inside the ingest pipeline's
