@@ -79,6 +79,12 @@ impl WireWriter {
         self.buf.is_empty()
     }
 
+    /// Make room for `additional` more bytes in one step, for a caller
+    /// that knows the size of what it is about to write.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Write one raw byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -132,6 +138,12 @@ impl<'a> WireReader<'a> {
     /// Whether every byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
+    }
+
+    /// Bytes not yet consumed: the hard upper bound on anything a
+    /// length field read from here can honestly announce.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {

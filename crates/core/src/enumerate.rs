@@ -9,10 +9,25 @@
 //!   condition (‡), complete because expiry is hereditary);
 //! * *product expansion*: for a product node, emit the cross product of
 //!   one choice per product child, each choice drawn from the child's own
-//!   windowed bag. The running valuation is built in place and
-//!   backtracked, so the work between two emitted outputs is proportional
-//!   to the size of the next output (plus `O(1)` pruned branches) —
-//!   output-linear delay.
+//!   windowed bag. The nodes still to choose from are a linked list of
+//!   borrowed `prod` slices whose links live on the recursion stack
+//!   (`Pending`), so expanding a product node allocates nothing.
+//!
+//! The running valuation is one flat [`Valuation`] built in place and
+//! backtracked: choosing a node is one `insert` of its `(L, i)`, leaving
+//! it the matching `remove`. Between two emitted outputs the walk undoes
+//! and redoes only the choices in which they differ — at most one
+//! insert/remove pair per node of the next output, plus `O(1)` per pruned
+//! branch — so the delay is linear in the next output *counted in
+//! scratch operations*. One such operation is a binary search in the
+//! label's group plus a `memmove` of the positions stored after the slot
+//! and a bump of at most `|Ω|` offset words (see [`Valuation`]'s cost
+//! table): a word or two when the position lands at the buffer's end,
+//! `O(|Ω| + |ν|)` words at worst — the same bound as the per-label
+//! vectors the scratch used to be, and for the `|ν| ≤ |Ω| ≤ 64` outputs
+//! of compiled conjunctive queries a constant. What is handed to the
+//! callback is the scratch itself, so emitting costs nothing; keeping an
+//! output is the caller's one `clone` — one allocation, `O(|Ω| + |ν|)`.
 //!
 //! When the structure is *simple* (guaranteed for unambiguous PCEA), no
 //! valuation is emitted twice.
@@ -46,13 +61,32 @@ pub fn for_each_valuation_from<F: FnMut(&Valuation)>(
     num_labels: usize,
     f: F,
 ) {
+    for_each_valuation_into(ds, root, lo, &mut Valuation::empty(num_labels), f);
+}
+
+/// [`for_each_valuation_from`] on a caller-owned scratch, so a caller
+/// enumerating many roots pays for one scratch, not one per root.
+/// `scratch` must be empty over the query's labels (or over none, to
+/// count without materializing) and is empty again on return.
+pub(crate) fn for_each_valuation_into<F: FnMut(&Valuation)>(
+    ds: &EnumStructure,
+    root: NodeId,
+    lo: u64,
+    scratch: &mut Valuation,
+    f: F,
+) {
+    debug_assert!(scratch.is_empty());
     let mut e = Enumerator {
         ds,
         lo,
         f,
-        val: Valuation::empty(num_labels),
+        val: scratch,
     };
-    e.one_of(root, &[]);
+    let nothing_pending = Pending {
+        nodes: &[],
+        next: None,
+    };
+    e.one_of(root, nothing_pending);
 }
 
 /// Materialize `⟦root⟧^w_i` as a vector.
@@ -75,60 +109,65 @@ pub fn count_valuations(ds: &EnumStructure, root: NodeId, i: u64, w: u64) -> usi
     n
 }
 
+/// The nodes a valuation must still be chosen from: the rest of the
+/// product node being expanded, then whatever its ancestors left
+/// pending. Each link borrows a node's `prod` slice and lives in the
+/// stack frame of the `one_of` call that expands that node.
+#[derive(Clone, Copy)]
+struct Pending<'p> {
+    nodes: &'p [NodeId],
+    next: Option<&'p Pending<'p>>,
+}
+
 struct Enumerator<'a, F> {
     ds: &'a EnumStructure,
     lo: u64,
     f: F,
-    val: Valuation,
+    val: &'a mut Valuation,
 }
 
 impl<F: FnMut(&Valuation)> Enumerator<'_, F> {
     /// Emit every way of choosing one valuation from each node of
     /// `pending` on top of the current partial valuation.
-    fn product_over(&mut self, pending: &[NodeId]) {
-        match pending.split_first() {
-            None => (self.f)(&self.val),
-            Some((&first, rest)) => self.one_of(first, rest),
+    fn product_over(&mut self, mut pending: Pending<'_>) {
+        loop {
+            if let Some((&first, rest)) = pending.nodes.split_first() {
+                let rest = Pending {
+                    nodes: rest,
+                    next: pending.next,
+                };
+                return self.one_of(first, rest);
+            }
+            match pending.next {
+                Some(outer) => pending = *outer,
+                None => return (self.f)(self.val),
+            }
         }
     }
 
     /// Choose a valuation from `⟦node⟧^w_i` (walking its union tree and
     /// product alternatives), then continue with `rest`.
-    fn one_of(&mut self, node: NodeId, rest: &[NodeId]) {
+    fn one_of(&mut self, node: NodeId, rest: Pending<'_>) {
         if node.is_bottom() || self.ds.max_start(node) < self.lo {
             return; // (‡): the whole subtree is out of the window.
         }
         let n = self.ds.node(node);
         // Product alternative: ν_{L,i} ⊕ one choice per product child.
+        let pending = Pending {
+            nodes: &n.prod,
+            next: Some(&rest),
+        };
         if self.val.num_labels() == 0 {
-            // Counting mode: skip valuation bookkeeping.
-            self.product_over_counting(n, rest);
+            // Counting mode: no labels to record under.
+            self.product_over(pending);
         } else {
             self.val.insert(n.labels, n.pos);
-            if n.prod.is_empty() {
-                self.product_over(rest);
-            } else {
-                let mut extended: Vec<NodeId> = Vec::with_capacity(n.prod.len() + rest.len());
-                extended.extend_from_slice(&n.prod);
-                extended.extend_from_slice(rest);
-                self.product_over(&extended);
-            }
+            self.product_over(pending);
             self.val.remove(n.labels, n.pos);
         }
         // Union alternatives.
         self.one_of(n.uleft, rest);
         self.one_of(n.uright, rest);
-    }
-
-    fn product_over_counting(&mut self, n: &crate::ds::Node, rest: &[NodeId]) {
-        if n.prod.is_empty() {
-            self.product_over(rest);
-        } else {
-            let mut extended: Vec<NodeId> = Vec::with_capacity(n.prod.len() + rest.len());
-            extended.extend_from_slice(&n.prod);
-            extended.extend_from_slice(rest);
-            self.product_over(&extended);
-        }
     }
 }
 

@@ -345,6 +345,8 @@ impl StreamingEvaluator {
         // function of the position; time windows must consult each
         // tuple's timestamp, so they keep the per-tuple clock update.
         let count_w = self.clock.count_window();
+        // One enumeration scratch for the whole slice.
+        let mut scratch = labels.map(Valuation::empty);
         for j in 0..len {
             let (i, t) = get(j);
             assert!(
@@ -373,8 +375,8 @@ impl StreamingEvaluator {
             self.stage
                 .update_indices(&self.pcea, &mut self.ds, t, lo, &mut self.stats);
             self.since_gc += 1;
-            if let Some(n_labels) = labels {
-                self.enumerate_position(lo, n_labels, |v| f(i, v));
+            if let Some(scratch) = &mut scratch {
+                self.enumerate_position(lo, scratch, |v| f(i, v));
             }
         }
         // Amortized GC: the cadence check runs once per batch. Collection
@@ -635,17 +637,19 @@ impl StreamingEvaluator {
     /// once per valuation. Must follow [`push`](Self::push) for the same
     /// position.
     pub fn for_each_output<F: FnMut(&Valuation)>(&self, f: F) {
-        self.enumerate_position(self.current_lo, self.pcea.num_labels(), f);
+        let mut scratch = Valuation::empty(self.pcea.num_labels());
+        self.enumerate_position(self.current_lo, &mut scratch, f);
     }
 
     /// The enumeration phase at the position just updated: every node
     /// that reached a final state holds exactly this position's new
-    /// outputs with `min(ν) ≥ lo`. `n_labels = 0` yields placeholder
-    /// valuations — enough to count without materializing.
-    fn enumerate_position<F: FnMut(&Valuation)>(&self, lo: u64, n_labels: usize, mut f: F) {
+    /// outputs with `min(ν) ≥ lo`. `scratch` is the (empty) running
+    /// valuation shared by every root; one over no labels yields
+    /// placeholder valuations — enough to count without materializing.
+    fn enumerate_position<F: FnMut(&Valuation)>(&self, lo: u64, scratch: &mut Valuation, mut f: F) {
         for q in self.pcea.finals() {
             for &n in self.stage.nodes_at(q.index()) {
-                enumerate::for_each_valuation_from(&self.ds, n, lo, n_labels, &mut f);
+                enumerate::for_each_valuation_into(&self.ds, n, lo, scratch, &mut f);
             }
         }
     }
@@ -667,7 +671,7 @@ impl StreamingEvaluator {
     /// Count this position's new outputs without materializing them.
     fn count_outputs(&self) -> usize {
         let mut n = 0usize;
-        self.enumerate_position(self.current_lo, 0, |_| n += 1);
+        self.enumerate_position(self.current_lo, &mut Valuation::default(), |_| n += 1);
         n
     }
 

@@ -77,8 +77,12 @@ pub(crate) struct ShardState {
 /// to the subscription registry in one publish call. Large enough that
 /// the registry and queue locks are paid once per hundreds of matches,
 /// small enough that a tuple completing millions of matches streams to
-/// its consumers while it is still being enumerated and that the staged
-/// valuations never amount to more than a few tens of KiB.
+/// its consumers while it is still being enumerated. A staged match is a
+/// 48-byte record owning one buffer of `|Ω| + |ν|` words (the flat
+/// [`Valuation`](cer_automata::valuation::Valuation)), so a full chunk is
+/// 12 KiB of records plus 256 small blocks — a few tens of KiB for the
+/// valuations queries produce — each allocated once here and freed once
+/// by whichever thread encodes it.
 const MATCH_CHUNK: usize = 256;
 
 /// Everything one shard worker owns: the hosted queries, their skeleton
@@ -383,6 +387,9 @@ impl ShardHost {
                     self.listening[k],
                     Some((&self.stage.prefilter, &self.stage.eval_tail)),
                     |position, v| {
+                        // `v` is the enumerator's scratch; keeping the
+                        // match is one clone of its one flat buffer —
+                        // the only allocation a match costs this thread.
                         self.chunk.push(MatchEvent {
                             position,
                             query: id,

@@ -682,6 +682,10 @@ impl Wire for Response {
                 w.put_str(message);
             }
             Response::Event(ev) => {
+                // Tag, position, query; then the valuation's label
+                // count, a length per label and a word per position.
+                let v = &ev.valuation;
+                w.reserve(13 + 8 * (1 + v.num_labels() + v.weight()));
                 w.put_u8(14);
                 w.put_u64(ev.position);
                 w.put_u32(ev.query.0);

@@ -1,0 +1,159 @@
+//! The allocation budget of a match, pinned by counting.
+//!
+//! A [`Valuation`] is one heap buffer, so keeping a match costs exactly
+//! one allocation wherever it is kept: in the shard worker's clone of
+//! the enumerator's scratch, and in a client's decode of an `Event`
+//! frame. The benchmark's `*.allocs_per_tuple` rungs show the same
+//! thing as a ratio; this test shows it as exact counts, in debug and
+//! (in CI) release builds alike.
+//!
+//! One `#[test]` in a test binary of its own: the counter is
+//! per-thread, so nothing the harness does on other threads is counted.
+
+use pcea::prelude::*;
+use pcea::serve::protocol::{decode_message, encode_message, Response};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // `const` initializers and no destructors: touching these from
+    // inside the allocator neither allocates nor registers anything.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn note() {
+    if COUNTING.get() {
+        ALLOCS.set(ALLOCS.get() + 1);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// thread-local cells and never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// What `f` allocates (and reallocates) on this thread.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.set(0);
+    COUNTING.set(true);
+    let r = f();
+    COUNTING.set(false);
+    (r, ALLOCS.get())
+}
+
+const WINDOW: u64 = 256;
+
+/// The benchmark's `fanout_enum` shape in small: a star of four atoms
+/// over 29 keys under a 256-tuple window, so a key has about 2.2 live
+/// tuples per relation and a tuple completes about 2.2³ ≈ 10 matches.
+fn star3() -> (Pcea, Vec<Tuple>) {
+    let mut schema = Schema::new();
+    let text = "Q(x, y1, y2, y3) <- A0(x), A1(x, y1), A2(x, y2), A3(x, y3)";
+    let query = parse_query(&mut schema, text).expect("well-formed query");
+    let pcea = compile_hcq(&schema, &query)
+        .expect("a star is hierarchical")
+        .pcea;
+    let rels = ["A0", "A1", "A2", "A3"].map(|r| schema.relation(r).expect("declared by the query"));
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    let stream = (0..4096)
+        .map(|_| {
+            let rel = next(4) as usize;
+            let x = Value::Int(next(29) as i64);
+            if rel == 0 {
+                Tuple::new(rels[0], vec![x])
+            } else {
+                Tuple::new(rels[rel], vec![x, Value::Int(next(1000) as i64)])
+            }
+        })
+        .collect();
+    (pcea, stream)
+}
+
+#[test]
+fn a_match_is_one_allocation() {
+    // No labels, no buffer.
+    let (none, n) = allocs_in(Valuation::default);
+    assert_eq!(n, 0, "Valuation::default() allocates");
+    assert_eq!(none.num_labels(), 0);
+
+    // A clone is the buffer, whatever it holds.
+    let mut v = Valuation::empty(4);
+    for (l, p) in [(0, 11), (1, 5), (1, 8), (2, 3), (3, 9)] {
+        v.insert(LabelSet::singleton(Label(l)), p);
+    }
+    let (copy, n) = allocs_in(|| v.clone());
+    assert_eq!(n, 1, "cloning {v:?}");
+    assert_eq!(copy, v);
+
+    // The engine: the same stream twice from scratch, counting the
+    // outputs and keeping them. Everything else the two runs allocate
+    // (arena nodes, index entries, scratch) is the same deterministic
+    // sequence, so the difference is what keeping costs.
+    let (pcea, stream) = star3();
+    let mut counter = StreamingEvaluator::new(pcea.clone(), WINDOW);
+    let mut outputs = 0usize;
+    let ((), counting) = allocs_in(|| counter.push_slice_for_each(&stream, |_, _| outputs += 1));
+    let per_tuple = outputs as f64 / stream.len() as f64;
+    assert!(
+        (6.0..16.0).contains(&per_tuple),
+        "{per_tuple} outputs per tuple: not the fan-out shape"
+    );
+
+    let mut keeper = StreamingEvaluator::new(pcea, WINDOW);
+    let mut kept: Vec<Valuation> = Vec::with_capacity(outputs);
+    let ((), keeping) =
+        allocs_in(|| keeper.push_slice_for_each(&stream, |_, v| kept.push(v.clone())));
+    assert_eq!(kept.len(), outputs);
+    assert_eq!(
+        keeping - counting,
+        outputs as u64,
+        "keeping {outputs} outputs took {} allocations",
+        keeping - counting
+    );
+
+    // The client's side of the socket: one Event payload, one buffer.
+    let event = MatchEvent {
+        position: 4095,
+        query: QueryId(0),
+        valuation: kept.pop().expect("the stream completes matches"),
+    };
+    let payload = encode_message(&Response::Event(event.clone())).expect("events encode");
+    let (decoded, n) = allocs_in(|| decode_message::<Response>(&payload));
+    assert_eq!(decoded, Ok(Response::Event(event)));
+    assert_eq!(n, 1, "decoding an Event payload");
+}
