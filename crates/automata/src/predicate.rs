@@ -118,16 +118,22 @@ impl KeyExtractor {
         self.entries.is_empty()
     }
 
+    /// The partial function without its result: `Some(positions)` when
+    /// defined on `t` (relation known, consistency checks hold, every
+    /// position within the tuple's arity), the key being `t`'s values at
+    /// those positions in that order. Allocates nothing — the engine
+    /// hashes and compares the key where it lies in the tuple.
+    pub fn project(&self, t: &Tuple) -> Option<&[usize]> {
+        let entry = self.entries.get(&t.relation())?;
+        let defined =
+            entry.checks.iter().all(|g| g.holds(t)) && entry.key.iter().all(|&p| p < t.arity());
+        defined.then_some(&*entry.key)
+    }
+
     /// Apply the partial function: `Some(key)` when defined on `t`.
     pub fn extract(&self, t: &Tuple) -> Option<Key> {
-        let entry = self.entries.get(&t.relation())?;
-        if !entry.checks.iter().all(|g| g.holds(t)) {
-            return None;
-        }
-        if entry.key.iter().any(|&p| p >= t.arity()) {
-            return None;
-        }
-        Some(entry.key.iter().map(|&p| t.get(p).clone()).collect())
+        let positions = self.project(t)?;
+        Some(positions.iter().map(|&p| t.get(p).clone()).collect())
     }
 
     /// Bitmask of *key indices* (up to 64) at which **every** relation
@@ -927,6 +933,9 @@ mod tests {
             Some(Box::from([Value::Int(4)]))
         );
         assert_eq!(ex.extract(&tup(r, [4i64, 5])), None);
+        // The non-allocating form gates on the same checks.
+        assert_eq!(ex.project(&tup(r, [4i64, 4])), Some(&[0usize][..]));
+        assert_eq!(ex.project(&tup(r, [4i64, 5])), None);
     }
 
     #[test]
@@ -1059,6 +1068,7 @@ mod tests {
         let (_, _, _, t) = Schema::sigma0();
         let ex = KeyExtractor::projection(t, [3usize]);
         assert_eq!(ex.extract(&tup(t, [1i64])), None);
+        assert_eq!(ex.project(&tup(t, [1i64])), None);
         let u = UnaryPredicate::Cmp {
             pos: 5,
             op: CmpOp::Eq,

@@ -18,6 +18,28 @@
 //! that have slid out of the window (the paper's
 //! `|max-start(n1) − i(n2)| > w ⇒ union(n1,n2) = n2` case), which bounds
 //! live union-tree sizes by `O(k·w)`.
+//!
+//! # Layout and costs
+//!
+//! The arena is two vectors the [`EnumStructure`] owns and nothing else
+//! points into: `nodes`, fixed-size [`Node`]s (48 bytes, `Copy`), and
+//! `pool`, the product lists of all nodes end to end. A node names its
+//! list by an index range into the pool, so no node owns a heap block:
+//!
+//! * [`EnumStructure::extend`] appends one node and `|N|` pool words;
+//! * [`EnumStructure::union`] copies `O(log(k·w))` fixed-size nodes and
+//!   **no** product list — a path copy keeps its original's range, the
+//!   list is immutable and shared;
+//! * [`EnumStructure::compact`] (the copying collector) rebuilds both
+//!   vectors from the live roots, sized up front for what the arena held
+//!   so that in steady state neither regrows before the next collection,
+//!   with a dense forwarding table instead of a hash map; each copied
+//!   node gets its own range again, as every node has in the checkpoint
+//!   encoding, whose bytes the pool did not change.
+//!
+//! Node ids and pool offsets are `u32`; running out is a panic
+//! (`arena full`, the same check for every id and offset handed out,
+//! `absorb`'s shifted ones included), never a wrap.
 
 use cer_automata::valuation::LabelSet;
 
@@ -41,8 +63,18 @@ impl NodeId {
     }
 }
 
-/// An immutable `DS_w` node.
-#[derive(Clone, Debug)]
+/// `len` as the next node id, pool offset or key-store offset of a
+/// structure holding `len` items. `u32::MAX` is reserved ([`BOTTOM`]),
+/// so a structure is full one short of it.
+#[inline]
+pub(crate) fn index32(len: usize) -> u32 {
+    assert!(len < u32::MAX as usize, "arena full");
+    len as u32
+}
+
+/// An immutable `DS_w` node. Its product children are
+/// [`EnumStructure::prod`] of its id.
+#[derive(Clone, Copy, Debug)]
 pub struct Node {
     /// Labels `L(n)` marking position `i(n)`.
     pub labels: LabelSet,
@@ -52,8 +84,10 @@ pub struct Node {
     pub max_start: u64,
     /// Leftist rank (s-value) of the union tree rooted here.
     pub rank: u32,
-    /// Product children.
-    pub prod: Box<[NodeId]>,
+    /// Product children: `pool[prod_start..][..prod_len]` of the arena
+    /// that holds this node.
+    prod_start: u32,
+    prod_len: u32,
     /// Left union link.
     pub uleft: NodeId,
     /// Right union link.
@@ -64,6 +98,8 @@ pub struct Node {
 #[derive(Clone, Debug, Default)]
 pub struct EnumStructure {
     nodes: Vec<Node>,
+    /// Every node's product list, in creation order.
+    pool: Vec<NodeId>,
 }
 
 impl EnumStructure {
@@ -107,10 +143,24 @@ impl EnumStructure {
         }
     }
 
+    /// The product children of `id`.
+    #[inline]
+    pub fn prod(&self, id: NodeId) -> &[NodeId] {
+        let n = &self.nodes[id.index()];
+        &self.pool[n.prod_start as usize..][..n.prod_len as usize]
+    }
+
     fn push(&mut self, node: Node) -> NodeId {
-        assert!(self.nodes.len() < u32::MAX as usize, "arena full");
+        let id = NodeId(index32(self.nodes.len()));
         self.nodes.push(node);
-        NodeId(self.nodes.len() as u32 - 1)
+        id
+    }
+
+    /// Append a product list to the pool, returning its range.
+    fn push_prod(&mut self, prod: impl ExactSizeIterator<Item = NodeId>) -> (u32, u32) {
+        let range = (index32(self.pool.len()), index32(prod.len()));
+        self.pool.extend(prod);
+        range
     }
 
     /// The paper's `extend(L, i, N)`: a fresh node `n_e` with
@@ -129,12 +179,14 @@ impl EnumStructure {
             .map(|&n| self.max_start(n))
             .min()
             .map_or(pos, |m| m.min(pos));
+        let (prod_start, prod_len) = self.push_prod(prod.iter().copied());
         self.push(Node {
             labels,
             pos,
             max_start,
             rank: 1,
-            prod: prod.into(),
+            prod_start,
+            prod_len,
             uleft: BOTTOM,
             uright: BOTTOM,
         })
@@ -184,17 +236,13 @@ impl EnumStructure {
         } else {
             (new_right, old_left)
         };
-        let t = &self.nodes[top.index()];
-        let node = Node {
-            labels: t.labels,
-            pos: t.pos,
-            max_start: t.max_start,
+        // The copy shares its original's product list.
+        self.push(Node {
             rank: self.rank(uright) + 1,
-            prod: t.prod.clone(),
             uleft,
             uright,
-        };
-        self.push(node)
+            ..self.nodes[top.index()]
+        })
     }
 
     /// Checkpoint encoding of the whole arena (see [`crate::checkpoint`]).
@@ -207,13 +255,14 @@ impl EnumStructure {
     ) -> Result<(), cer_common::wire::WireError> {
         use cer_common::wire::Wire;
         w.put_len(self.nodes.len());
-        for n in &self.nodes {
+        for (i, n) in self.nodes.iter().enumerate() {
             n.labels.encode(w)?;
             w.put_u64(n.pos);
             w.put_u64(n.max_start);
             w.put_u32(n.rank);
-            w.put_len(n.prod.len());
-            for c in n.prod.iter() {
+            let prod = self.prod(NodeId(i as u32));
+            w.put_len(prod.len());
+            for c in prod {
                 w.put_u32(c.0);
             }
             w.put_u32(n.uleft.0);
@@ -233,7 +282,10 @@ impl EnumStructure {
         if n >= u32::MAX as usize {
             return Err(WireError::Corrupt("arena too large"));
         }
-        let mut nodes = Vec::with_capacity(n.min(1 << 16));
+        let mut ds = EnumStructure {
+            nodes: Vec::with_capacity(n.min(1 << 16)),
+            pool: Vec::new(),
+        };
         for i in 0..n {
             let labels = cer_automata::valuation::LabelSet::decode(r)?;
             let pos = r.get_u64()?;
@@ -246,27 +298,31 @@ impl EnumStructure {
                 Ok(NodeId(raw))
             };
             let n_prod = r.get_len()?;
-            let mut prod = Vec::with_capacity(n_prod.min(64));
+            if ds.pool.len().saturating_add(n_prod) >= u32::MAX as usize {
+                return Err(WireError::Corrupt("arena too large"));
+            }
+            let prod_start = ds.pool.len() as u32;
             for _ in 0..n_prod {
                 let c = link(r.get_u32()?)?;
                 if c.is_bottom() {
                     return Err(WireError::Corrupt("bottom product child"));
                 }
-                prod.push(c);
+                ds.pool.push(c);
             }
             let uleft = link(r.get_u32()?)?;
             let uright = link(r.get_u32()?)?;
-            nodes.push(Node {
+            ds.nodes.push(Node {
                 labels,
                 pos,
                 max_start,
                 rank,
-                prod: prod.into(),
+                prod_start,
+                prod_len: n_prod as u32,
                 uleft,
                 uright,
             });
         }
-        Ok(EnumStructure { nodes })
+        Ok(ds)
     }
 
     /// Append every node of `other` to this arena, remapping its
@@ -274,11 +330,10 @@ impl EnumStructure {
     /// reference into `other` (`⊥` stays `⊥`). Used when merging the
     /// per-shard replicas of a key-partitioned query at restore time.
     pub(crate) fn absorb(&mut self, other: EnumStructure) -> u32 {
-        let offset = u32::try_from(self.nodes.len()).expect("arena full");
-        assert!(
-            (self.nodes.len() + other.nodes.len()) < u32::MAX as usize,
-            "arena full"
-        );
+        let (offset, pool_offset) = (index32(self.nodes.len()), index32(self.pool.len()));
+        // Every shifted id and range start stays below these sums.
+        index32(self.nodes.len() + other.nodes.len());
+        index32(self.pool.len() + other.pool.len());
         let shift = |id: NodeId| {
             if id.is_bottom() {
                 id
@@ -286,14 +341,13 @@ impl EnumStructure {
                 NodeId(id.0 + offset)
             }
         };
-        for mut n in other.nodes {
-            for c in n.prod.iter_mut() {
-                *c = shift(*c);
-            }
-            n.uleft = shift(n.uleft);
-            n.uright = shift(n.uright);
-            self.nodes.push(n);
-        }
+        self.pool.extend(other.pool.into_iter().map(shift));
+        self.nodes.extend(other.nodes.into_iter().map(|n| Node {
+            prod_start: n.prod_start + pool_offset,
+            uleft: shift(n.uleft),
+            uright: shift(n.uright),
+            ..n
+        }));
         offset
     }
 
@@ -328,7 +382,7 @@ impl EnumStructure {
                 self.rank(n.uright)
             ));
         }
-        for &c in n.prod.iter() {
+        for &c in self.prod(root) {
             if self.node(c).pos >= n.pos {
                 return Err("product child not strictly earlier".into());
             }
@@ -348,11 +402,17 @@ impl EnumStructure {
     /// are recomputed. Product children of a live node are always live
     /// (`max-start(parent) ≤ max-start(child)`), so products never dangle.
     pub fn compact(&mut self, roots: &mut [&mut NodeId], window_lo: u64) {
-        let mut fresh = EnumStructure::new();
-        let mut remap: cer_common::hash::FxHashMap<NodeId, NodeId> =
-            cer_common::hash::FxHashMap::default();
+        // Sized for what the arena held: on a steady stream that is the
+        // live set plus one collection cadence of garbage, which is what
+        // the fresh arena grows back to before the next collection.
+        let mut fresh = EnumStructure {
+            nodes: Vec::with_capacity(self.nodes.len()),
+            pool: Vec::with_capacity(self.pool.len()),
+        };
+        // Old id → new id, `⊥` until copied.
+        let mut forward = vec![BOTTOM; self.nodes.len()];
         for r in roots.iter_mut() {
-            **r = self.copy_live(**r, window_lo, &mut fresh, &mut remap);
+            **r = self.copy_live(**r, window_lo, &mut fresh, &mut forward);
         }
         *self = fresh;
     }
@@ -362,36 +422,37 @@ impl EnumStructure {
         id: NodeId,
         lo: u64,
         fresh: &mut EnumStructure,
-        remap: &mut cer_common::hash::FxHashMap<NodeId, NodeId>,
+        forward: &mut [NodeId],
     ) -> NodeId {
         if id.is_bottom() || self.max_start(id) < lo {
             return BOTTOM;
         }
-        if let Some(&new) = remap.get(&id) {
-            return new;
+        if !forward[id.index()].is_bottom() {
+            return forward[id.index()];
         }
-        let n = self.node(id).clone();
-        let prod: Box<[NodeId]> = n
-            .prod
-            .iter()
-            .map(|&c| self.copy_live(c, lo, fresh, remap))
-            .collect();
-        debug_assert!(prod.iter().all(|c| !c.is_bottom()), "live product child");
-        let mut uleft = self.copy_live(n.uleft, lo, fresh, remap);
-        let mut uright = self.copy_live(n.uright, lo, fresh, remap);
+        let n = *self.node(id);
+        // Children first (they precede their parent in the arena), then
+        // their new ids as one contiguous list.
+        for &c in self.prod(id) {
+            let copied = self.copy_live(c, lo, fresh, forward);
+            debug_assert!(!copied.is_bottom(), "live product child");
+        }
+        let (prod_start, prod_len) =
+            fresh.push_prod(self.prod(id).iter().map(|c| forward[c.index()]));
+        let mut uleft = self.copy_live(n.uleft, lo, fresh, forward);
+        let mut uright = self.copy_live(n.uright, lo, fresh, forward);
         if fresh.rank(uleft) < fresh.rank(uright) {
             std::mem::swap(&mut uleft, &mut uright);
         }
         let new = fresh.push(Node {
-            labels: n.labels,
-            pos: n.pos,
-            max_start: n.max_start,
             rank: fresh.rank(uright) + 1,
-            prod,
+            prod_start,
+            prod_len,
             uleft,
             uright,
+            ..n
         });
-        remap.insert(id, new);
+        forward[id.index()] = new;
         new
     }
 }
@@ -438,7 +499,7 @@ mod tests {
         let a = ds.extend(l(0), 1, &[]);
         let b = ds.extend(l(0), 2, &[]);
         let u1 = ds.union(a, b, 0);
-        let snapshot_a = ds.node(a).clone();
+        let snapshot_a = *ds.node(a);
         let c = ds.extend(l(0), 3, &[]);
         let _u2 = ds.union(u1, c, 0);
         // The original node is untouched by later unions.
@@ -500,7 +561,7 @@ mod tests {
         let mut rb = b;
         ds.compact(&mut [&mut ra, &mut rb], 0);
         assert_eq!(ds.len(), 3, "shared child copied once");
-        assert_eq!(ds.node(ra).prod[0], ds.node(rb).prod[0]);
+        assert_eq!(ds.prod(ra)[0], ds.prod(rb)[0]);
     }
 
     #[test]
@@ -529,7 +590,7 @@ mod tests {
         let offset = ds.absorb(other);
         let b2 = NodeId(b.0 + offset);
         ds.check_invariants(b2).unwrap();
-        assert_eq!(ds.node(b2).prod[0], NodeId(a.0 + offset));
+        assert_eq!(ds.prod(b2), [NodeId(a.0 + offset)]);
         assert_eq!(ds.max_start(b2), 100);
         // The original root is untouched.
         ds.check_invariants(root).unwrap();
@@ -560,6 +621,43 @@ mod tests {
             bytes[k..k + 4].copy_from_slice(&orig);
         }
         assert!(caught, "some mutation must trip the link validator");
+    }
+
+    #[test]
+    fn union_copies_nodes_but_no_product_list() {
+        let mut ds = EnumStructure::new();
+        let leaf = ds.extend(l(0), 0, &[]);
+        let mut root = BOTTOM;
+        let mut listed = 0;
+        for i in 1..40u64 {
+            let n = ds.extend(l(1), i, &[leaf, leaf]);
+            listed += 2;
+            let before = ds.len();
+            root = ds.union(root, n, 0);
+            assert_eq!(ds.pool.len(), listed, "a union appended to the pool");
+            // Every path copy reads its original's list.
+            for copy in (before..ds.len()).map(|k| NodeId(k as u32)) {
+                assert_eq!(ds.prod(copy), [leaf, leaf]);
+            }
+        }
+        assert!(ds.len() > 2 * 40, "unions did copy nodes");
+        ds.check_invariants(root).unwrap();
+        // The collector gives every survivor its own list again.
+        let mut r = root;
+        ds.compact(&mut [&mut r], 0);
+        assert_eq!(ds.pool.len(), 2 * (ds.len() - 1));
+        ds.check_invariants(r).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "arena full")]
+    fn ids_and_offsets_are_bounded_not_wrapped() {
+        // What `push`, `push_prod` and `absorb` (on the summed lengths)
+        // ask before handing out a node id or a pool offset, and what
+        // the `H` table asks for entry numbers and key-store offsets:
+        // the last value below `⊥` is handed out, the next one is not.
+        assert_eq!(index32(u32::MAX as usize - 1), u32::MAX - 1);
+        index32(u32::MAX as usize);
     }
 
     #[test]

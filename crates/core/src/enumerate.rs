@@ -154,7 +154,7 @@ impl<F: FnMut(&Valuation)> Enumerator<'_, F> {
         let n = self.ds.node(node);
         // Product alternative: ν_{L,i} ⊕ one choice per product child.
         let pending = Pending {
-            nodes: &n.prod,
+            nodes: self.ds.prod(node),
             next: Some(&rest),
         };
         if self.val.num_labels() == 0 {

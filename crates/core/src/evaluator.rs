@@ -118,6 +118,11 @@ impl EngineStats {
             Gauge(|st| st.arena_nodes as u64),
         ),
         (
+            "cer_query_index_entries",
+            "Entries in the look-up table H per query",
+            Gauge(|st| st.index_entries as u64),
+        ),
+        (
             "cer_query_extends_total",
             "Extend operations per query",
             Counter(|st| st.extends),
@@ -238,7 +243,7 @@ impl StreamingEvaluator {
 
     /// The keys of the look-up table `H`.
     #[cfg(test)]
-    pub(crate) fn index_keys(&self) -> Vec<crate::fire::HKey> {
+    pub(crate) fn index_keys(&self) -> Vec<(u32, u32, cer_automata::predicate::Key)> {
         self.stage.index_keys()
     }
 
@@ -530,7 +535,7 @@ impl StreamingEvaluator {
         };
         stats.collections = r.get_u64()?;
         let ds = crate::ds::EnumStructure::decode(&mut r)?;
-        let stage = FireStage::decode(&mut r, pcea.num_states(), ds.len())?;
+        let stage = FireStage::decode(&mut r, &pcea, ds.len())?;
         if !r.is_exhausted() {
             return Err(cer_common::wire::WireError::Corrupt(
                 "trailing bytes after evaluator state",

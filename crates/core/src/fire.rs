@@ -33,6 +33,27 @@
 //! were touched and clears only those ([`FireStage::begin_position`] is
 //! `O(|touched|)`, not `O(|Q|)`).
 //!
+//! # Who owns what, and what an update costs
+//!
+//! The stage owns `H` (`crate::htable`: fixed-size entries, one key
+//! store, an open-addressing index — no heap block per key); the
+//! evaluator owns the `DS_w` arena beside it ([`crate::ds`]: fixed-size
+//! nodes and one pool of product lists). Per transition whose unary
+//! predicate accepted, FireTransitions probes `H` once per source slot —
+//! hashing and comparing the `O(|key|)` projected values where they lie
+//! in the tuple ([`KeyExtractor::project`]) — and `extend` appends one
+//! node and `|N|` pool words; UpdateIndices probes once per
+//! `(transition, slot)` whose source state received nodes and writes the
+//! melded root back into the entry it found, each `union` copying
+//! `O(log(k·w))` fixed-size nodes and no product list. Nothing on that
+//! path allocates except amortised growth of those vectors and the one
+//! copy of a key `H` has not seen. [`FireStage::collect_garbage`]
+//! rebuilds all of it together: dead entries leave the table (entries
+//! and key store compacted in place, index re-seated), then the arena is
+//! copied around the surviving roots.
+//!
+//! [`KeyExtractor::project`]: cer_automata::predicate::KeyExtractor::project
+//!
 //! The [`StreamingEvaluator`](crate::evaluator::StreamingEvaluator)
 //! composes these with the ingest/window stage
 //! ([`WindowClock`](crate::window::WindowClock)) and the enumeration
@@ -42,20 +63,17 @@
 
 use crate::ds::{EnumStructure, NodeId};
 use crate::evaluator::EngineStats;
+use crate::htable::HTable;
 use crate::shared::PredicateCache;
 use cer_automata::pcea::{Pcea, Transition};
 use cer_automata::predicate::{Key, UnaryPredicate};
-use cer_common::hash::FxHashMap;
 use cer_common::Tuple;
-
-/// Look-up table key: `(transition index, source slot, join key)`.
-pub(crate) type HKey = (u32, u32, Key);
 
 /// The mutable state of the firing and indexing stages.
 #[derive(Clone, Debug)]
 pub(crate) struct FireStage {
     /// The look-up table `H`.
-    h: FxHashMap<HKey, NodeId>,
+    h: HTable,
     /// `N_p` per state, rebuilt each position.
     n_state: Vec<Vec<NodeId>>,
     /// States whose `N_p` list is currently non-empty; lets
@@ -72,7 +90,7 @@ pub(crate) struct FireStage {
 impl FireStage {
     pub(crate) fn new(num_states: usize) -> Self {
         FireStage {
-            h: FxHashMap::default(),
+            h: HTable::default(),
             n_state: vec![Vec::new(); num_states],
             touched: Vec::new(),
             gather: Vec::new(),
@@ -85,10 +103,11 @@ impl FireStage {
         self.h.len()
     }
 
-    /// The keys of `H` (tests check that placed replicas partition them).
+    /// The keys of `H` as `(transition, slot, join key)` (tests check
+    /// that placed replicas partition them).
     #[cfg(test)]
-    pub(crate) fn index_keys(&self) -> Vec<HKey> {
-        self.h.keys().cloned().collect()
+    pub(crate) fn index_keys(&self) -> Vec<(u32, u32, Key)> {
+        self.h.iter().map(|(e, s, k, _)| (e, s, k.into())).collect()
     }
 
     /// Nodes created at the current position targeting state `q`.
@@ -121,11 +140,12 @@ impl FireStage {
     ) {
         self.gather.clear();
         for (slot, b) in tr.binary.iter().enumerate() {
-            let Some(key) = b.right.extract(t) else {
+            let Some(key) = b.right.project(t) else {
                 return;
             };
-            match self.h.get(&(e_idx as u32, slot as u32, key)) {
-                Some(&node) if ds.max_start(node) >= lo => self.gather.push(node),
+            let key = key.iter().map(|&p| t.get(p));
+            match self.h.get(e_idx as u32, slot as u32, key) {
+                Some(node) if ds.max_start(node) >= lo => self.gather.push(node),
                 _ => return,
             }
         }
@@ -298,23 +318,24 @@ impl FireStage {
     ) {
         for (e_idx, tr) in pcea.transitions().iter().enumerate() {
             for (slot, (p, b)) in tr.sources.iter().zip(tr.binary.iter()).enumerate() {
-                if self.n_state[p.index()].is_empty() {
+                let created = &self.n_state[p.index()];
+                if created.is_empty() {
                     continue;
                 }
-                let Some(key) = b.left.extract(t) else {
+                let Some(key) = b.left.project(t) else {
                     continue;
                 };
-                let hkey = (e_idx as u32, slot as u32, key);
-                for k in 0..self.n_state[p.index()].len() {
-                    let node = self.n_state[p.index()][k];
-                    let merged = match self.h.get(&hkey) {
-                        Some(&prev) => {
-                            stats.unions += 1;
-                            ds.union(prev, node, lo)
-                        }
-                        None => node,
+                let key = key.iter().map(|&p| t.get(p));
+                // One probe for the whole list: the melded root is
+                // written back into the entry found (or just interned).
+                let root = self.h.entry(e_idx as u32, slot as u32, key);
+                for &node in created {
+                    *root = if root.is_bottom() {
+                        node
+                    } else {
+                        stats.unions += 1;
+                        ds.union(*root, node, lo)
                     };
-                    self.h.insert(hkey.clone(), merged);
                 }
             }
         }
@@ -330,38 +351,54 @@ impl FireStage {
         w: &mut cer_common::wire::WireWriter,
     ) -> Result<(), cer_common::wire::WireError> {
         use cer_common::wire::Wire;
-        let mut entries: Vec<(&HKey, &NodeId)> = self.h.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
+        let mut entries: Vec<_> = self.h.iter().collect();
+        entries.sort_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
         w.put_len(entries.len());
-        for ((e_idx, slot, key), node) in entries {
-            w.put_u32(*e_idx);
-            w.put_u32(*slot);
-            key.encode(w)?;
+        for (e_idx, slot, key, node) in entries {
+            w.put_u32(e_idx);
+            w.put_u32(slot);
+            // As `Key` encodes: a length, then the values.
+            w.put_len(key.len());
+            for v in key {
+                v.encode(w)?;
+            }
             w.put_u32(node.0);
         }
         Ok(())
     }
 
     /// Decode a table encoded by [`encode`](Self::encode) into a fresh
-    /// stage for an automaton with `num_states` states whose arena has
-    /// `arena_len` nodes (for link validation).
+    /// stage for `pcea`, whose arena has `arena_len` nodes. Nothing in
+    /// the bytes is trusted: every entry must name a transition of the
+    /// automaton, a source slot of that transition and a node of the
+    /// arena, and no `(transition, slot, key)` may appear twice.
     pub(crate) fn decode(
         r: &mut cer_common::wire::WireReader<'_>,
-        num_states: usize,
+        pcea: &Pcea,
         arena_len: usize,
     ) -> Result<Self, cer_common::wire::WireError> {
         use cer_common::wire::{Wire, WireError};
-        let mut stage = FireStage::new(num_states);
+        let mut stage = FireStage::new(pcea.num_states());
         let n = r.get_len()?;
         for _ in 0..n {
             let e_idx = r.get_u32()?;
             let slot = r.get_u32()?;
-            let key = cer_automata::predicate::Key::decode(r)?;
+            let key = Key::decode(r)?;
             let node = r.get_u32()?;
+            let Some(tr) = pcea.transitions().get(e_idx as usize) else {
+                return Err(WireError::Corrupt("H entry names no transition"));
+            };
+            if slot as usize >= tr.binary.len() {
+                return Err(WireError::Corrupt("H entry names no source slot"));
+            }
             if node as usize >= arena_len {
                 return Err(WireError::Corrupt("H entry past the arena"));
             }
-            stage.h.insert((e_idx, slot, key), NodeId(node));
+            let stored = stage.h.entry(e_idx, slot, key.iter());
+            if !stored.is_bottom() {
+                return Err(WireError::Corrupt("duplicate H entry"));
+            }
+            *stored = NodeId(node);
         }
         Ok(stage)
     }
@@ -380,21 +417,16 @@ impl FireStage {
         ds: &mut EnumStructure,
         stats: &mut EngineStats,
     ) {
-        for ((e_idx, slot, key), node) in other.h {
-            let node = NodeId(node.0 + offset);
-            match self.h.entry((e_idx, slot, key)) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(node);
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    stats.unions += 1;
-                    // `lo = 0` keeps every subtree: expiry is re-applied
-                    // lazily at the next position anyway.
-                    let merged = ds.union(*o.get(), node, 0);
-                    o.insert(merged);
-                }
+        self.h.absorb(&other.h, |mine, theirs| {
+            let theirs = NodeId(theirs.0 + offset);
+            if mine.is_bottom() {
+                return theirs;
             }
-        }
+            stats.unions += 1;
+            // `lo = 0` keeps every subtree: expiry is re-applied
+            // lazily at the next position anyway.
+            ds.union(mine, theirs, 0)
+        });
     }
 
     /// Drop every `H` entry whose join key belongs to a different shard
@@ -441,10 +473,10 @@ impl FireStage {
                     .collect()
             })
             .collect();
-        self.h.retain(|(e_idx, slot, key), _| {
+        self.h.retain(|e_idx, slot, key, _| {
             match key_index
-                .get(*e_idx as usize)
-                .and_then(|slots| slots.get(*slot as usize))
+                .get(e_idx as usize)
+                .and_then(|slots| slots.get(slot as usize))
                 .copied()
                 .flatten()
             {
@@ -468,12 +500,116 @@ impl FireStage {
     /// expired subtrees. Fully transparent to outputs.
     pub(crate) fn collect_garbage(&mut self, ds: &mut EnumStructure, lo: u64) {
         // Drop dead index entries first.
-        self.h.retain(|_, node| ds.max_start(*node) >= lo);
+        self.h.retain(|_, _, _, node| ds.max_start(node) >= lo);
         let mut roots: Vec<&mut NodeId> = self
             .h
-            .values_mut()
+            .nodes_mut()
             .chain(self.n_state.iter_mut().flatten())
             .collect();
         ds.compact(&mut roots, lo);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cer_automata::pcea::paper_p0;
+    use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
+    use cer_common::{Schema, Value};
+
+    /// Nodes in the arena the tables below are decoded against.
+    const ARENA: usize = 4;
+
+    /// `(transition, slot, key, node)` entries in the layout
+    /// [`FireStage::encode`] writes.
+    fn table_bytes(entries: &[(u32, u32, &[i64], u32)]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_len(entries.len());
+        for &(e_idx, slot, key, node) in entries {
+            w.put_u32(e_idx);
+            w.put_u32(slot);
+            let key: Key = key.iter().map(|&v| Value::Int(v)).collect();
+            key.encode(&mut w).unwrap();
+            w.put_u32(node);
+        }
+        w.into_bytes()
+    }
+
+    /// Decode against `P0`: transitions 0 and 1 are initial (no source
+    /// slot), transition 2 joins two.
+    fn decode(bytes: &[u8]) -> Result<FireStage, WireError> {
+        let (_, r, s, t) = Schema::sigma0();
+        FireStage::decode(&mut WireReader::new(bytes), &paper_p0(r, s, t), ARENA)
+    }
+
+    const GOOD: [(u32, u32, &[i64], u32); 4] = [
+        (2, 0, &[1], 0),
+        (2, 1, &[1, 2], 3),
+        (2, 0, &[2], 1),
+        // The same key under another slot is another entry.
+        (2, 1, &[1], 2),
+    ];
+
+    #[test]
+    fn decode_checks_every_entry_against_the_automaton() {
+        let stage = decode(&table_bytes(&GOOD)).expect("a well-formed table");
+        assert_eq!(stage.index_entries(), GOOD.len());
+        let mut w = WireWriter::new();
+        stage.encode(&mut w).unwrap();
+        let mut sorted = GOOD;
+        sorted.sort();
+        assert_eq!(
+            w.into_bytes(),
+            table_bytes(&sorted),
+            "entries encode sorted"
+        );
+
+        let bottom = u32::MAX;
+        for (bad, why) in [
+            ((3, 0, &[1][..], 0), "H entry names no transition"),
+            ((bottom, 0, &[1][..], 0), "H entry names no transition"),
+            ((0, 0, &[1][..], 0), "H entry names no source slot"),
+            ((2, 2, &[1][..], 0), "H entry names no source slot"),
+            ((2, bottom, &[1][..], 0), "H entry names no source slot"),
+            ((2, 0, &[9][..], ARENA as u32), "H entry past the arena"),
+            ((2, 0, &[9][..], bottom), "H entry past the arena"),
+            ((2, 0, &[2][..], 1), "duplicate H entry"),
+            ((2, 1, &[1, 2][..], 0), "duplicate H entry"),
+        ] {
+            let mut entries = GOOD.to_vec();
+            entries.push(bad);
+            let got = decode(&table_bytes(&entries)).map(|stage| stage.index_entries());
+            assert_eq!(got, Err(WireError::Corrupt(why)), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn mutated_table_bytes_are_rejected_or_decoded_never_trusted() {
+        // Overwrite every 4-byte window, aligned or not, with values
+        // that are out of range for every field. Each outcome must be a
+        // table that passes the same checks or an error — never a panic
+        // — and the field checks must all be seen to fire.
+        let bytes = table_bytes(&GOOD);
+        let mut seen = std::collections::BTreeSet::new();
+        for poison in [7u32, u32::MAX] {
+            for k in 0..bytes.len() - 3 {
+                let mut mutated = bytes.clone();
+                mutated[k..k + 4].copy_from_slice(&poison.to_le_bytes());
+                match decode(&mutated) {
+                    Ok(stage) => assert!(stage.index_entries() <= GOOD.len()),
+                    Err(WireError::Corrupt(why)) => {
+                        seen.insert(why);
+                    }
+                    Err(_) => {}
+                }
+            }
+        }
+        for why in [
+            "H entry names no transition",
+            "H entry names no source slot",
+            "H entry past the arena",
+        ] {
+            assert!(seen.contains(why), "no mutation tripped {why:?}: {seen:?}");
+        }
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! * [`window`] — the ingest/window stage: [`WindowClock`] maps arriving
 //!   tuples to monotone expiry bounds (count and time windows);
-//! * `fire` — `FireTransitions` and `UpdateIndices` of Algorithm 1: the
-//!   look-up table `H` and per-position node lists;
+//! * `fire` — `FireTransitions` and `UpdateIndices` of Algorithm 1 over
+//!   the look-up table `H` (`htable`: probed in place, keys interned
+//!   once) and the per-position node lists;
 //! * [`ds`] — the persistent enumeration structure `DS_w`: product/union
 //!   nodes, `max-start`, heap condition (‡), leftist-meld `union`
 //!   (Proposition 5.3) and a copying collector;
@@ -54,6 +55,7 @@ pub mod enumerate;
 pub mod error;
 pub mod evaluator;
 mod fire;
+mod htable;
 pub mod ingest;
 pub mod metrics;
 pub mod runtime;

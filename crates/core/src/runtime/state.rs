@@ -673,9 +673,9 @@ fn check_position(op: &str, at: u64, logged: u64) -> Result<(), DurabilityError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fire::HKey;
     use crate::window::WindowPolicy;
     use cer_automata::pcea::paper_p0;
+    use cer_automata::predicate::Key;
     use cer_automata::valuation::Valuation;
     use cer_common::tuple::tup;
     use cer_common::{Schema, Tuple};
@@ -702,7 +702,7 @@ mod tests {
         (eval, completions)
     }
 
-    fn keys(eval: &StreamingEvaluator) -> HashSet<HKey> {
+    fn keys(eval: &StreamingEvaluator) -> HashSet<(u32, u32, Key)> {
         eval.index_keys().into_iter().collect()
     }
 

@@ -1,15 +1,22 @@
-//! The allocation budget of a match, pinned by counting.
+//! The allocation budgets of a match and of the update step, pinned by
+//! counting.
 //!
 //! A [`Valuation`] is one heap buffer, so keeping a match costs exactly
 //! one allocation wherever it is kept: in the shard worker's clone of
 //! the enumerator's scratch, and in a client's decode of an `Event`
-//! frame. The benchmark's `*.allocs_per_tuple` rungs show the same
-//! thing as a ratio; this test shows it as exact counts, in debug and
-//! (in CI) release builds alike.
+//! frame. The update step of Algorithm 1 allocates nothing per tuple:
+//! `DS_w` product lists and `H` keys live in vectors the evaluator
+//! owns, a probe reads the join key where it lies in the tuple, and only
+//! a key `H` has not seen is copied (one block per `Str` it contains).
+//! The benchmark's `*.allocs_per_tuple` rungs show the same things as
+//! ratios; these tests show them as exact counts, in debug and (in CI)
+//! release builds alike.
 //!
-//! One `#[test]` in a test binary of its own: the counter is
-//! per-thread, so nothing the harness does on other threads is counted.
+//! A test binary of its own, and both the switch and the counter are
+//! per-thread: nothing the harness or the other test does is counted.
 
+use pcea::automata::pcea::paper_p0;
+use pcea::common::tuple::tup;
 use pcea::prelude::*;
 use pcea::serve::protocol::{decode_message, encode_message, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -75,7 +82,7 @@ const WINDOW: u64 = 256;
 /// The benchmark's `fanout_enum` shape in small: a star of four atoms
 /// over 29 keys under a 256-tuple window, so a key has about 2.2 live
 /// tuples per relation and a tuple completes about 2.2³ ≈ 10 matches.
-fn star3() -> (Pcea, Vec<Tuple>) {
+fn star3(len: usize) -> (Pcea, Vec<Tuple>) {
     let mut schema = Schema::new();
     let text = "Q(x, y1, y2, y3) <- A0(x), A1(x, y1), A2(x, y2), A3(x, y3)";
     let query = parse_query(&mut schema, text).expect("well-formed query");
@@ -90,7 +97,7 @@ fn star3() -> (Pcea, Vec<Tuple>) {
             .wrapping_add(1442695040888963407);
         (state >> 33) % bound
     };
-    let stream = (0..4096)
+    let stream = (0..len)
         .map(|_| {
             let rel = next(4) as usize;
             let x = Value::Int(next(29) as i64);
@@ -124,7 +131,7 @@ fn a_match_is_one_allocation() {
     // outputs and keeping them. Everything else the two runs allocate
     // (arena nodes, index entries, scratch) is the same deterministic
     // sequence, so the difference is what keeping costs.
-    let (pcea, stream) = star3();
+    let (pcea, stream) = star3(4096);
     let mut counter = StreamingEvaluator::new(pcea.clone(), WINDOW);
     let mut outputs = 0usize;
     let ((), counting) = allocs_in(|| counter.push_slice_for_each(&stream, |_, _| outputs += 1));
@@ -156,4 +163,80 @@ fn a_match_is_one_allocation() {
     let (decoded, n) = allocs_in(|| decode_message::<Response>(&payload));
     assert_eq!(decoded, Ok(Response::Event(event)));
     assert_eq!(n, 1, "decoding an Event payload");
+}
+
+/// The paper's `Q0` over σ0, and a stream of `triples` T, S, R triples
+/// with a join key of their own each (the benchmark's `sparse_serve` and
+/// `many_queries` shape): every index update meets a key `H` has never
+/// held, every triple completes one match.
+fn unique_key_triples(triples: usize) -> (Pcea, Vec<Tuple>) {
+    let (_, r, s, t) = Schema::sigma0();
+    let stream = (0..triples as i64)
+        .flat_map(|k| [tup(t, [k]), tup(s, [k, k + 7]), tup(r, [k, k + 7])])
+        .collect();
+    (paper_p0(r, s, t), stream)
+}
+
+/// Blocks a phase of one slice may allocate whatever its length: the
+/// collection that ends it takes four (the two arena vectors, the
+/// forwarding table, the root list), and the arena, sized by that
+/// collection for the slice before, doubles a few times under a longer
+/// one. Measured: 5 over `M` tuples, 9 over `4M`, on both streams.
+const PHASE_BUDGET: u64 = 12;
+
+#[test]
+fn the_update_step_allocates_nothing_per_tuple() {
+    const M: usize = 1536;
+    let warm_up = 2 * WINDOW as usize + 4 * M;
+    let (star, star_stream) = star3(warm_up + 5 * M);
+    let (q0, q0_stream) = unique_key_triples((warm_up + 5 * M) / 3);
+    for (name, pcea, stream) in [("star-3", star, star_stream), ("σ0", q0, q0_stream)] {
+        let mut eval = StreamingEvaluator::new(pcea, WINDOW);
+        // Warm: every vector at its high-water mark, one collection.
+        let (warm, rest) = stream.split_at(warm_up);
+        eval.push_slice_count(warm);
+        assert_eq!(eval.stats().collections, 1, "{name}: warm-up collects");
+        let (short, long) = rest.split_at(M);
+        for (slice, collections) in [(short, 2), (long, 3)] {
+            let (outputs, n) = allocs_in(|| eval.push_slice_count(slice));
+            assert!(outputs > slice.len() / 4, "{name}: {outputs} matches");
+            assert_eq!(eval.stats().collections, collections);
+            assert!(
+                n <= PHASE_BUDGET,
+                "{name}: {n} allocations over {} tuples",
+                slice.len()
+            );
+        }
+    }
+
+    // `Str` join keys: a key `H` has not seen costs the copy of its
+    // string, and nothing else does — not the probes of the R tuples,
+    // not the second T and S tuple under a key (a union written back
+    // into the entry found).
+    let (_, r, s, t) = Schema::sigma0();
+    let burst = |tag: &str, keys: usize| -> Vec<Tuple> {
+        (0..keys as i64)
+            .flat_map(|k| {
+                let x = || Value::Str(format!("{tag}-{k}").into());
+                let ty = |rel, y: i64| Tuple::new(rel, vec![x(), Value::Int(y)]);
+                [
+                    Tuple::new(t, vec![x()]),
+                    Tuple::new(t, vec![x()]),
+                    ty(s, k),
+                    ty(s, k),
+                    ty(r, k),
+                ]
+            })
+            .collect()
+    };
+    let mut eval = StreamingEvaluator::new(paper_p0(r, s, t), WINDOW);
+    eval.push_slice_count(&burst("warm", 400));
+    assert_eq!(eval.stats().collections, 1);
+    let fresh = 100;
+    let slice = burst("fresh", fresh);
+    let (outputs, n) = allocs_in(|| eval.push_slice_count(&slice));
+    assert_eq!(outputs, 4 * fresh, "two T runs times two S runs per key");
+    assert_eq!(eval.stats().collections, 1, "shorter than the cadence");
+    // Per key: the T entry's `[x]` and the S entry's `[x, y]`.
+    assert_eq!(n, 2 * fresh as u64, "one block per interned Str");
 }
