@@ -17,9 +17,11 @@ use crate::predicate::{EqPredicate, UnaryPredicate};
 use crate::valuation::LabelSet;
 use std::fmt;
 
-/// A dense identifier for a PCEA state.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StateId(pub u32);
+cer_common::wire_struct! {
+    /// A dense identifier for a PCEA state.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct StateId(pub u32);
+}
 
 impl StateId {
     /// The id as a usize index.
@@ -35,24 +37,26 @@ impl fmt::Debug for StateId {
     }
 }
 
-/// A PCEA transition `(P, U, B, L, q)`.
-///
-/// `binary[k]` is the equality predicate `B(sources[k])`; the paper's `B`
-/// is a partial function `Q ⇀ Beq` and here it is total on `P` (a run can
-/// only be gathered if its join condition is stated).
-#[derive(Clone, Debug)]
-pub struct Transition {
-    /// Source-state set `P`, sorted and duplicate-free. Empty for initial
-    /// transitions.
-    pub sources: Box<[StateId]>,
-    /// The unary predicate `U` on the current tuple.
-    pub unary: UnaryPredicate,
-    /// Per-source equality predicates, aligned with `sources`.
-    pub binary: Box<[EqPredicate]>,
-    /// The non-empty label set `L` marking the current position.
-    pub labels: LabelSet,
-    /// Target state `q`.
-    pub target: StateId,
+cer_common::wire_struct! {
+    /// A PCEA transition `(P, U, B, L, q)`.
+    ///
+    /// `binary[k]` is the equality predicate `B(sources[k])`; the paper's `B`
+    /// is a partial function `Q ⇀ Beq` and here it is total on `P` (a run can
+    /// only be gathered if its join condition is stated).
+    #[derive(Clone, Debug)]
+    pub struct Transition {
+        /// Source-state set `P`, sorted and duplicate-free. Empty for initial
+        /// transitions.
+        pub sources: Box<[StateId]>,
+        /// The unary predicate `U` on the current tuple.
+        pub unary: UnaryPredicate,
+        /// Per-source equality predicates, aligned with `sources`.
+        pub binary: Box<[EqPredicate]>,
+        /// The non-empty label set `L` marking the current position.
+        pub labels: LabelSet,
+        /// Target state `q`.
+        pub target: StateId,
+    }
 }
 
 /// A parallelized complex event automaton `(Q, U, B, Ω, ∆, F)`.
@@ -173,35 +177,8 @@ mod wire_impls {
     use super::*;
     use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
 
-    impl Wire for StateId {
-        fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-            w.put_u32(self.0);
-            Ok(())
-        }
-        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            Ok(StateId(r.get_u32()?))
-        }
-    }
-
-    impl Wire for Transition {
-        fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-            self.sources.encode(w)?;
-            self.unary.encode(w)?;
-            self.binary.encode(w)?;
-            self.labels.encode(w)?;
-            self.target.encode(w)
-        }
-        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            Ok(Transition {
-                sources: Wire::decode(r)?,
-                unary: Wire::decode(r)?,
-                binary: Wire::decode(r)?,
-                labels: Wire::decode(r)?,
-                target: Wire::decode(r)?,
-            })
-        }
-    }
-
+    // Not a `wire_struct!` row: decoding validates every transition
+    // against the state count.
     impl Wire for Pcea {
         fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
             self.num_states.encode(w)?;

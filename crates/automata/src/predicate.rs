@@ -26,18 +26,20 @@ use std::sync::Arc;
 /// both defined and equal as value sequences.
 pub type Key = Box<[Value]>;
 
-/// A within-tuple consistency group: all `positions` must carry equal
-/// values, and when `constant` is set, that shared value must equal it.
-///
-/// Groups implement the "repeated variable" and "constant argument" checks
-/// of atom patterns, and the per-side equivalence-class checks of the
-/// derived atoms `t_A` from Lemma B.3/B.4 (self-join compilation).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct PosGroup {
-    /// Tuple positions that must all hold the same value (non-empty).
-    pub positions: Box<[usize]>,
-    /// Optional constant the shared value must equal.
-    pub constant: Option<Value>,
+cer_common::wire_struct! {
+    /// A within-tuple consistency group: all `positions` must carry equal
+    /// values, and when `constant` is set, that shared value must equal it.
+    ///
+    /// Groups implement the "repeated variable" and "constant argument" checks
+    /// of atom patterns, and the per-side equivalence-class checks of the
+    /// derived atoms `t_A` from Lemma B.3/B.4 (self-join compilation).
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    pub struct PosGroup {
+        /// Tuple positions that must all hold the same value (non-empty).
+        pub positions: Box<[usize]>,
+        /// Optional constant the shared value must equal.
+        pub constant: Option<Value>,
+    }
 }
 
 impl PosGroup {
@@ -61,15 +63,17 @@ impl PosGroup {
     }
 }
 
-/// The per-relation piece of a [`KeyExtractor`]: consistency checks plus
-/// the positions to project (in the extractor's canonical key order).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct ExtractorEntry {
-    /// Within-tuple equality/constant groups that must hold for the key to
-    /// be defined.
-    pub checks: Box<[PosGroup]>,
-    /// Positions projected into the key, in canonical order.
-    pub key: Box<[usize]>,
+cer_common::wire_struct! {
+    /// The per-relation piece of a [`KeyExtractor`]: consistency checks plus
+    /// the positions to project (in the extractor's canonical key order).
+    #[derive(Clone, Debug, PartialEq, Eq, Default)]
+    pub struct ExtractorEntry {
+        /// Within-tuple equality/constant groups that must hold for the key to
+        /// be defined.
+        pub checks: Box<[PosGroup]>,
+        /// Positions projected into the key, in canonical order.
+        pub key: Box<[usize]>,
+    }
 }
 
 /// A partial function `Tuples[σ] ⇀ Key` — one side (`⃗B` or `⃖B`) of an
@@ -157,18 +161,20 @@ impl KeyExtractor {
     }
 }
 
-/// An equality predicate `B ∈ Beq`, as a pair of partial key functions.
-///
-/// `(t1, t2) ∈ B` iff `⃗B(t1)` and `⃖B(t2)` are both defined and equal,
-/// where `t1` is the *earlier* tuple (stored run) and `t2` the *current*
-/// tuple. The empty-key predicate (both sides project nothing) is the
-/// always-true join, used for variable pairs with no shared attributes.
-#[derive(Clone, Debug, Default)]
-pub struct EqPredicate {
-    /// `⃗B`, applied to the earlier tuple.
-    pub left: KeyExtractor,
-    /// `⃖B`, applied to the current tuple.
-    pub right: KeyExtractor,
+cer_common::wire_struct! {
+    /// An equality predicate `B ∈ Beq`, as a pair of partial key functions.
+    ///
+    /// `(t1, t2) ∈ B` iff `⃗B(t1)` and `⃖B(t2)` are both defined and equal,
+    /// where `t1` is the *earlier* tuple (stored run) and `t2` the *current*
+    /// tuple. The empty-key predicate (both sides project nothing) is the
+    /// always-true join, used for variable pairs with no shared attributes.
+    #[derive(Clone, Debug, Default)]
+    pub struct EqPredicate {
+        /// `⃗B`, applied to the earlier tuple.
+        pub left: KeyExtractor,
+        /// `⃖B`, applied to the current tuple.
+        pub right: KeyExtractor,
+    }
 }
 
 impl EqPredicate {
@@ -220,32 +226,7 @@ mod wire_impls {
     use super::*;
     use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
 
-    impl Wire for PosGroup {
-        fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-            self.positions.encode(w)?;
-            self.constant.encode(w)
-        }
-        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            Ok(PosGroup {
-                positions: Wire::decode(r)?,
-                constant: Wire::decode(r)?,
-            })
-        }
-    }
-
-    impl Wire for ExtractorEntry {
-        fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-            self.checks.encode(w)?;
-            self.key.encode(w)
-        }
-        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            Ok(ExtractorEntry {
-                checks: Wire::decode(r)?,
-                key: Wire::decode(r)?,
-            })
-        }
-    }
-
+    // Not a `wire_struct!` row: the entries are sorted on the way out.
     impl Wire for KeyExtractor {
         fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
             // Hash-map iteration order is arbitrary; sort by relation id
@@ -267,80 +248,6 @@ mod wire_impls {
                 out.insert(rel, ExtractorEntry::decode(r)?);
             }
             Ok(out)
-        }
-    }
-
-    impl Wire for EqPredicate {
-        fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-            self.left.encode(w)?;
-            self.right.encode(w)
-        }
-        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            Ok(EqPredicate {
-                left: Wire::decode(r)?,
-                right: Wire::decode(r)?,
-            })
-        }
-    }
-
-    impl Wire for PatTerm {
-        fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-            match self {
-                PatTerm::Var(v) => {
-                    w.put_u8(0);
-                    w.put_u32(*v);
-                }
-                PatTerm::Const(c) => {
-                    w.put_u8(1);
-                    c.encode(w)?;
-                }
-            }
-            Ok(())
-        }
-        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            match r.get_u8()? {
-                0 => Ok(PatTerm::Var(r.get_u32()?)),
-                1 => Ok(PatTerm::Const(Wire::decode(r)?)),
-                _ => Err(WireError::Corrupt("pattern term tag")),
-            }
-        }
-    }
-
-    impl Wire for AtomPattern {
-        fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-            self.relation.encode(w)?;
-            self.terms.encode(w)
-        }
-        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            Ok(AtomPattern {
-                relation: Wire::decode(r)?,
-                terms: Wire::decode(r)?,
-            })
-        }
-    }
-
-    impl Wire for CmpOp {
-        fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-            w.put_u8(match self {
-                CmpOp::Lt => 0,
-                CmpOp::Le => 1,
-                CmpOp::Eq => 2,
-                CmpOp::Ne => 3,
-                CmpOp::Ge => 4,
-                CmpOp::Gt => 5,
-            });
-            Ok(())
-        }
-        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            Ok(match r.get_u8()? {
-                0 => CmpOp::Lt,
-                1 => CmpOp::Le,
-                2 => CmpOp::Eq,
-                3 => CmpOp::Ne,
-                4 => CmpOp::Ge,
-                5 => CmpOp::Gt,
-                _ => return Err(WireError::Corrupt("cmp op tag")),
-            })
         }
     }
 
@@ -382,6 +289,8 @@ mod wire_impls {
         })
     }
 
+    // Not a `wire_enum!` table: decoding bounds the `And` recursion
+    // (`decode_unary`) and `Custom` has no encoding at all.
     impl Wire for UnaryPredicate {
         fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
             match self {
@@ -469,29 +378,33 @@ mod wire_impls {
     }
 }
 
-/// A term of an atom pattern: a variable (identified by an arbitrary
-/// per-pattern index) or a constant.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum PatTerm {
-    /// Variable occurrence; equal indices must carry equal values.
-    Var(u32),
-    /// Constant that the tuple must match exactly.
-    Const(Value),
+cer_common::wire_enum! {
+    /// A term of an atom pattern: a variable (identified by an arbitrary
+    /// per-pattern index) or a constant.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    pub enum PatTerm {
+        /// Variable occurrence; equal indices must carry equal values.
+        0 => Var(u32),
+        /// Constant that the tuple must match exactly.
+        1 => Const(Value),
+    }
 }
 
-/// A relational atom pattern `R(x, y, 2, x)`: the unary predicate
-/// `U_{R(x̄)} = {R(ā) | ∃h. h(R(x̄)) = R(ā)}` of the Theorem 4.1
-/// construction.
-///
-/// A tuple matches iff it has the pattern's relation, positions sharing a
-/// variable hold equal values, and constant positions hold the constants —
-/// exactly "`t` is homomorphic to the atom", checked in linear time.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct AtomPattern {
-    /// The relation the pattern constrains.
-    pub relation: RelationId,
-    /// One term per attribute position.
-    pub terms: Box<[PatTerm]>,
+cer_common::wire_struct! {
+    /// A relational atom pattern `R(x, y, 2, x)`: the unary predicate
+    /// `U_{R(x̄)} = {R(ā) | ∃h. h(R(x̄)) = R(ā)}` of the Theorem 4.1
+    /// construction.
+    ///
+    /// A tuple matches iff it has the pattern's relation, positions sharing a
+    /// variable hold equal values, and constant positions hold the constants —
+    /// exactly "`t` is homomorphic to the atom", checked in linear time.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    pub struct AtomPattern {
+        /// The relation the pattern constrains.
+        pub relation: RelationId,
+        /// One term per attribute position.
+        pub terms: Box<[PatTerm]>,
+    }
 }
 
 impl AtomPattern {
@@ -533,21 +446,23 @@ impl AtomPattern {
     }
 }
 
-/// Comparison operators for the [`UnaryPredicate::Cmp`] filter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `>=`
-    Ge,
-    /// `>`
-    Gt,
+cer_common::wire_enum! {
+    /// Comparison operators for the [`UnaryPredicate::Cmp`] filter.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum CmpOp {
+        /// `<`
+        0 => Lt,
+        /// `<=`
+        1 => Le,
+        /// `==`
+        2 => Eq,
+        /// `!=`
+        3 => Ne,
+        /// `>=`
+        4 => Ge,
+        /// `>`
+        5 => Gt,
+    }
 }
 
 impl CmpOp {

@@ -35,9 +35,11 @@ impl fmt::Debug for Label {
 /// Maximum number of labels supported by [`LabelSet`].
 pub const MAX_LABELS: usize = 64;
 
-/// A non-empty-or-empty subset of Ω as a 64-bit bitmask.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct LabelSet(pub u64);
+cer_common::wire_struct! {
+    /// A non-empty-or-empty subset of Ω as a 64-bit bitmask.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub struct LabelSet(pub u64);
+}
 
 impl LabelSet {
     /// The empty label set (not allowed on transitions, useful as identity).
@@ -104,21 +106,6 @@ impl LabelSet {
                 Some(Label(i))
             }
         })
-    }
-}
-
-impl cer_common::wire::Wire for LabelSet {
-    fn encode(
-        &self,
-        w: &mut cer_common::wire::WireWriter,
-    ) -> Result<(), cer_common::wire::WireError> {
-        w.put_u64(self.0);
-        Ok(())
-    }
-    fn decode(
-        r: &mut cer_common::wire::WireReader<'_>,
-    ) -> Result<Self, cer_common::wire::WireError> {
-        Ok(LabelSet(r.get_u64()?))
     }
 }
 
@@ -360,6 +347,8 @@ impl PartialOrd for Valuation {
     }
 }
 
+// Not a `wire_struct!` row: decoding validates the groups and builds the
+// flat buffer in place, pre-sized, with one allocation.
 impl cer_common::wire::Wire for Valuation {
     fn encode(
         &self,

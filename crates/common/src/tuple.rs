@@ -119,6 +119,8 @@ pub fn tup<V: Into<Value>>(relation: RelationId, values: impl IntoIterator<Item 
     Tuple::new(relation, values.into_iter().map(Into::into).collect())
 }
 
+// Not a `wire_struct!` row: decoding pre-sizes the value vector and
+// builds the shared `Arc<[Value]>` through `Tuple::new`.
 impl crate::wire::Wire for Tuple {
     fn encode(&self, w: &mut crate::wire::WireWriter) -> Result<(), crate::wire::WireError> {
         self.relation.encode(w)?;

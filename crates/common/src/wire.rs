@@ -1,22 +1,72 @@
-//! A tiny self-describing binary wire format for checkpoints.
+//! A tiny self-describing binary wire format for checkpoints, WAL
+//! records and the serving protocol.
 //!
-//! The workspace builds offline (no serde), so the checkpoint subsystem
-//! (`cer-core`'s `checkpoint` module) hand-rolls its snapshot
-//! encoding on top of this module: a [`WireWriter`]/[`WireReader`] pair
-//! over little-endian fixed-width scalars plus length-prefixed
-//! sequences, and a [`Wire`] trait implemented by every type that
-//! participates in a snapshot. Encoding is fallible because some
-//! runtime values cannot round-trip (e.g. user-supplied closure
-//! predicates); decoding is fallible because snapshot bytes come from
-//! disk or the network and must never panic the process.
+//! The workspace builds offline (no serde), so everything that leaves
+//! the process is encoded on top of this module: a
+//! [`WireWriter`]/[`WireReader`] pair over little-endian fixed-width
+//! scalars plus length-prefixed sequences, and a [`Wire`] trait
+//! implemented by every type that travels. Encoding is fallible because
+//! some runtime values cannot round-trip (e.g. user-supplied closure
+//! predicates); decoding is fallible because the bytes come from disk or
+//! the network and must never panic the process.
 //!
 //! The format carries no type tags beyond what each `Wire`
 //! implementation writes itself — compatibility across releases is
 //! handled one level up by the snapshot header's version field, not per
 //! field here.
+//!
+//! # A wire type is one declaration
+//!
+//! [`wire_struct!`](crate::wire_struct) and
+//! [`wire_enum!`](crate::wire_enum) take a type's declaration — docs,
+//! derives, fields, and for an enum a `tag => Variant` row per variant —
+//! and emit the type *and* its [`Wire`] impl, so a tag and a field list
+//! are written once and encode and decode cannot drift apart:
+//!
+//! ```
+//! use cer_common::wire::{Len, Wire, WireReader, WireWriter};
+//!
+//! cer_common::wire_enum! {
+//!     /// A toy op table.
+//!     #[derive(Clone, Debug, PartialEq)]
+//!     pub enum Op {
+//!         /// No payload: the tag alone.
+//!         0 => Ping,
+//!         /// Fields travel in declaration order.
+//!         1 => Resize {
+//!             /// A count, read with the bounded [`Len`] codec.
+//!             shards: usize as Len,
+//!             force: bool,
+//!         },
+//!         2 => Name(String),
+//!     }
+//! }
+//!
+//! let mut w = WireWriter::new();
+//! Op::Resize { shards: 4, force: true }.encode(&mut w).unwrap();
+//! let bytes = w.into_bytes();
+//! assert_eq!(bytes, [1, 4, 0, 0, 0, 0, 0, 0, 0, 1]);
+//! let back = Op::decode(&mut WireReader::new(&bytes)).unwrap();
+//! assert_eq!(back, Op::Resize { shards: 4, force: true });
+//! ```
+//!
+//! A field travels as its type's own [`Wire`] form unless the row names
+//! a [`Codec`] (`field: Type as Codec`) — for the few places where the
+//! bytes or the checks differ from the type's own: a count bounded by
+//! the input length ([`Len`]), a blob copied in one piece ([`Bytes`]).
+//!
+//! **When a type is a row, and when it stays hand-written.** A type
+//! whose encoding is "its fields in order" or "a tag byte, then the
+//! variant's fields" is declared through the macros; that is every
+//! protocol op, every WAL record and every plain data type in the
+//! workspace. An `impl Wire` is written by hand only when decoding does
+//! something a field list cannot say — it validates the value against
+//! other state, sorts, bounds recursion or pre-sizes an allocation — and
+//! each such impl carries one line saying which.
 
 use crate::value::Value;
 use crate::RelationId;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Why an encode or decode failed.
@@ -286,13 +336,14 @@ impl Wire for String {
     }
 }
 
+fn encode_slice<T: Wire>(items: &[T], w: &mut WireWriter) -> Result<(), WireError> {
+    w.put_len(items.len());
+    items.iter().try_for_each(|item| item.encode(w))
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_len(self.len());
-        for item in self {
-            item.encode(w)?;
-        }
-        Ok(())
+        encode_slice(self, w)
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let n = r.get_len()?;
@@ -306,14 +357,32 @@ impl<T: Wire> Wire for Vec<T> {
 
 impl<T: Wire> Wire for Box<[T]> {
     fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_len(self.len());
-        for item in self.iter() {
-            item.encode(w)?;
-        }
-        Ok(())
+        encode_slice(self, w)
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Vec::<T>::decode(r)?.into_boxed_slice())
+    }
+}
+
+/// A slice that encodes from a borrow and decodes owned, in `Vec<T>`'s
+/// bytes: lets a record type be built around a caller's `&[T]` without
+/// cloning it.
+impl<T: Wire + Clone> Wire for Cow<'_, [T]> {
+    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
+        encode_slice(self, w)
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Vec::<T>::decode(r).map(Cow::Owned)
+    }
+}
+
+/// A value that encodes from a borrow and decodes owned, in `T`'s bytes.
+impl<T: Wire + Clone> Wire for Cow<'_, T> {
+    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
+        T::encode(self, w)
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        T::decode(r).map(Cow::Owned)
     }
 }
 
@@ -405,6 +474,174 @@ impl Wire for Value {
     }
 }
 
+/// How one field of a [`wire_struct!`](crate::wire_struct) /
+/// [`wire_enum!`](crate::wire_enum) row travels. Every [`Wire`] type is
+/// its own codec; a row names another one (`field: Type as Codec`) only
+/// where the bytes or the checks differ from the type's own.
+pub trait Codec<T> {
+    /// Append `v`.
+    fn put(v: &T, w: &mut WireWriter) -> Result<(), WireError>;
+    /// Read one value.
+    fn get(r: &mut WireReader<'_>) -> Result<T, WireError>;
+    /// Bytes `put(v)` is about to write, if the codec knows: an enum row
+    /// reserves the sum of its fields' hints once, in front of its tag.
+    fn size_hint(_v: &T) -> usize {
+        0
+    }
+}
+
+impl<T: Wire> Codec<T> for T {
+    fn put(v: &T, w: &mut WireWriter) -> Result<(), WireError> {
+        v.encode(w)
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<T, WireError> {
+        T::decode(r)
+    }
+}
+
+/// A count: `usize`'s bytes, but read with [`WireReader::get_len`], so a
+/// value no honest peer could mean is `Corrupt("implausible length")`.
+pub struct Len;
+
+impl Codec<usize> for Len {
+    fn put(v: &usize, w: &mut WireWriter) -> Result<(), WireError> {
+        w.put_len(*v);
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<usize, WireError> {
+        r.get_len()
+    }
+}
+
+/// A blob: `Vec<u8>`'s bytes, but copied in one piece
+/// ([`WireWriter::put_bytes`] / [`WireReader::get_bytes`]).
+pub struct Bytes;
+
+impl Codec<Vec<u8>> for Bytes {
+    fn put(v: &Vec<u8>, w: &mut WireWriter) -> Result<(), WireError> {
+        w.put_bytes(v);
+        Ok(())
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Vec<u8>, WireError> {
+        r.get_bytes().map(<[u8]>::to_vec)
+    }
+}
+
+/// One [`Codec`](crate::wire::Codec) function of a row's field: the
+/// named codec's, else the field type's own.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! wire_via {
+    ($op:ident, $ty:ty) => {
+        <$ty as $crate::wire::Codec<$ty>>::$op
+    };
+    ($op:ident, $ty:ty, $codec:ty) => {
+        <$codec as $crate::wire::Codec<$ty>>::$op
+    };
+}
+
+/// Declare a struct together with its [`Wire`](crate::wire::Wire) impl:
+/// the fields, in order (see the [module docs](crate::wire)). Also
+/// takes a one-field tuple struct, which travels as that field.
+#[macro_export]
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident $(<$lt:lifetime>)? {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty $(as $codec:ty)?),* $(,)?
+    }) => {
+        $(#[$meta])* $vis struct $name $(<$lt>)? { $($(#[$fmeta])* $fvis $field: $fty),* }
+        $crate::wire_struct!(@impl $name $(<$lt>)? { $($field: $fty $(as $codec)?),* });
+    };
+    ($(#[$meta:meta])* $vis:vis struct $name:ident($fvis:vis $fty:ty);) => {
+        $(#[$meta])* $vis struct $name($fvis $fty);
+        $crate::wire_struct!(@impl $name { 0: $fty });
+    };
+    (@impl $name:ident $(<$lt:lifetime>)? { $($field:tt : $fty:ty $(as $codec:ty)?),* }) => {
+        impl $(<$lt>)? $crate::wire::Wire for $name $(<$lt>)? {
+            fn encode(
+                &self,
+                w: &mut $crate::wire::WireWriter,
+            ) -> Result<(), $crate::wire::WireError> {
+                $($crate::wire_via!(put, $fty $(, $codec)?)(&self.$field, w)?;)*
+                Ok(())
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok($name { $($field: $crate::wire_via!(get, $fty $(, $codec)?)(r)?),* })
+            }
+        }
+    };
+}
+
+/// Declare an enum together with its [`Wire`](crate::wire::Wire) impl:
+/// one `tag => Variant` row per variant — a unit, a struct of fields or
+/// one tuple field — travelling as the tag byte, then the fields (see
+/// the [module docs](crate::wire)). An unknown tag is `Corrupt`.
+#[macro_export]
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident $(<$lt:lifetime>)? {
+        $($(#[$vmeta:meta])* $tag:literal => $variant:ident
+            $({ $($(#[$fmeta:meta])* $field:ident : $fty:ty $(as $codec:ty)?),* $(,)? })?
+            $(( $tty:ty $(as $tcodec:ty)? ))?
+        ),* $(,)?
+    }) => {
+        $(#[$meta])* $vis enum $name $(<$lt>)? {
+            $($(#[$vmeta])* $variant $({ $($(#[$fmeta])* $field: $fty),* })? $(($tty))?),*
+        }
+        impl $(<$lt>)? $crate::wire::Wire for $name $(<$lt>)? {
+            fn encode(
+                &self,
+                w: &mut $crate::wire::WireWriter,
+            ) -> Result<(), $crate::wire::WireError> {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(($crate::wire_enum!(@bind x $tty)))? => {
+                        w.reserve(
+                            0 $($(+ $crate::wire_via!(size_hint, $fty $(, $codec)?)($field))*)?
+                                $(+ $crate::wire_via!(size_hint, $tty $(, $tcodec)?)(x))?,
+                        );
+                        w.put_u8($tag);
+                        $($($crate::wire_via!(put, $fty $(, $codec)?)($field, w)?;)*)?
+                        $($crate::wire_via!(put, $tty $(, $tcodec)?)(x, w)?;)?
+                    })*
+                }
+                Ok(())
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.get_u8()? {
+                    $($tag => Self::$variant
+                        $({ $($field: $crate::wire_via!(get, $fty $(, $codec)?)(r)?),* })?
+                        $(($crate::wire_via!(get, $tty $(, $tcodec)?)(r)?))?,)*
+                    _ => {
+                        return Err($crate::wire::WireError::Corrupt(concat!(
+                            "unknown ",
+                            stringify!($name),
+                            " tag"
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    (@bind $x:ident $ty:ty) => { $x };
+}
+
+/// Every copy of `bytes` with one 4-byte window — aligned or not —
+/// overwritten by 7 and by `u32::MAX`: values out of range for every
+/// tag, count and index field. The hostile-bytes tests feed each copy to
+/// a decoder, which must answer with a value that re-encodes or with an
+/// error — never a panic, never a huge allocation.
+pub fn hostile_mutations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    [7u32, u32::MAX].into_iter().flat_map(move |poison| {
+        (0..bytes.len().saturating_sub(3)).map(move |k| {
+            let mut mutated = bytes.to_vec();
+            mutated[k..k + 4].copy_from_slice(&poison.to_le_bytes());
+            mutated
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,6 +681,100 @@ mod tests {
         roundtrip(&Value::Bool(true));
         roundtrip(&Value::fixed(10.5));
         roundtrip(&vec![Value::Int(1), Value::Str("a".into())]);
+    }
+
+    crate::wire_struct! {
+        /// A newtype travels as its field.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Id(u32);
+    }
+
+    crate::wire_struct! {
+        /// Named fields, one with a codec, over a borrowed slice.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Page<'a> {
+            id: Id,
+            rows: Cow<'a, [u64]>,
+            title: Cow<'a, String>,
+            blob: Vec<u8> as Bytes,
+            count: usize as Len,
+        }
+    }
+
+    crate::wire_enum! {
+        #[derive(Clone, Debug, PartialEq)]
+        enum Op<'a> {
+            0 => Nop,
+            2 => Show(Page<'a>),
+            5 => Move { from: Id, to: Id },
+        }
+    }
+
+    fn bytes_of<T: Wire>(v: &T) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        v.encode(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn declared_types_travel_as_their_fields_in_order() {
+        let (rows, title) = ([7u64, 8], String::from("t"));
+        let page = Page {
+            id: Id(3),
+            rows: Cow::Borrowed(&rows),
+            title: Cow::Borrowed(&title),
+            blob: vec![9, 9],
+            count: 4,
+        };
+        // A borrowed field encodes as the owned one would, and a named
+        // codec keeps the field type's bytes.
+        let by_hand = ((3u32, rows.to_vec(), title.clone()), (vec![9u8, 9], 4usize));
+        assert_eq!(bytes_of(&page), bytes_of(&by_hand));
+        roundtrip(&page);
+        roundtrip(&Op::Nop);
+        roundtrip(&Op::Move {
+            from: Id(1),
+            to: Id(2),
+        });
+        let show = Op::Show(page.clone());
+        assert_eq!(bytes_of(&show)[0], 2, "the tag leads");
+        assert_eq!(bytes_of(&show)[1..], bytes_of(&page));
+        roundtrip(&show);
+        for unknown in [1u8, 3, 4, 6, 255] {
+            let got = Op::decode(&mut WireReader::new(&[unknown]));
+            assert_eq!(got, Err(WireError::Corrupt("unknown Op tag")));
+        }
+    }
+
+    #[test]
+    fn len_and_bytes_codecs_bound_what_they_read() {
+        let mut page = bytes_of(&Page {
+            id: Id(0),
+            rows: Cow::Owned(vec![]),
+            title: Cow::Owned(String::new()),
+            blob: vec![],
+            count: 0,
+        });
+        let n = page.len();
+        // `count` is the last word: `usize`'s own decode would take any
+        // value, the `Len` codec takes none the input could not hold.
+        page[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        let got = Page::decode(&mut WireReader::new(&page));
+        assert_eq!(got, Err(WireError::Corrupt("implausible length")));
+        // `blob`'s length is the word before it: the bytes must be there.
+        page[n - 16..n - 8].copy_from_slice(&9u64.to_le_bytes());
+        let got = Page::decode(&mut WireReader::new(&page));
+        assert_eq!(got, Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn hostile_mutations_cover_every_window_twice() {
+        let bytes = [1u8, 2, 3, 4, 5, 6];
+        let all: Vec<Vec<u8>> = hostile_mutations(&bytes).collect();
+        assert_eq!(all.len(), 2 * 3);
+        assert_eq!(all[1], [1, 7, 0, 0, 0, 6]);
+        assert_eq!(all[5], [1, 2, 255, 255, 255, 255]);
+        assert_eq!(hostile_mutations(&bytes[..3]).count(), 0);
     }
 
     #[test]

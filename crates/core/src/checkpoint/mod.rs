@@ -122,7 +122,7 @@
 //! assert_eq!(events.iter().filter(|e| e.query == q).count(), 2);
 //! ```
 
-use crate::runtime::{Partition, QuerySpec};
+use crate::runtime::QuerySpec;
 use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
 use std::fmt;
 
@@ -263,26 +263,26 @@ impl Snapshot {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = WireReader::new(bytes);
         for &expect in MAGIC {
-            if r.get_u8().map_err(SnapshotError::Wire)? != expect {
+            if r.get_u8()? != expect {
                 return Err(SnapshotError::NotASnapshot);
             }
         }
-        let version = r.get_u32().map_err(SnapshotError::Wire)?;
+        let version = r.get_u32()?;
         if version != VERSION {
             return Err(SnapshotError::UnknownVersion(version));
         }
-        let position = r.get_u64().map_err(SnapshotError::Wire)?;
-        let origin_shards = usize::decode(&mut r).map_err(SnapshotError::Wire)?;
-        let n = r.get_len().map_err(SnapshotError::Wire)?;
+        let position = r.get_u64()?;
+        let origin_shards = usize::decode(&mut r)?;
+        let n = r.get_len()?;
         let mut queries = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            let id = r.get_u32().map_err(SnapshotError::Wire)?;
-            let name = r.get_str().map_err(SnapshotError::Wire)?;
-            let spec = Option::<QuerySpec>::decode(&mut r).map_err(SnapshotError::Wire)?;
-            let n_blobs = r.get_len().map_err(SnapshotError::Wire)?;
+            let id = r.get_u32()?;
+            let name = r.get_str()?;
+            let spec = Option::<QuerySpec>::decode(&mut r)?;
+            let n_blobs = r.get_len()?;
             let mut blobs = Vec::with_capacity(n_blobs.min(1 << 10));
             for _ in 0..n_blobs {
-                blobs.push(r.get_bytes().map_err(SnapshotError::Wire)?.to_vec());
+                blobs.push(r.get_bytes()?.to_vec());
             }
             queries.push(QueryRecord {
                 id,
@@ -315,51 +315,10 @@ impl fmt::Debug for Snapshot {
     }
 }
 
-impl Wire for Partition {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        match self {
-            Partition::ByQuery => w.put_u8(0),
-            Partition::ByKey { pos } => {
-                w.put_u8(1);
-                w.put_len(*pos);
-            }
-        }
-        Ok(())
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(Partition::ByQuery),
-            1 => Ok(Partition::ByKey {
-                pos: usize::decode(r)?,
-            }),
-            _ => Err(WireError::Corrupt("partition tag")),
-        }
-    }
-}
-
-impl Wire for QuerySpec {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_str(&self.name);
-        self.pcea.encode(w)?;
-        self.window.encode(w)?;
-        self.partition.encode(w)?;
-        w.put_u64(self.gc_every);
-        Ok(())
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(QuerySpec {
-            name: r.get_str()?,
-            pcea: Wire::decode(r)?,
-            window: Wire::decode(r)?,
-            partition: Wire::decode(r)?,
-            gc_every: r.get_u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::Partition;
     use crate::window::WindowPolicy;
     use cer_automata::pcea::paper_p0;
     use cer_common::Schema;

@@ -83,10 +83,7 @@ mod store;
 mod wal;
 
 pub(crate) use store::CheckpointStore;
-pub(crate) use wal::{
-    encode_batch, encode_deregister, encode_register, encode_replace, replay_dir, Wal, WalOp,
-    WalRecord,
-};
+pub(crate) use wal::{replay_dir, Wal, WalOp, WalRecord};
 
 use crate::checkpoint::SnapshotError;
 use cer_common::wire::WireError;

@@ -157,11 +157,11 @@ fn encode_blob(out: &mut WireWriter, base: Option<&[u8]>, blob: &[u8]) {
 /// Decode one blob written by [`encode_blob`], reconstructing copy runs
 /// from `base`.
 fn decode_blob(r: &mut WireReader, base: Option<&[u8]>) -> Result<Vec<u8>, DurabilityError> {
-    let enc = r.get_bytes().map_err(DurabilityError::from)?;
+    let enc = r.get_bytes()?;
     let mut er = WireReader::new(enc);
-    match er.get_u8().map_err(DurabilityError::from)? {
+    match er.get_u8()? {
         KIND_FULL => {
-            let bytes = er.get_bytes().map_err(DurabilityError::from)?.to_vec();
+            let bytes = er.get_bytes()?.to_vec();
             if !er.is_exhausted() {
                 return Err(DurabilityError::WalCorrupt("trailing bytes in full blob"));
             }
@@ -171,12 +171,12 @@ fn decode_blob(r: &mut WireReader, base: Option<&[u8]>) -> Result<Vec<u8>, Durab
             let base = base.ok_or(DurabilityError::WalCorrupt(
                 "delta blob without a base blob",
             ))?;
-            let new_len = er.get_u64().map_err(DurabilityError::from)? as usize;
+            let new_len = er.get_u64()? as usize;
             let mut out = Vec::with_capacity(new_len.min(1 << 26));
             loop {
-                match er.get_u8().map_err(DurabilityError::from)? {
+                match er.get_u8()? {
                     OP_COPY => {
-                        let n = er.get_u32().map_err(DurabilityError::from)?;
+                        let n = er.get_u32()?;
                         for _ in 0..n {
                             let off = out.len();
                             let clen = CHUNK.min(new_len.saturating_sub(off));
@@ -189,7 +189,7 @@ fn decode_blob(r: &mut WireReader, base: Option<&[u8]>) -> Result<Vec<u8>, Durab
                         }
                     }
                     OP_LITERAL => {
-                        let bytes = er.get_bytes().map_err(DurabilityError::from)?;
+                        let bytes = er.get_bytes()?;
                         out.extend_from_slice(bytes);
                     }
                     OP_END => break,
@@ -400,23 +400,23 @@ fn read_manifest(path: &Path) -> Result<Vec<ChainEntry>, DurabilityError> {
     }
     let mut r = WireReader::new(body);
     for &b in MANIFEST_MAGIC {
-        if r.get_u8().map_err(DurabilityError::from)? != b {
+        if r.get_u8()? != b {
             return Err(DurabilityError::WalCorrupt("bad manifest magic"));
         }
     }
-    let version = r.get_u32().map_err(DurabilityError::from)?;
+    let version = r.get_u32()?;
     if version != VERSION {
         return Err(DurabilityError::WalCorrupt("unknown manifest version"));
     }
-    let n = r.get_len().map_err(DurabilityError::from)?;
+    let n = r.get_len()?;
     let mut chain = Vec::with_capacity(n.min(1 << 10));
     for _ in 0..n {
         chain.push(ChainEntry {
-            epoch: r.get_u64().map_err(DurabilityError::from)?,
-            position: r.get_u64().map_err(DurabilityError::from)?,
-            wal_seq: r.get_u64().map_err(DurabilityError::from)?,
-            full: r.get_u8().map_err(DurabilityError::from)? != 0,
-            file: r.get_str().map_err(DurabilityError::from)?,
+            epoch: r.get_u64()?,
+            position: r.get_u64()?,
+            wal_seq: r.get_u64()?,
+            full: r.get_u8()? != 0,
+            file: r.get_str()?,
         });
     }
     if !r.is_exhausted() {
@@ -484,19 +484,19 @@ fn read_checkpoint(
     }
     let mut r = WireReader::new(body);
     for &b in CKPT_MAGIC {
-        if r.get_u8().map_err(DurabilityError::from)? != b {
+        if r.get_u8()? != b {
             return Err(DurabilityError::WalCorrupt("bad checkpoint magic"));
         }
     }
-    let version = r.get_u32().map_err(DurabilityError::from)?;
+    let version = r.get_u32()?;
     if version != VERSION {
         return Err(DurabilityError::WalCorrupt("unknown checkpoint version"));
     }
-    let epoch = r.get_u64().map_err(DurabilityError::from)?;
-    let base_epoch = r.get_u64().map_err(DurabilityError::from)?;
-    let position = r.get_u64().map_err(DurabilityError::from)?;
-    let wal_seq = r.get_u64().map_err(DurabilityError::from)?;
-    let origin_shards = r.get_len().map_err(DurabilityError::from)?;
+    let epoch = r.get_u64()?;
+    let base_epoch = r.get_u64()?;
+    let position = r.get_u64()?;
+    let wal_seq = r.get_u64()?;
+    let origin_shards = r.get_len()?;
     if epoch != entry.epoch
         || position != entry.position
         || wal_seq != entry.wal_seq
@@ -506,14 +506,14 @@ fn read_checkpoint(
             "checkpoint header disagrees with the manifest",
         ));
     }
-    let n = r.get_len().map_err(DurabilityError::from)?;
+    let n = r.get_len()?;
     let mut queries = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        let id = r.get_u32().map_err(DurabilityError::from)?;
-        let name = r.get_str().map_err(DurabilityError::from)?;
+        let id = r.get_u32()?;
+        let name = r.get_str()?;
         let spec = Option::<QuerySpec>::decode(&mut r)
             .map_err(|e: WireError| DurabilityError::Snapshot(SnapshotError::Wire(e)))?;
-        let n_blobs = r.get_len().map_err(DurabilityError::from)?;
+        let n_blobs = r.get_len()?;
         let mut blobs = Vec::with_capacity(n_blobs.min(1 << 10));
         for idx in 0..n_blobs {
             let blob_base = if entry.full {
@@ -539,6 +539,44 @@ fn read_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hostile bytes (ROADMAP 1(e)): a mutated MANIFEST — checksum
+    /// stale, or recomputed so the body is actually parsed — reads as
+    /// an error or as a chain that writes and reads back unchanged.
+    #[test]
+    fn mutated_manifests_are_rejected_or_reread() {
+        let dir = std::env::temp_dir().join(format!("cer-manifest-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("MANIFEST");
+        let entry = |epoch: u64, full: bool| ChainEntry {
+            epoch,
+            position: 1000 * epoch,
+            wal_seq: 17 * epoch,
+            full,
+            file: ckpt_file_name(epoch),
+        };
+        write_manifest(&path, &[entry(4, true), entry(5, false)]).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let body = &good[..good.len() - 4];
+        let resealed = cer_common::wire::hostile_mutations(body).map(|mut body| {
+            let crc = crc32(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            body
+        });
+        let mut reread = 0;
+        for mutated in cer_common::wire::hostile_mutations(&good).chain(resealed) {
+            std::fs::write(&path, &mutated).unwrap();
+            let Ok(chain) = read_manifest(&path) else {
+                continue;
+            };
+            write_manifest(&path, &chain).expect("a chain that was read can be written");
+            let again = read_manifest(&path).expect("and read again");
+            assert_eq!(format!("{again:?}"), format!("{chain:?}"));
+            reread += 1;
+        }
+        assert!(reread > 0, "a resealed body with another epoch is honest");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn roundtrip(base: Option<&[u8]>, blob: &[u8]) -> Vec<u8> {
         let mut w = WireWriter::new();

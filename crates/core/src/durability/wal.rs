@@ -9,7 +9,7 @@
 //! ┌─────────┬──────────┬──────────────────────────────┐
 //! │ u32 len │ u32 crc  │ payload (len bytes, wire fmt) │
 //! └─────────┴──────────┴──────────────────────────────┘
-//! payload := u64 wal_seq, u8 tag, op fields
+//! payload := u64 wal_seq, u8 tag, op fields   (`WalRecord`, `WalOp`)
 //! ```
 //!
 //! Appends arrive keyed by the dense `wal_seq` assigned under the
@@ -28,10 +28,11 @@
 //! [`DurabilityStatus::healthy`](super::DurabilityStatus) reports it.
 
 use super::{io_err, DurabilityConfig, DurabilityError, FsyncPolicy};
-use crate::runtime::QuerySpec;
+use crate::runtime::{QueryId, QuerySpec};
 use cer_common::crc::crc32;
 use cer_common::wire::{Wire, WireReader, WireWriter};
 use cer_common::Tuple;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -48,131 +49,43 @@ const HEADER_LEN: u64 = 16;
 /// is treated as a torn length field.
 const MAX_FRAME: u32 = 256 << 20;
 
-/// One logged operation, decoded from a segment during replay.
-#[derive(Clone, Debug)]
-pub(crate) struct WalRecord {
-    pub seq: u64,
-    pub op: WalOp,
-}
-
-/// The operations that need replay. Barriers, snapshot fences and
-/// rescale fences reserve sequencer blocks but change no durable state,
-/// so they take no `wal_seq` and are never logged.
-#[derive(Clone, Debug)]
-pub(crate) enum WalOp {
-    /// A producer batch stamped at positions `start..start + tuples.len()`.
-    Batch { start: u64, tuples: Vec<Tuple> },
-    /// `register` returned `id` at stream position `position`.
-    Register {
-        position: u64,
-        id: u32,
-        spec: QuerySpec,
-    },
-    /// `deregister(id)` at stream position `position`.
-    Deregister { position: u64, id: u32 },
-    /// `replace(id, spec)` at stream position `position`.
-    Replace {
-        position: u64,
-        id: u32,
-        spec: QuerySpec,
-    },
-}
-
-const TAG_BATCH: u8 = 0;
-const TAG_REGISTER: u8 = 1;
-const TAG_DEREGISTER: u8 = 2;
-const TAG_REPLACE: u8 = 3;
-
-/// Encode a batch record payload. Tuple encoding is infallible for
-/// every constructible [`Value`](cer_common::Value), but the wire
-/// contract returns `Result`, so this does too.
-pub(crate) fn encode_batch(
-    seq: u64,
-    start: u64,
-    tuples: &[Tuple],
-) -> Result<Vec<u8>, DurabilityError> {
-    let mut w = WireWriter::new();
-    w.put_u64(seq);
-    w.put_u8(TAG_BATCH);
-    w.put_u64(start);
-    w.put_len(tuples.len());
-    for t in tuples {
-        t.encode(&mut w).map_err(DurabilityError::from)?;
+cer_common::wire_struct! {
+    /// One log record: the dense `wal_seq`, then the operation.
+    #[derive(Clone, Debug)]
+    pub(crate) struct WalRecord<'a> {
+        pub seq: u64,
+        pub op: WalOp<'a>,
     }
-    Ok(w.into_bytes())
 }
 
-pub(crate) fn encode_register(
-    seq: u64,
-    position: u64,
-    id: u32,
-    spec: &QuerySpec,
-) -> Result<Vec<u8>, DurabilityError> {
-    let mut w = WireWriter::new();
-    w.put_u64(seq);
-    w.put_u8(TAG_REGISTER);
-    w.put_u64(position);
-    w.put_u32(id);
-    spec.encode(&mut w).map_err(DurabilityError::from)?;
-    Ok(w.into_bytes())
+cer_common::wire_enum! {
+    /// The operations that need replay. Barriers, snapshot fences and
+    /// rescale fences reserve sequencer blocks but change no durable
+    /// state, so they take no `wal_seq` and are never logged. A record
+    /// borrows the caller's batch or spec on the append path — nothing is
+    /// cloned to be logged — and owns what it decoded during replay.
+    #[derive(Clone, Debug)]
+    pub(crate) enum WalOp<'a> {
+        /// A producer batch stamped at positions `start..start + tuples.len()`.
+        0 => Batch { start: u64, tuples: Cow<'a, [Tuple]> },
+        /// `register` returned `id` at stream position `position`.
+        1 => Register { position: u64, id: QueryId, spec: Cow<'a, QuerySpec> },
+        /// `deregister(id)` at stream position `position`.
+        2 => Deregister { position: u64, id: QueryId },
+        /// `replace(id, spec)` at stream position `position`.
+        3 => Replace { position: u64, id: QueryId, spec: Cow<'a, QuerySpec> },
+    }
 }
 
-pub(crate) fn encode_deregister(seq: u64, position: u64, id: u32) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u64(seq);
-    w.put_u8(TAG_DEREGISTER);
-    w.put_u64(position);
-    w.put_u32(id);
-    w.into_bytes()
-}
-
-pub(crate) fn encode_replace(
-    seq: u64,
-    position: u64,
-    id: u32,
-    spec: &QuerySpec,
-) -> Result<Vec<u8>, DurabilityError> {
-    let mut w = WireWriter::new();
-    w.put_u64(seq);
-    w.put_u8(TAG_REPLACE);
-    w.put_u64(position);
-    w.put_u32(id);
-    spec.encode(&mut w).map_err(DurabilityError::from)?;
-    Ok(w.into_bytes())
-}
-
-fn decode_record(payload: &[u8]) -> Result<WalRecord, DurabilityError> {
+fn decode_record(payload: &[u8]) -> Result<WalRecord<'static>, DurabilityError> {
     let mut r = WireReader::new(payload);
-    let seq = r.get_u64().map_err(DurabilityError::from)?;
-    let tag = r.get_u8().map_err(DurabilityError::from)?;
-    let op = match tag {
-        TAG_BATCH => {
-            let start = r.get_u64().map_err(DurabilityError::from)?;
-            let tuples = Vec::<Tuple>::decode(&mut r).map_err(DurabilityError::from)?;
-            WalOp::Batch { start, tuples }
-        }
-        TAG_REGISTER => WalOp::Register {
-            position: r.get_u64().map_err(DurabilityError::from)?,
-            id: r.get_u32().map_err(DurabilityError::from)?,
-            spec: QuerySpec::decode(&mut r).map_err(DurabilityError::from)?,
-        },
-        TAG_DEREGISTER => WalOp::Deregister {
-            position: r.get_u64().map_err(DurabilityError::from)?,
-            id: r.get_u32().map_err(DurabilityError::from)?,
-        },
-        TAG_REPLACE => WalOp::Replace {
-            position: r.get_u64().map_err(DurabilityError::from)?,
-            id: r.get_u32().map_err(DurabilityError::from)?,
-            spec: QuerySpec::decode(&mut r).map_err(DurabilityError::from)?,
-        },
-        _ => return Err(DurabilityError::WalCorrupt("unknown wal record tag")),
-    };
+    let record = WalRecord::decode(&mut r)?;
     if !r.is_exhausted() {
         return Err(DurabilityError::WalCorrupt(
             "trailing bytes in wal record payload",
         ));
     }
-    Ok(WalRecord { seq, op })
+    Ok(record)
 }
 
 /// A sealed (or scanned) segment's record range: records
@@ -294,14 +207,6 @@ impl Wal {
         !self.poisoned.load(Ordering::Relaxed)
     }
 
-    /// Permanently disable logging (a record could not even be
-    /// encoded): its consumed `wal_seq` will never arrive, so the
-    /// pending map must not keep waiting for it.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Relaxed);
-        self.core.lock().unwrap().pending.clear();
-    }
-
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total.load(Ordering::Relaxed)
     }
@@ -316,16 +221,21 @@ impl Wal {
         core.sealed.len() as u64 + core.active.is_some() as u64
     }
 
-    /// Append the encoded payload for `seq`, then drain every
+    /// Encode `record` and queue it under its `seq`, then drain every
     /// contiguous pending record to the file and apply the fsync
     /// policy. No-op (empty receipt) once poisoned.
-    pub fn append(&self, seq: u64, payload: Vec<u8>) -> Result<AppendReceipt, DurabilityError> {
+    pub fn append(&self, record: &WalRecord<'_>) -> Result<AppendReceipt, DurabilityError> {
         if self.poisoned.load(Ordering::Relaxed) {
             return Ok(AppendReceipt::default());
         }
+        let mut payload = WireWriter::new();
+        let encoded = record.encode(&mut payload).map_err(DurabilityError::from);
         let mut core = self.core.lock().unwrap();
-        core.pending.insert(seq, payload);
-        match self.drain(&mut core) {
+        let drained = encoded.and_then(|()| {
+            core.pending.insert(record.seq, payload.into_bytes());
+            self.drain(&mut core)
+        });
+        match drained {
             Ok(receipt) => {
                 self.bytes_total.fetch_add(receipt.bytes, Ordering::Relaxed);
                 self.records_total
@@ -336,7 +246,9 @@ impl Wal {
                 // Fail open: stop logging, keep serving. The stamped
                 // batch is already in flight to the shards and must
                 // not be failed retroactively; clearing the pending
-                // map keeps later (non-logged) sequences from wedging.
+                // map keeps later sequences from wedging behind this
+                // one (a record that could not even be encoded consumed
+                // a `wal_seq` that will never arrive).
                 self.poisoned.store(true, Ordering::Relaxed);
                 core.pending.clear();
                 Err(e)
@@ -680,6 +592,14 @@ mod tests {
             .collect()
     }
 
+    fn batch(seq: u64, start: u64, tuples: &[Tuple]) -> WalRecord<'_> {
+        let tuples = Cow::Borrowed(tuples);
+        WalRecord {
+            seq,
+            op: WalOp::Batch { start, tuples },
+        }
+    }
+
     fn collect(dir: &Path, from: u64) -> (Vec<u64>, WalReplay) {
         let mut seqs = Vec::new();
         let outcome = replay_dir(dir, from, &mut |rec| {
@@ -690,19 +610,89 @@ mod tests {
         (seqs, outcome)
     }
 
+    /// One record of every kind, in tag order, numbered from 40.
+    fn one_of_each() -> Vec<WalRecord<'static>> {
+        let (_, r, s, t) = cer_common::Schema::sigma0();
+        let window = crate::window::WindowPolicy::Time {
+            duration: 60,
+            ts_pos: 0,
+        };
+        let spec = QuerySpec::new("p0", cer_automata::pcea::paper_p0(r, s, t), window);
+        let (position, id) = (3, QueryId(5));
+        let ops = [
+            WalOp::Batch {
+                start: 7,
+                tuples: Cow::Owned(tuples(3)),
+            },
+            WalOp::Register {
+                position,
+                id,
+                spec: Cow::Owned(spec.clone()),
+            },
+            WalOp::Deregister { position, id },
+            WalOp::Replace {
+                position,
+                id,
+                spec: Cow::Owned(spec),
+            },
+        ];
+        let numbered = ops.into_iter().zip(40..);
+        numbered.map(|(op, seq)| WalRecord { seq, op }).collect()
+    }
+
+    fn payload(record: &WalRecord<'_>) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        record.encode(&mut w).expect("closed-form specs encode");
+        w.into_bytes()
+    }
+
+    #[test]
+    fn every_record_kind_round_trips_and_rejects_a_trailing_byte() {
+        for (tag, record) in one_of_each().iter().enumerate() {
+            let mut bytes = payload(record);
+            assert_eq!(usize::from(bytes[8]), tag, "the tag follows the wal_seq");
+            let back = decode_record(&bytes).expect("its own bytes decode");
+            assert_eq!(format!("{back:?}"), format!("{record:?}"));
+            bytes.push(0);
+            assert_eq!(
+                decode_record(&bytes).unwrap_err(),
+                DurabilityError::WalCorrupt("trailing bytes in wal record payload")
+            );
+        }
+        let unknown_tag = [0, 0, 0, 0, 0, 0, 0, 0, 4];
+        assert!(decode_record(&unknown_tag).is_err());
+    }
+
+    /// Hostile bytes (ROADMAP 1(e)): whatever a CRC-valid frame holds, a
+    /// record payload decodes to a record that re-encodes, or to an
+    /// error — never a panic.
+    #[test]
+    fn mutated_record_payloads_are_rejected_or_reencode() {
+        let mut accepted = 0;
+        for record in one_of_each() {
+            for mutated in cer_common::wire::hostile_mutations(&payload(&record)) {
+                let Ok(decoded) = decode_record(&mutated) else {
+                    continue;
+                };
+                let again = decode_record(&payload(&decoded)).expect("re-encoded bytes decode");
+                assert_eq!(format!("{again:?}"), format!("{decoded:?}"));
+                accepted += 1;
+            }
+        }
+        assert!(accepted > 0, "some mutations are other honest records");
+    }
+
     #[test]
     fn append_out_of_order_drains_in_seq_order() {
         let dir = tmp("order");
         let wal = Wal::new(dir.clone(), &DurabilityConfig::new());
         wal.resume(0, Vec::new()).unwrap();
-        let batch = tuples(2);
+        let two = tuples(2);
         // seq 1 arrives first: nothing can drain.
-        let p1 = encode_batch(1, 2, &batch).unwrap();
-        let r1 = wal.append(1, p1).unwrap();
+        let r1 = wal.append(&batch(1, 2, &two)).unwrap();
         assert_eq!(r1.records, 0);
         // seq 0 arrives: both drain.
-        let p0 = encode_batch(0, 0, &batch).unwrap();
-        let r0 = wal.append(0, p0).unwrap();
+        let r0 = wal.append(&batch(0, 0, &two)).unwrap();
         assert_eq!(r0.records, 2);
         drop(wal);
         let (seqs, outcome) = collect(&dir, 0);
@@ -718,8 +708,7 @@ mod tests {
         let wal = Wal::new(dir.clone(), &DurabilityConfig::new());
         wal.resume(0, Vec::new()).unwrap();
         for seq in 0..4u64 {
-            let p = encode_batch(seq, seq * 3, &tuples(3)).unwrap();
-            wal.append(seq, p).unwrap();
+            wal.append(&batch(seq, seq * 3, &tuples(3))).unwrap();
         }
         drop(wal);
         // Corrupt the tail: chop bytes off the last frame.
@@ -745,8 +734,7 @@ mod tests {
         let wal = Wal::new(dir.clone(), &DurabilityConfig::new());
         wal.resume(0, Vec::new()).unwrap();
         for seq in 0..2u64 {
-            let p = encode_batch(seq, seq, &tuples(1)).unwrap();
-            wal.append(seq, p).unwrap();
+            wal.append(&batch(seq, seq, &tuples(1))).unwrap();
         }
         drop(wal);
         let seg = segment_path(&dir, 0);
@@ -766,15 +754,13 @@ mod tests {
         let wal = Wal::new(dir.clone(), &DurabilityConfig::new());
         wal.resume(0, Vec::new()).unwrap();
         for seq in 0..3u64 {
-            wal.append(seq, encode_batch(seq, seq, &tuples(1)).unwrap())
-                .unwrap();
+            wal.append(&batch(seq, seq, &tuples(1))).unwrap();
         }
         // Fence at seq 3: seals [0,3), opens wal-3.
         wal.roll_at(3);
         assert_eq!(wal.segments(), 2);
         for seq in 3..5u64 {
-            wal.append(seq, encode_batch(seq, seq, &tuples(1)).unwrap())
-                .unwrap();
+            wal.append(&batch(seq, seq, &tuples(1))).unwrap();
         }
         // Checkpoint at 3 deletes the fully-covered segment only.
         assert_eq!(wal.truncate_below(3), 1);
@@ -790,15 +776,12 @@ mod tests {
         let dir = tmp("mark");
         let wal = Wal::new(dir.clone(), &DurabilityConfig::new());
         wal.resume(0, Vec::new()).unwrap();
-        wal.append(0, encode_batch(0, 0, &tuples(1)).unwrap())
-            .unwrap();
+        wal.append(&batch(0, 0, &tuples(1))).unwrap();
         // Mark at 2 while the cursor sits at 1: deferred.
         wal.roll_at(2);
         assert_eq!(wal.segments(), 1);
-        wal.append(1, encode_batch(1, 1, &tuples(1)).unwrap())
-            .unwrap();
-        wal.append(2, encode_batch(2, 2, &tuples(1)).unwrap())
-            .unwrap();
+        wal.append(&batch(1, 1, &tuples(1))).unwrap();
+        wal.append(&batch(2, 2, &tuples(1))).unwrap();
         assert_eq!(wal.segments(), 2, "mark fired before writing seq 2");
         drop(wal);
         let (seqs, outcome) = collect(&dir, 0);
@@ -814,8 +797,7 @@ mod tests {
         let wal = Wal::new(dir.clone(), &DurabilityConfig::new());
         wal.resume(0, Vec::new()).unwrap();
         for seq in 0..3u64 {
-            wal.append(seq, encode_batch(seq, seq, &tuples(1)).unwrap())
-                .unwrap();
+            wal.append(&batch(seq, seq, &tuples(1))).unwrap();
         }
         drop(wal);
         for _ in 0..3 {

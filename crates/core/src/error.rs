@@ -33,139 +33,105 @@ use cer_common::wire::WireError;
 use cer_common::CommonError;
 use std::fmt;
 
-/// The stable numeric discriminant a server serializes for every error
-/// the engine can raise. Explicit values, append-only; grouped by layer
-/// in steps of 10.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u16)]
-pub enum ErrorCode {
-    /// [`CommonError::DuplicateRelation`].
-    DuplicateRelation = 1,
-    /// [`CommonError::ArityMismatch`].
-    ArityMismatch = 2,
-    /// [`CommonError::UnknownRelation`].
-    UnknownRelation = 3,
-    /// [`WireError::Unsupported`] — a value that cannot serialize.
-    WireUnsupported = 10,
-    /// [`WireError::Truncated`] — bytes ran out mid-value.
-    WireTruncated = 11,
-    /// [`WireError::Corrupt`] — a tag or length the decoder rejects.
-    WireCorrupt = 12,
-    /// [`RuntimeError::KeyPartitionUnsound`].
-    KeyPartitionUnsound = 20,
-    /// [`RuntimeError::UnknownQuery`].
-    UnknownQuery = 21,
-    /// [`RuntimeError::ReplaceIncompatible`].
-    ReplaceIncompatible = 22,
-    /// [`RuntimeError::InvalidShardCount`].
-    InvalidShardCount = 23,
-    /// [`IngestError::RuntimeClosed`].
-    RuntimeClosed = 30,
-    /// [`SnapshotError::NotASnapshot`].
-    NotASnapshot = 40,
-    /// [`SnapshotError::UnknownVersion`].
-    UnknownSnapshotVersion = 41,
-    /// [`SnapshotError::ShardWorkerDied`] / [`RuntimeError::ShardWorkerDied`].
-    ShardWorkerDied = 42,
-    /// [`SnapshotError::BadDefinition`].
-    BadDefinition = 43,
-    /// A front-end (HCQ or pattern language) rejected the query text.
-    Parse = 50,
-    /// A front-end compiler rejected the parsed query (not
-    /// hierarchical, too many atoms, …).
-    Compile = 51,
-    /// A serving-layer request was malformed or violated the protocol.
-    Protocol = 60,
-    /// [`DurabilityError::WalCorrupt`] — an on-disk durability
-    /// structure failed validation.
-    WalCorrupt = 70,
-    /// [`DurabilityError::WalIo`] — an I/O operation on a durability
-    /// file failed.
-    WalIo = 71,
-    /// [`DurabilityError::ManifestMissing`] — `recover()` found no
-    /// durable artifacts.
-    ManifestMissing = 72,
-    /// [`DurabilityError::RecoverMismatch`] — WAL replay diverged from
-    /// the log.
-    RecoverMismatch = 73,
-    /// [`DurabilityError::NotDurable`] — a durability operation on a
-    /// runtime without a data directory.
-    NotDurable = 74,
-    /// [`RuntimeError::UnserializableQuery`] — a durable runtime
-    /// rejected a query whose predicates cannot be logged.
-    UnserializableQuery = 75,
+/// Declares [`ErrorCode`] from one `Name = number, "snake_name";` list:
+/// the enum, [`ErrorCode::ALL`] (in list order), the numeric round trip
+/// and the name table — a new code is one row.
+macro_rules! error_codes {
+    ($($(#[$doc:meta])* $code:ident = $num:literal, $name:literal;)*) => {
+        /// The stable numeric discriminant a server serializes for every
+        /// error the engine can raise. Explicit values, append-only;
+        /// grouped by layer in steps of 10.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u16)]
+        pub enum ErrorCode {
+            $($(#[$doc])* $code = $num,)*
+        }
+
+        impl ErrorCode {
+            /// Every defined code, in numeric order — the round-trip
+            /// surface for protocol tests.
+            pub const ALL: &'static [ErrorCode] = &[$(ErrorCode::$code),*];
+
+            /// The wire value.
+            pub fn as_u16(self) -> u16 {
+                self as u16
+            }
+
+            /// Decode a wire value; `None` for codes this release does
+            /// not know (a newer server, or corrupt bytes).
+            pub fn from_u16(v: u16) -> Option<ErrorCode> {
+                match v {
+                    $($num => Some(ErrorCode::$code),)*
+                    _ => None,
+                }
+            }
+
+            /// The stable snake_case name, e.g. for text expositions.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$code => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl ErrorCode {
-    /// Every defined code, in numeric order — the round-trip surface
-    /// for protocol tests.
-    pub const ALL: &'static [ErrorCode] = &[
-        ErrorCode::DuplicateRelation,
-        ErrorCode::ArityMismatch,
-        ErrorCode::UnknownRelation,
-        ErrorCode::WireUnsupported,
-        ErrorCode::WireTruncated,
-        ErrorCode::WireCorrupt,
-        ErrorCode::KeyPartitionUnsound,
-        ErrorCode::UnknownQuery,
-        ErrorCode::ReplaceIncompatible,
-        ErrorCode::InvalidShardCount,
-        ErrorCode::RuntimeClosed,
-        ErrorCode::NotASnapshot,
-        ErrorCode::UnknownSnapshotVersion,
-        ErrorCode::ShardWorkerDied,
-        ErrorCode::BadDefinition,
-        ErrorCode::Parse,
-        ErrorCode::Compile,
-        ErrorCode::Protocol,
-        ErrorCode::WalCorrupt,
-        ErrorCode::WalIo,
-        ErrorCode::ManifestMissing,
-        ErrorCode::RecoverMismatch,
-        ErrorCode::NotDurable,
-        ErrorCode::UnserializableQuery,
-    ];
-
-    /// The wire value.
-    pub fn as_u16(self) -> u16 {
-        self as u16
-    }
-
-    /// Decode a wire value; `None` for codes this release does not
-    /// know (a newer server, or corrupt bytes).
-    pub fn from_u16(v: u16) -> Option<ErrorCode> {
-        ErrorCode::ALL.iter().copied().find(|c| c.as_u16() == v)
-    }
-
-    /// The stable snake_case name, e.g. for text expositions.
-    pub fn name(self) -> &'static str {
-        match self {
-            ErrorCode::DuplicateRelation => "duplicate_relation",
-            ErrorCode::ArityMismatch => "arity_mismatch",
-            ErrorCode::UnknownRelation => "unknown_relation",
-            ErrorCode::WireUnsupported => "wire_unsupported",
-            ErrorCode::WireTruncated => "wire_truncated",
-            ErrorCode::WireCorrupt => "wire_corrupt",
-            ErrorCode::KeyPartitionUnsound => "key_partition_unsound",
-            ErrorCode::UnknownQuery => "unknown_query",
-            ErrorCode::ReplaceIncompatible => "replace_incompatible",
-            ErrorCode::InvalidShardCount => "invalid_shard_count",
-            ErrorCode::RuntimeClosed => "runtime_closed",
-            ErrorCode::NotASnapshot => "not_a_snapshot",
-            ErrorCode::UnknownSnapshotVersion => "unknown_snapshot_version",
-            ErrorCode::ShardWorkerDied => "shard_worker_died",
-            ErrorCode::BadDefinition => "bad_definition",
-            ErrorCode::Parse => "parse",
-            ErrorCode::Compile => "compile",
-            ErrorCode::Protocol => "protocol",
-            ErrorCode::WalCorrupt => "wal_corrupt",
-            ErrorCode::WalIo => "wal_io",
-            ErrorCode::ManifestMissing => "manifest_missing",
-            ErrorCode::RecoverMismatch => "recover_mismatch",
-            ErrorCode::NotDurable => "not_durable",
-            ErrorCode::UnserializableQuery => "unserializable_query",
-        }
-    }
+error_codes! {
+    /// [`CommonError::DuplicateRelation`].
+    DuplicateRelation = 1, "duplicate_relation";
+    /// [`CommonError::ArityMismatch`].
+    ArityMismatch = 2, "arity_mismatch";
+    /// [`CommonError::UnknownRelation`].
+    UnknownRelation = 3, "unknown_relation";
+    /// [`WireError::Unsupported`] — a value that cannot serialize.
+    WireUnsupported = 10, "wire_unsupported";
+    /// [`WireError::Truncated`] — bytes ran out mid-value.
+    WireTruncated = 11, "wire_truncated";
+    /// [`WireError::Corrupt`] — a tag or length the decoder rejects.
+    WireCorrupt = 12, "wire_corrupt";
+    /// [`RuntimeError::KeyPartitionUnsound`].
+    KeyPartitionUnsound = 20, "key_partition_unsound";
+    /// [`RuntimeError::UnknownQuery`].
+    UnknownQuery = 21, "unknown_query";
+    /// [`RuntimeError::ReplaceIncompatible`].
+    ReplaceIncompatible = 22, "replace_incompatible";
+    /// [`RuntimeError::InvalidShardCount`].
+    InvalidShardCount = 23, "invalid_shard_count";
+    /// [`IngestError::RuntimeClosed`].
+    RuntimeClosed = 30, "runtime_closed";
+    /// [`SnapshotError::NotASnapshot`].
+    NotASnapshot = 40, "not_a_snapshot";
+    /// [`SnapshotError::UnknownVersion`].
+    UnknownSnapshotVersion = 41, "unknown_snapshot_version";
+    /// [`SnapshotError::ShardWorkerDied`] / [`RuntimeError::ShardWorkerDied`].
+    ShardWorkerDied = 42, "shard_worker_died";
+    /// [`SnapshotError::BadDefinition`].
+    BadDefinition = 43, "bad_definition";
+    /// A front-end (HCQ or pattern language) rejected the query text.
+    Parse = 50, "parse";
+    /// A front-end compiler rejected the parsed query (not
+    /// hierarchical, too many atoms, …).
+    Compile = 51, "compile";
+    /// A serving-layer request was malformed or violated the protocol.
+    Protocol = 60, "protocol";
+    /// [`DurabilityError::WalCorrupt`] — an on-disk durability
+    /// structure failed validation.
+    WalCorrupt = 70, "wal_corrupt";
+    /// [`DurabilityError::WalIo`] — an I/O operation on a durability
+    /// file failed.
+    WalIo = 71, "wal_io";
+    /// [`DurabilityError::ManifestMissing`] — `recover()` found no
+    /// durable artifacts.
+    ManifestMissing = 72, "manifest_missing";
+    /// [`DurabilityError::RecoverMismatch`] — WAL replay diverged from
+    /// the log.
+    RecoverMismatch = 73, "recover_mismatch";
+    /// [`DurabilityError::NotDurable`] — a durability operation on a
+    /// runtime without a data directory.
+    NotDurable = 74, "not_durable";
+    /// [`RuntimeError::UnserializableQuery`] — a durable runtime
+    /// rejected a query whose predicates cannot be logged.
+    UnserializableQuery = 75, "unserializable_query";
 }
 
 impl fmt::Display for ErrorCode {
@@ -271,40 +237,24 @@ impl fmt::Display for Error {
     }
 }
 
-impl From<CommonError> for Error {
-    fn from(e: CommonError) -> Self {
-        Error::Data(e)
-    }
+/// Every subsystem enum converts into its wrapping variant.
+macro_rules! wraps {
+    ($($sub:ty => $variant:ident),* $(,)?) => {
+        $(impl From<$sub> for Error {
+            fn from(e: $sub) -> Self {
+                Error::$variant(e)
+            }
+        })*
+    };
 }
 
-impl From<WireError> for Error {
-    fn from(e: WireError) -> Self {
-        Error::Wire(e)
-    }
-}
-
-impl From<RuntimeError> for Error {
-    fn from(e: RuntimeError) -> Self {
-        Error::Runtime(e)
-    }
-}
-
-impl From<IngestError> for Error {
-    fn from(e: IngestError) -> Self {
-        Error::Ingest(e)
-    }
-}
-
-impl From<SnapshotError> for Error {
-    fn from(e: SnapshotError) -> Self {
-        Error::Snapshot(e)
-    }
-}
-
-impl From<DurabilityError> for Error {
-    fn from(e: DurabilityError) -> Self {
-        Error::Durability(e)
-    }
+wraps! {
+    CommonError => Data,
+    WireError => Wire,
+    RuntimeError => Runtime,
+    IngestError => Ingest,
+    SnapshotError => Snapshot,
+    DurabilityError => Durability,
 }
 
 impl std::error::Error for Error {

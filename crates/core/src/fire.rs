@@ -585,23 +585,19 @@ mod tests {
 
     #[test]
     fn mutated_table_bytes_are_rejected_or_decoded_never_trusted() {
-        // Overwrite every 4-byte window, aligned or not, with values
-        // that are out of range for every field. Each outcome must be a
+        // Every 4-byte window overwritten with values out of range for
+        // every field (`hostile_mutations`). Each outcome must be a
         // table that passes the same checks or an error — never a panic
         // — and the field checks must all be seen to fire.
         let bytes = table_bytes(&GOOD);
         let mut seen = std::collections::BTreeSet::new();
-        for poison in [7u32, u32::MAX] {
-            for k in 0..bytes.len() - 3 {
-                let mut mutated = bytes.clone();
-                mutated[k..k + 4].copy_from_slice(&poison.to_le_bytes());
-                match decode(&mutated) {
-                    Ok(stage) => assert!(stage.index_entries() <= GOOD.len()),
-                    Err(WireError::Corrupt(why)) => {
-                        seen.insert(why);
-                    }
-                    Err(_) => {}
+        for mutated in cer_common::wire::hostile_mutations(&bytes) {
+            match decode(&mutated) {
+                Ok(stage) => assert!(stage.index_entries() <= GOOD.len()),
+                Err(WireError::Corrupt(why)) => {
+                    seen.insert(why);
                 }
+                Err(_) => {}
             }
         }
         for why in [

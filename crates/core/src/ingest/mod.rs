@@ -186,10 +186,12 @@ pub use subscribe::{Subscription, SubscriptionFilter};
 pub(crate) use queue::{Closed, ShardMsg, ShardQueue, TupleBatch};
 pub(crate) use subscribe::SubscriptionRegistry;
 
+use crate::durability::{WalOp, WalRecord};
 use crate::metrics::{PipelineEvent, PipelineMetrics};
 use crate::runtime::{Partition, QueryId, ShardHost};
 use cer_common::hash::{FxBuildHasher, FxHashMap};
 use cer_common::{RelationId, Tuple};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -198,16 +200,18 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// What a producer does when a shard queue is full.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Park the producer until the shard worker drains room. Lossless;
-    /// a saturated shard slows the firehose down to its pace.
-    #[default]
-    Block,
-    /// Drop the newest tuples that do not fit, counting them
-    /// ([`QueueStats::dropped`]). The producer never blocks.
-    DropNewest,
+cer_common::wire_enum! {
+    /// What a producer does when a shard queue is full.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub enum BackpressurePolicy {
+        /// Park the producer until the shard worker drains room. Lossless;
+        /// a saturated shard slows the firehose down to its pace.
+        #[default]
+        0 => Block,
+        /// Drop the newest tuples that do not fit, counting them
+        /// ([`QueueStats::dropped`]). The producer never blocks.
+        1 => DropNewest,
+    }
 }
 
 /// Construction-time knobs of the ingestion pipeline
@@ -551,26 +555,15 @@ impl IngestShared {
         }
     }
 
-    /// Log a stamped operation to the attached WAL, if any (`payload`
-    /// is only encoded then), recording append volume and fsync
+    /// Log a stamped operation to the attached WAL, if any (`op` is
+    /// only encoded then), recording append volume and fsync
     /// latency. On an append error the WAL has already poisoned itself
     /// (logging stops, serving continues); this journals the failure
     /// once. Never fails the operation: its block is already stamped
     /// and in flight to the shards.
-    pub(crate) fn wal_append(
-        &self,
-        wal_seq: u64,
-        position: u64,
-        payload: impl FnOnce() -> Result<Vec<u8>, crate::durability::DurabilityError>,
-    ) {
+    pub(crate) fn wal_append(&self, wal_seq: u64, position: u64, op: WalOp<'_>) {
         let Some(wal) = self.wal.get() else { return };
-        let appended = match payload() {
-            Ok(p) => wal.append(wal_seq, p),
-            Err(e) => {
-                wal.poison();
-                Err(e)
-            }
-        };
+        let appended = wal.append(&WalRecord { seq: wal_seq, op });
         match appended {
             Ok(receipt) => {
                 self.metrics.wal_bytes.add(receipt.bytes);
@@ -658,9 +651,8 @@ impl IngestShared {
         // Log the stamped batch before staging: the WAL sees the full
         // reserved block (under `DropNewest`, replay may keep tuples
         // the original run shed — the differential tests use `Block`).
-        self.wal_append(wal_seq, start, || {
-            crate::durability::encode_batch(wal_seq, start, batch)
-        });
+        let tuples = Cow::Borrowed(batch);
+        self.wal_append(wal_seq, start, WalOp::Batch { start, tuples });
         // Outside the lock: route, hash and clone on this producer's
         // thread, striping the per-tuple work across producers. The
         // outer staging vector is thread-local scratch (each staged

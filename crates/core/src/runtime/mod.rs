@@ -93,7 +93,7 @@ pub(crate) use worker::ShardHost;
 
 use crate::checkpoint::SnapshotError;
 use crate::config::RuntimeConfig;
-use crate::durability::{encode_deregister, encode_register, encode_replace, DurabilityHandle};
+use crate::durability::{DurabilityHandle, WalOp};
 use crate::evaluator::{EngineStats, StreamingEvaluator};
 use crate::ingest::{
     BackpressurePolicy, IngestHandle, IngestShared, QueryMeta, QueueStats, Router, ShardWorkerDied,
@@ -106,50 +106,57 @@ use cer_automata::valuation::Valuation;
 use cer_common::wire::{Wire, WireError, WireWriter};
 use cer_common::Tuple;
 use cer_obs::JournalEntry;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Identifier of a query registered in a [`Runtime`], dense from 0 in
-/// registration order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct QueryId(pub u32);
-
-/// How a registered query is spread across the runtime's shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Partition {
-    /// The query lives on exactly one shard (the one hosting the fewest
-    /// live pinned queries at registration time, so register/deregister
-    /// churn keeps placement balanced). Always sound; multi-query
-    /// workloads scale because different queries land on different
-    /// shards.
-    ByQuery,
-    /// The query is replicated on every shard and each tuple is routed
-    /// by the hash of its value at tuple position `pos`. Sound exactly
-    /// when every join of the automaton projects that attribute on both
-    /// sides ([`Pcea::supports_key_partition`]); lets a *single* hot
-    /// query scale across cores.
-    ByKey {
-        /// Tuple position holding the partition attribute.
-        pos: usize,
-    },
+cer_common::wire_struct! {
+    /// Identifier of a query registered in a [`Runtime`], dense from 0 in
+    /// registration order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct QueryId(pub u32);
 }
 
-/// A query ready for registration: an automaton plus its window policy
-/// and placement.
-#[derive(Clone, Debug)]
-pub struct QuerySpec {
-    /// Human-readable name, echoed in errors and stats.
-    pub name: String,
-    /// The compiled automaton.
-    pub pcea: Pcea,
-    /// The sliding-window policy.
-    pub window: WindowPolicy,
-    /// Shard placement.
-    pub partition: Partition,
-    /// GC cadence forwarded to the shard evaluators (0 = automatic).
-    pub gc_every: u64,
+cer_common::wire_enum! {
+    /// How a registered query is spread across the runtime's shards.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Partition {
+        /// The query lives on exactly one shard (the one hosting the fewest
+        /// live pinned queries at registration time, so register/deregister
+        /// churn keeps placement balanced). Always sound; multi-query
+        /// workloads scale because different queries land on different
+        /// shards.
+        0 => ByQuery,
+        /// The query is replicated on every shard and each tuple is routed
+        /// by the hash of its value at tuple position `pos`. Sound exactly
+        /// when every join of the automaton projects that attribute on both
+        /// sides ([`Pcea::supports_key_partition`]); lets a *single* hot
+        /// query scale across cores.
+        1 => ByKey {
+            /// Tuple position holding the partition attribute.
+            pos: usize,
+        },
+    }
+}
+
+cer_common::wire_struct! {
+    /// A query ready for registration: an automaton plus its window policy
+    /// and placement.
+    #[derive(Clone, Debug)]
+    pub struct QuerySpec {
+        /// Human-readable name, echoed in errors and stats.
+        pub name: String,
+        /// The compiled automaton.
+        pub pcea: Pcea,
+        /// The sliding-window policy.
+        pub window: WindowPolicy,
+        /// Shard placement.
+        pub partition: Partition,
+        /// GC cadence forwarded to the shard evaluators (0 = automatic).
+        pub gc_every: u64,
+    }
 }
 
 impl QuerySpec {
@@ -574,9 +581,13 @@ impl Runtime {
         let position = fence.position;
         let fresh = [(id, meta, spec.fresh_evaluator())];
         let adopted = state::install(&mut fence, &queues, fresh);
-        self.shared.wal_append(wal_seq, position, || {
-            encode_register(wal_seq, position, id.0, &spec)
-        });
+        let logged = Cow::Borrowed(&spec);
+        let op = WalOp::Register {
+            position,
+            id,
+            spec: logged,
+        };
+        self.shared.wal_append(wal_seq, position, op);
         // As ever, a registration does not wait for its homes to get to
         // the fence: the next `drain` (or any other fence) proves they
         // adopted the query.
@@ -612,9 +623,8 @@ impl Runtime {
         let position = fence.position;
         let evict = move |host: &mut ShardHost| host.evict(id);
         let evicted = fence.stage(homes.into_iter().map(|queue| (queue, evict)));
-        self.shared.wal_append(wal_seq, position, || {
-            Ok(encode_deregister(wal_seq, position, id.0))
-        });
+        let op = WalOp::Deregister { position, id };
+        self.shared.wal_append(wal_seq, position, op);
         let finals = evicted?.collect()?;
         let journal = &self.shared.metrics.journal;
         journal.push(PipelineEvent::QueryDeregistered {
@@ -686,9 +696,13 @@ impl Runtime {
         let (pcea, window, gc_every) = (new.pcea.clone(), new.window.clone(), new.gc_every);
         let swap = move |host: &mut ShardHost| host.swap(id, pcea, window, gc_every, listens);
         let swapped = fence.stage(homes.into_iter().map(|queue| (queue, swap.clone())));
-        self.shared.wal_append(wal_seq, position, || {
-            encode_replace(wal_seq, position, id.0, &new)
-        });
+        let logged = Cow::Borrowed(&new);
+        let op = WalOp::Replace {
+            position,
+            id,
+            spec: logged,
+        };
+        self.shared.wal_append(wal_seq, position, op);
         let swapped = swapped?.collect()?;
         assert!(
             swapped.iter().all(|&hosted| hosted),

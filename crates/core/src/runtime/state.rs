@@ -457,21 +457,21 @@ impl Runtime {
                     }
                     WalOp::Register { position, id, spec } => {
                         check_position("register", rt.next_position(), position)?;
-                        let got = rt.register(spec).map_err(|e| {
+                        let got = rt.register(spec.into_owned()).map_err(|e| {
                             DurabilityError::RecoverMismatch(format!(
                                 "replayed register failed: {e}"
                             ))
                         })?;
-                        if got.0 != id {
+                        if got != id {
                             return Err(DurabilityError::RecoverMismatch(format!(
-                                "replayed register yielded id {}, logged id {id}",
-                                got.0
+                                "replayed register yielded id {}, logged id {}",
+                                got.0, id.0
                             )));
                         }
                     }
                     WalOp::Deregister { position, id } => {
                         check_position("deregister", rt.next_position(), position)?;
-                        rt.deregister(QueryId(id)).map_err(|e| {
+                        rt.deregister(id).map_err(|e| {
                             DurabilityError::RecoverMismatch(format!(
                                 "replayed deregister failed: {e}"
                             ))
@@ -479,7 +479,7 @@ impl Runtime {
                     }
                     WalOp::Replace { position, id, spec } => {
                         check_position("replace", rt.next_position(), position)?;
-                        rt.replace(QueryId(id), spec).map_err(|e| {
+                        rt.replace(id, spec.into_owned()).map_err(|e| {
                             DurabilityError::RecoverMismatch(format!(
                                 "replayed replace failed: {e}"
                             ))

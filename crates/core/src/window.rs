@@ -27,9 +27,11 @@
 //!
 //! # Hazard: out-of-order timestamps under `ByKey` sharding
 //!
-//! Time windows assume each stream's timestamp attribute is
-//! non-decreasing. [`WindowClock::observe`] *clamps* a violating
-//! timestamp up to the latest one seen **by that clock** — and under
+//! Time windows assume each stream's timestamp attribute is a
+//! non-decreasing integer. [`WindowClock::observe`] *clamps* a violating
+//! timestamp (out of order, missing, or not an integer — a remote peer
+//! can send any of them, and none may panic a shard worker) up to the
+//! latest one seen **by that clock** — and under
 //! [`Partition::ByKey`](crate::runtime::Partition) sharding each shard
 //! replica owns its own clock and sees only its key slice. The same
 //! contract-violating stream can therefore clamp *differently* on
@@ -47,23 +49,25 @@ use std::collections::VecDeque;
 
 use cer_common::Tuple;
 
-/// How the sliding window expires old positions.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WindowPolicy {
-    /// The paper's count window: positions older than `i − w` expire.
-    Count(u64),
-    /// A time window: the tuple attribute at `ts_pos` is a
-    /// non-decreasing integer timestamp, and positions whose timestamp
-    /// falls below `now − duration` expire. The `DS_w` machinery is
-    /// window-agnostic (it only needs a monotone expiry bound), so
-    /// Theorem 5.1's guarantees carry over with `w` read as the maximum
-    /// number of in-window positions.
-    Time {
-        /// Window length in timestamp units.
-        duration: i64,
-        /// Tuple position holding the integer timestamp.
-        ts_pos: usize,
-    },
+cer_common::wire_enum! {
+    /// How the sliding window expires old positions.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum WindowPolicy {
+        /// The paper's count window: positions older than `i − w` expire.
+        0 => Count(u64),
+        /// A time window: the tuple attribute at `ts_pos` is a
+        /// non-decreasing integer timestamp, and positions whose timestamp
+        /// falls below `now − duration` expire. The `DS_w` machinery is
+        /// window-agnostic (it only needs a monotone expiry bound), so
+        /// Theorem 5.1's guarantees carry over with `w` read as the maximum
+        /// number of in-window positions.
+        1 => Time {
+            /// Window length in timestamp units.
+            duration: i64,
+            /// Tuple position holding the integer timestamp.
+            ts_pos: usize,
+        },
+    }
 }
 
 /// The stateful ingest stage for one evaluator: feeds positions in
@@ -94,8 +98,8 @@ impl WindowClock {
         }
     }
 
-    /// How many out-of-order timestamps this clock has clamped up to its
-    /// own `last_ts`. Always 0 for count windows and for streams
+    /// How many out-of-order (or missing, or non-integer) timestamps this
+    /// clock has clamped up to its own `last_ts`. Always 0 for count windows and for streams
     /// honouring the non-decreasing-timestamp contract; non-zero flags
     /// the shard-count-dependence hazard described in the module docs.
     pub fn ts_regressions(&self) -> u64 {
@@ -124,27 +128,23 @@ impl WindowClock {
     /// bound `lo`: every stored position `< lo` is out of the window at
     /// `i`.
     ///
-    /// Panics for time windows when the tuple lacks an integer timestamp
-    /// at the configured position. Out-of-order timestamps are clamped
-    /// up to the latest seen by *this* clock, and every clamp is counted
-    /// in [`ts_regressions`](Self::ts_regressions) — under key-partitioned
+    /// A time-window timestamp that breaks the contract — out of order,
+    /// missing, or not an integer — is clamped up to the latest seen by
+    /// *this* clock (tuples reach a shard worker from remote peers, so a
+    /// malformed one must not be able to take the worker down), and
+    /// every clamp is counted in
+    /// [`ts_regressions`](Self::ts_regressions) — under key-partitioned
     /// sharding the clamp makes outputs shard-count-dependent, so the
     /// count is the operator's detection signal (module docs).
     pub fn observe(&mut self, i: u64, t: &Tuple) -> u64 {
         match &self.policy {
             WindowPolicy::Count(w) => i.saturating_sub(*w),
             WindowPolicy::Time { duration, ts_pos } => {
-                let raw = t
-                    .values()
-                    .get(*ts_pos)
-                    .and_then(cer_common::Value::as_int)
-                    .unwrap_or_else(|| {
-                        panic!("time window: tuple lacks an integer timestamp at {ts_pos}")
-                    });
-                if raw < self.last_ts {
+                let raw = t.values().get(*ts_pos).and_then(cer_common::Value::as_int);
+                if raw.is_none_or(|ts| ts < self.last_ts) {
                     self.ts_regressions += 1;
                 }
-                let ts = raw.max(self.last_ts);
+                let ts = raw.map_or(self.last_ts, |ts| ts.max(self.last_ts));
                 self.last_ts = ts;
                 self.ring.push_back((i, ts));
                 while self
@@ -292,38 +292,6 @@ impl WindowClock {
                 ..self
             }),
             _ => None,
-        }
-    }
-}
-
-impl cer_common::wire::Wire for WindowPolicy {
-    fn encode(
-        &self,
-        w: &mut cer_common::wire::WireWriter,
-    ) -> Result<(), cer_common::wire::WireError> {
-        match self {
-            WindowPolicy::Count(size) => {
-                w.put_u8(0);
-                w.put_u64(*size);
-            }
-            WindowPolicy::Time { duration, ts_pos } => {
-                w.put_u8(1);
-                w.put_i64(*duration);
-                w.put_len(*ts_pos);
-            }
-        }
-        Ok(())
-    }
-    fn decode(
-        r: &mut cer_common::wire::WireReader<'_>,
-    ) -> Result<Self, cer_common::wire::WireError> {
-        match r.get_u8()? {
-            0 => Ok(WindowPolicy::Count(r.get_u64()?)),
-            1 => Ok(WindowPolicy::Time {
-                duration: r.get_i64()?,
-                ts_pos: <usize as cer_common::wire::Wire>::decode(r)?,
-            }),
-            _ => Err(cer_common::wire::WireError::Corrupt("window policy tag")),
         }
     }
 }

@@ -9,46 +9,52 @@ use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-/// The value of one exported metric.
-// Unboxed histogram variant: snapshots are built on demand (cold
-// path), and most metrics in a snapshot are histograms anyway — the
-// size skew buys zero-allocation construction.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MetricValue {
-    /// Monotone count.
-    Counter(u64),
-    /// Last-observed level.
-    Gauge(u64),
-    /// Latency distribution (bucket counts; nanosecond bounds).
-    Histogram(HistogramSnapshot),
+cer_common::wire_enum! {
+    /// The value of one exported metric.
+    // Unboxed histogram variant: snapshots are built on demand (cold
+    // path), and most metrics in a snapshot are histograms anyway — the
+    // size skew buys zero-allocation construction.
+    #[allow(clippy::large_enum_variant)]
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum MetricValue {
+        /// Monotone count.
+        0 => Counter(u64),
+        /// Last-observed level.
+        1 => Gauge(u64),
+        /// Latency distribution (bucket counts; nanosecond bounds).
+        2 => Histogram(HistogramSnapshot),
+    }
 }
 
-/// One exported metric: a name, help text, optional labels and a value.
-/// Several metrics may share a name with different label sets (e.g. a
-/// per-shard breakdown); the renderer groups them under one
-/// `# HELP`/`# TYPE` header.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Metric {
-    /// Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
-    pub name: String,
-    /// One-line help text.
-    pub help: String,
-    /// Label pairs attached to every sample of this metric.
-    pub labels: Vec<(String, String)>,
-    /// The value.
-    pub value: MetricValue,
+cer_common::wire_struct! {
+    /// One exported metric: a name, help text, optional labels and a value.
+    /// Several metrics may share a name with different label sets (e.g. a
+    /// per-shard breakdown); the renderer groups them under one
+    /// `# HELP`/`# TYPE` header.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Metric {
+        /// Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
+        pub name: String,
+        /// One-line help text.
+        pub help: String,
+        /// Label pairs attached to every sample of this metric.
+        pub labels: Vec<(String, String)>,
+        /// The value.
+        pub value: MetricValue,
+    }
 }
 
-/// A point-in-time bundle of every exported metric. Built by the
-/// runtime on demand; renders to Prometheus text and encodes to the
-/// checkpoint wire format for network shipping.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// The metrics, in export order. Same-name metrics should be
-    /// adjacent (the Prometheus format requires one uninterrupted group
-    /// per name).
-    pub metrics: Vec<Metric>,
+cer_common::wire_struct! {
+    /// A point-in-time bundle of every exported metric. Built by the
+    /// runtime on demand; renders to Prometheus text and encodes to the
+    /// checkpoint wire format for network shipping.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct MetricsSnapshot {
+        /// The metrics, in export order. Same-name metrics should be
+        /// adjacent (the Prometheus format requires one uninterrupted group
+        /// per name).
+        pub metrics: Vec<Metric>,
+    }
 }
 
 impl MetricsSnapshot {
@@ -196,10 +202,10 @@ fn escape_help(v: &str) -> String {
 // Wire encoding
 // ---------------------------------------------------------------------
 
+// Not a `wire_struct!` row: a fixed-size array, filled in place with no
+// length prefix — the bucket count is part of the format.
 impl Wire for HistogramSnapshot {
     fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        // Fixed-size array: no length prefix needed, the bucket count is
-        // part of the format.
         for &c in &self.counts {
             w.put_u64(c);
         }
@@ -211,62 +217,6 @@ impl Wire for HistogramSnapshot {
             *c = r.get_u64()?;
         }
         Ok(HistogramSnapshot { counts })
-    }
-}
-
-impl Wire for MetricValue {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        match self {
-            MetricValue::Counter(v) => {
-                w.put_u8(0);
-                w.put_u64(*v);
-            }
-            MetricValue::Gauge(v) => {
-                w.put_u8(1);
-                w.put_u64(*v);
-            }
-            MetricValue::Histogram(h) => {
-                w.put_u8(2);
-                h.encode(w)?;
-            }
-        }
-        Ok(())
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(MetricValue::Counter(r.get_u64()?)),
-            1 => Ok(MetricValue::Gauge(r.get_u64()?)),
-            2 => Ok(MetricValue::Histogram(HistogramSnapshot::decode(r)?)),
-            _ => Err(WireError::Corrupt("metric value tag")),
-        }
-    }
-}
-
-impl Wire for Metric {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.name.encode(w)?;
-        self.help.encode(w)?;
-        self.labels.encode(w)?;
-        self.value.encode(w)
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Metric {
-            name: String::decode(r)?,
-            help: String::decode(r)?,
-            labels: Vec::decode(r)?,
-            value: MetricValue::decode(r)?,
-        })
-    }
-}
-
-impl Wire for MetricsSnapshot {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.metrics.encode(w)
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(MetricsSnapshot {
-            metrics: Vec::decode(r)?,
-        })
     }
 }
 

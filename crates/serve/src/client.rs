@@ -87,6 +87,18 @@ impl From<WireError> for ClientError {
     }
 }
 
+/// The one reply row a request can produce: `$response` must match
+/// `$row`, yielding `$out` from its fields; any other row is a protocol
+/// bug on one side ([`ClientError::Unexpected`]).
+macro_rules! expect {
+    ($response:expr, $row:pat => $out:expr) => {
+        match $response {
+            $row => Ok($out),
+            other => Err(ClientError::Unexpected(other)),
+        }
+    };
+}
+
 /// A blocking connection to a [`Server`](crate::server::Server).
 pub struct Client {
     stream: TcpStream,
@@ -106,16 +118,16 @@ impl Client {
             max_frame: DEFAULT_MAX_FRAME,
             pending_events: VecDeque::new(),
         };
-        match client.call(&Request::Hello {
+        let hello = Request::Hello {
             version: PROTOCOL_VERSION,
-        })? {
-            Response::Hello { version } if version == PROTOCOL_VERSION => Ok(client),
-            Response::Hello { version } => Err(ClientError::Remote {
+        };
+        match expect!(client.call(&hello)?, Response::Hello { version } => version)? {
+            PROTOCOL_VERSION => Ok(client),
+            version => Err(ClientError::Remote {
                 code: None,
                 raw_code: 0,
                 message: format!("server protocol version {version}, client {PROTOCOL_VERSION}"),
             }),
-            other => Err(ClientError::Unexpected(other)),
         }
     }
 
@@ -131,13 +143,9 @@ impl Client {
         name: &str,
         arity: usize,
     ) -> Result<RelationId, ClientError> {
-        match self.call(&Request::DeclareRelation {
-            name: name.to_string(),
-            arity,
-        })? {
-            Response::RelationDeclared { id } => Ok(id),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        let name = name.to_string();
+        let request = Request::DeclareRelation { name, arity };
+        expect!(self.call(&request)?, Response::RelationDeclared { id } => id)
     }
 
     /// Submit a standing query in the given front-end language.
@@ -149,29 +157,24 @@ impl Client {
         window: WindowPolicy,
         partition: Option<Partition>,
     ) -> Result<QueryId, ClientError> {
-        match self.call(&Request::SubmitQuery {
+        let request = Request::SubmitQuery {
             name: name.to_string(),
             frontend,
             text: text.to_string(),
             window,
             partition,
             gc_every: 0,
-        })? {
-            Response::QueryAccepted { id } => Ok(id),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        };
+        expect!(self.call(&request)?, Response::QueryAccepted { id } => id)
     }
 
     /// Ingest a batch; returns `(first_position, one_past_last, dropped)`.
     pub fn ingest(&mut self, tuples: Vec<Tuple>) -> Result<(u64, u64, u64), ClientError> {
-        match self.call(&Request::IngestBatch { tuples })? {
-            Response::Ingested {
-                start,
-                end,
-                dropped,
-            } => Ok((start, end, dropped)),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        let request = Request::IngestBatch { tuples };
+        expect!(
+            self.call(&request)?,
+            Response::Ingested { start, end, dropped } => (start, end, dropped)
+        )
     }
 
     /// Start the event stream (one subscription per connection).
@@ -182,56 +185,39 @@ impl Client {
         capacity: usize,
         policy: BackpressurePolicy,
     ) -> Result<(), ClientError> {
-        match self.call(&Request::Subscribe {
+        let request = Request::Subscribe {
             query,
             capacity,
             policy,
-        })? {
-            Response::Subscribed => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        };
+        expect!(self.call(&request)?, Response::Subscribed => ())
     }
 
     /// Stop the event stream. Events already in flight stay readable
     /// via [`next_event`](Self::next_event)'s buffer.
     pub fn unsubscribe(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Unsubscribe)? {
-            Response::Unsubscribed => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::Unsubscribe)?, Response::Unsubscribed => ())
     }
 
     /// Remove a standing query.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), ClientError> {
-        match self.call(&Request::Deregister { id })? {
-            Response::Deregistered => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::Deregister { id })?, Response::Deregistered => ())
     }
 
     /// The server's compact stats summary.
     pub fn stats(&mut self) -> Result<StatsSummary, ClientError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::Stats)?, Response::Stats(s) => s)
     }
 
     /// The server's Prometheus text exposition.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        match self.call(&Request::MetricsText)? {
-            Response::MetricsText { text } => Ok(text),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::MetricsText)?, Response::MetricsText { text } => text)
     }
 
     /// An epoch-consistent snapshot of the server's runtime
     /// (`Snapshot::from_bytes` recovers it).
     pub fn snapshot(&mut self) -> Result<Vec<u8>, ClientError> {
-        match self.call(&Request::Snapshot)? {
-            Response::Snapshot { bytes } => Ok(bytes),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::Snapshot)?, Response::Snapshot { bytes } => bytes)
     }
 
     /// Fence the pipeline: returns once everything ingested before the
@@ -239,78 +225,55 @@ impl Client {
     /// connection's subscription channel, though events may still be in
     /// flight on the socket).
     pub fn drain(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Drain)? {
-            Response::Drained => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::Drain)?, Response::Drained => ())
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::Ping)?, Response::Pong => ())
     }
 
     /// Live-reshard the server's runtime to `shards` workers; returns
     /// `(from, to, fence_to_resume_nanos)`. Ingest, queries and this
     /// connection's subscription all survive the move.
     pub fn rescale(&mut self, shards: usize) -> Result<(u64, u64, u64), ClientError> {
-        match self.call(&Request::Rescale { shards })? {
-            Response::Rescaled { from, to, nanos } => Ok((from, to, nanos)),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        let request = Request::Rescale { shards };
+        expect!(self.call(&request)?, Response::Rescaled { from, to, nanos } => (from, to, nanos))
     }
 
     /// Start or pause the server's autoscale control loop; returns the
     /// status after the change.
     pub fn set_autoscale(&mut self, enabled: bool) -> Result<AutoscaleSummary, ClientError> {
-        match self.call(&Request::SetAutoscale { enabled })? {
-            Response::AutoscaleStatus(s) => Ok(s),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        let request = Request::SetAutoscale { enabled };
+        expect!(self.call(&request)?, Response::AutoscaleStatus(s) => s)
     }
 
     /// The autoscale controller's current status.
     pub fn autoscale_status(&mut self) -> Result<AutoscaleSummary, ClientError> {
-        match self.call(&Request::AutoscaleStatus)? {
-            Response::AutoscaleStatus(s) => Ok(s),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::AutoscaleStatus)?, Response::AutoscaleStatus(s) => s)
     }
 
     /// Ask a durable server to cut a checkpoint now; returns
     /// `(position, epoch, bytes, full)` of the checkpoint written.
     /// Fails with [`ErrorCode::NotDurable`] on an in-memory server.
     pub fn checkpoint(&mut self) -> Result<(u64, u64, u64, bool), ClientError> {
-        match self.call(&Request::Checkpoint)? {
-            Response::CheckpointDone {
-                position,
-                epoch,
-                bytes,
-                full,
-            } => Ok((position, epoch, bytes, full)),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(
+            self.call(&Request::Checkpoint)?,
+            Response::CheckpointDone { position, epoch, bytes, full } =>
+                (position, epoch, bytes, full)
+        )
     }
 
     /// Health and volume counters of a durable server's WAL and
     /// checkpoint chain. Fails with [`ErrorCode::NotDurable`] on an
     /// in-memory server.
     pub fn durability_status(&mut self) -> Result<DurabilitySummary, ClientError> {
-        match self.call(&Request::DurabilityStatus)? {
-            Response::Durability(s) => Ok(s),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::DurabilityStatus)?, Response::Durability(s) => s)
     }
 
     /// Ask the server to shut down gracefully.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        expect!(self.call(&Request::Shutdown)?, Response::ShuttingDown => ())
     }
 
     /// The next pushed match event: from the local buffer if one is
@@ -324,10 +287,9 @@ impl Client {
         self.stream
             .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
         let outcome = match read_frame(&mut self.stream, self.max_frame) {
-            Ok(Some(payload)) => match decode_message::<Response>(&payload)? {
-                Response::Event(ev) => Ok(Some(ev)),
-                other => Err(ClientError::Unexpected(other)),
-            },
+            Ok(Some(payload)) => {
+                expect!(decode_message::<Response>(&payload)?, Response::Event(ev) => Some(ev))
+            }
             Ok(None) => Ok(None),
             Err(e)
                 if matches!(

@@ -26,9 +26,46 @@
 //! [`Response::Error`] carrying a stable
 //! [`ErrorCode`](cer_core::ErrorCode) discriminant plus a human-readable
 //! message; the connection stays usable afterwards.
+//!
+//! # The op table
+//!
+//! [`Request`] and [`Response`] are declared with
+//! [`wire_enum!`](cer_common::wire_enum): each variant is one
+//! `tag => Variant { fields }` row, and the row *is* the wire form — the
+//! tag byte, then the fields in order, each in its type's own
+//! [`Wire`] form unless the row names a codec. Tags as they read off the
+//! declarations:
+//!
+//! | tag | request | tag | response |
+//! |---|---|---|---|
+//! | 0 | `Hello` | 0 | `Hello` |
+//! | 1 | `DeclareRelation` | 1 | `RelationDeclared` |
+//! | 2 | `SubmitQuery` | 2 | `QueryAccepted` |
+//! | 3 | `IngestBatch` | 3 | `Ingested` |
+//! | 4 | `Subscribe` | 4 | `Subscribed` |
+//! | 5 | `Unsubscribe` | 5 | `Unsubscribed` |
+//! | 6 | `Deregister` | 6 | `Deregistered` |
+//! | 7 | `Stats` | 7 | `Stats` |
+//! | 8 | `MetricsText` | 8 | `MetricsText` |
+//! | 9 | `Snapshot` | 9 | `Snapshot` |
+//! | 10 | `Drain` | 10 | `Drained` |
+//! | 11 | `Ping` | 11 | `Pong` |
+//! | 12 | `Shutdown` | 12 | `ShuttingDown` |
+//! | 13 | `Rescale` | 13 | `Error` |
+//! | 14 | `SetAutoscale` | 14 | `Event` |
+//! | 15 | `AutoscaleStatus` | 15 | `Rescaled` |
+//! | 16 | `Checkpoint` | 16 | `AutoscaleStatus` |
+//! | 17 | `DurabilityStatus` | 17 | `CheckpointDone` |
+//! | | | 18 | `Durability` |
+//!
+//! **Adding an op** costs one row here with the next free tag (plus a
+//! reply row if it has one of its own), one arm in
+//! `server.rs::handle_request`, one `expect!` line in `client.rs` and
+//! one sample in `tests/wire_golden.rs`. Tags are append-only;
+//! [`PROTOCOL_VERSION`] moves only if a released row changes.
 
-use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
-use cer_common::{RelationId, Tuple};
+use cer_common::wire::{Bytes, Codec, Len, Wire, WireError, WireReader, WireWriter};
+use cer_common::{wire_enum, wire_struct, RelationId, Tuple};
 use cer_core::runtime::{MatchEvent, Partition, QueryId};
 use cer_core::window::WindowPolicy;
 use cer_core::BackpressurePolicy;
@@ -191,622 +228,314 @@ pub fn decode_message<T: Wire>(payload: &[u8]) -> Result<T, WireError> {
 // ---------------------------------------------------------------------
 // Messages
 
-/// Which query front-end parses a [`Request::SubmitQuery`]'s text.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Frontend {
-    /// The HCQ front-end (`Q(x, y) <- T(x), S(x, y)` rule syntax,
-    /// compiled via the paper's Theorem 4.1 construction).
-    Hcq,
-    /// The CER pattern language (`T(x) ; R(x, _)` operator syntax).
-    Pattern,
+wire_enum! {
+    /// Which query front-end parses a [`Request::SubmitQuery`]'s text.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Frontend {
+        /// The HCQ front-end (`Q(x, y) <- T(x), S(x, y)` rule syntax,
+        /// compiled via the paper's Theorem 4.1 construction).
+        0 => Hcq,
+        /// The CER pattern language (`T(x) ; R(x, _)` operator syntax).
+        1 => Pattern,
+    }
 }
 
-/// A client→server message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Open the conversation; the server echoes its own version. Not
-    /// mandatory, but lets clients fail fast on a version skew.
-    Hello {
-        /// The client's [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// Declare (or look up) a relation in the server's schema.
-    /// Idempotent: re-declaring with the same arity returns the
-    /// existing id; a different arity is an error.
-    DeclareRelation {
-        /// Relation name, e.g. `"TEMP"`.
-        name: String,
-        /// Number of attributes.
-        arity: usize,
-    },
-    /// Parse, compile and register a standing query.
-    SubmitQuery {
-        /// Name echoed in stats and errors.
-        name: String,
-        /// Which language `text` is written in.
-        frontend: Frontend,
-        /// The query text.
-        text: String,
-        /// Sliding-window policy.
-        window: WindowPolicy,
-        /// Shard placement; `None` uses the server runtime's
-        /// [`default_partition`](cer_core::RuntimeConfig::default_partition).
-        partition: Option<Partition>,
-        /// GC cadence (0 = automatic).
-        gc_every: u64,
-    },
-    /// Append a batch of tuples to the stream.
-    IngestBatch {
-        /// The tuples, in stream order.
-        tuples: Vec<Tuple>,
-    },
-    /// Start pushing [`Response::Event`] frames for matching queries
-    /// onto this connection. One subscription per connection; the
-    /// backpressure policy is the subscription's own.
-    Subscribe {
-        /// `Some(id)` for one query's events, `None` for all.
-        query: Option<QueryId>,
-        /// Event channel capacity; 0 means the server default.
-        capacity: usize,
-        /// What happens when this subscriber lags.
-        policy: BackpressurePolicy,
-    },
-    /// Stop the event stream started by `Subscribe`.
-    Unsubscribe,
-    /// Remove a standing query.
-    Deregister {
-        /// The query to remove.
-        id: QueryId,
-    },
-    /// A compact numeric summary ([`StatsSummary`]).
-    Stats,
-    /// The full Prometheus text exposition of the runtime's metrics.
-    MetricsText,
-    /// An epoch-consistent snapshot of the runtime, as bytes
-    /// (`Snapshot::to_bytes`).
-    Snapshot,
-    /// Fence the pipeline: returns once everything ingested before the
-    /// call has been evaluated and delivered.
-    Drain,
-    /// Liveness probe.
-    Ping,
-    /// Gracefully shut the whole server down (every connection, then
-    /// the runtime).
-    Shutdown,
-    /// Live-reshard the runtime to `shards` workers in place
-    /// ([`Runtime::rescale`](cer_core::runtime::Runtime::rescale)): an
-    /// epoch fence moves every query's state to a new worker set with
-    /// no serialize round-trip. Ingest and subscriptions stay live.
-    Rescale {
-        /// The target worker count (1..=64).
-        shards: usize,
-    },
-    /// Enable or disable the server's autoscale controller (a
-    /// background thread polling load signals through
-    /// [`Controller`](cer_core::Controller) hysteresis and rescaling
-    /// when a streak confirms). Replies with
-    /// [`Response::AutoscaleStatus`].
-    SetAutoscale {
-        /// `true` starts the control loop, `false` pauses it (the
-        /// controller's streaks reset on re-enable).
-        enabled: bool,
-    },
-    /// The controller's current status
-    /// ([`Response::AutoscaleStatus`]).
-    AutoscaleStatus,
-    /// Cut an incremental checkpoint to the server's data directory
-    /// ([`Runtime::checkpoint`](cer_core::runtime::Runtime::checkpoint));
-    /// WAL segments below the cut are truncated. Fails with
-    /// [`ErrorCode::NotDurable`](cer_core::ErrorCode) on a server
-    /// started without `--data-dir`.
-    Checkpoint,
-    /// The server's durability status ([`Response::Durability`]):
-    /// WAL health and size, last checkpoint, chain length.
-    DurabilityStatus,
+wire_enum! {
+    /// A client→server message.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Request {
+        /// Open the conversation; the server echoes its own version. Not
+        /// mandatory, but lets clients fail fast on a version skew.
+        0 => Hello {
+            /// The client's [`PROTOCOL_VERSION`].
+            version: u32,
+        },
+        /// Declare (or look up) a relation in the server's schema.
+        /// Idempotent: re-declaring with the same arity returns the
+        /// existing id; a different arity is an error.
+        1 => DeclareRelation {
+            /// Relation name, e.g. `"TEMP"`.
+            name: String,
+            /// Number of attributes.
+            arity: usize as Len,
+        },
+        /// Parse, compile and register a standing query.
+        2 => SubmitQuery {
+            /// Name echoed in stats and errors.
+            name: String,
+            /// Which language `text` is written in.
+            frontend: Frontend,
+            /// The query text.
+            text: String,
+            /// Sliding-window policy.
+            window: WindowPolicy,
+            /// Shard placement; `None` uses the server runtime's
+            /// [`default_partition`](cer_core::RuntimeConfig::default_partition).
+            partition: Option<Partition>,
+            /// GC cadence (0 = automatic).
+            gc_every: u64,
+        },
+        /// Append a batch of tuples to the stream.
+        3 => IngestBatch {
+            /// The tuples, in stream order.
+            tuples: Vec<Tuple>,
+        },
+        /// Start pushing [`Response::Event`] frames for matching queries
+        /// onto this connection. One subscription per connection; the
+        /// backpressure policy is the subscription's own.
+        4 => Subscribe {
+            /// `Some(id)` for one query's events, `None` for all.
+            query: Option<QueryId>,
+            /// Event channel capacity; 0 means the server default.
+            capacity: usize as Len,
+            /// What happens when this subscriber lags.
+            policy: BackpressurePolicy,
+        },
+        /// Stop the event stream started by `Subscribe`.
+        5 => Unsubscribe,
+        /// Remove a standing query.
+        6 => Deregister {
+            /// The query to remove.
+            id: QueryId,
+        },
+        /// A compact numeric summary ([`StatsSummary`]).
+        7 => Stats,
+        /// The full Prometheus text exposition of the runtime's metrics.
+        8 => MetricsText,
+        /// An epoch-consistent snapshot of the runtime, as bytes
+        /// (`Snapshot::to_bytes`).
+        9 => Snapshot,
+        /// Fence the pipeline: returns once everything ingested before the
+        /// call has been evaluated and delivered.
+        10 => Drain,
+        /// Liveness probe.
+        11 => Ping,
+        /// Gracefully shut the whole server down (every connection, then
+        /// the runtime).
+        12 => Shutdown,
+        /// Live-reshard the runtime to `shards` workers in place
+        /// ([`Runtime::rescale`](cer_core::runtime::Runtime::rescale)): an
+        /// epoch fence moves every query's state to a new worker set with
+        /// no serialize round-trip. Ingest and subscriptions stay live.
+        13 => Rescale {
+            /// The target worker count (1..=64).
+            shards: usize as Len,
+        },
+        /// Enable or disable the server's autoscale controller (a
+        /// background thread polling load signals through
+        /// [`Controller`](cer_core::Controller) hysteresis and rescaling
+        /// when a streak confirms). Replies with
+        /// [`Response::AutoscaleStatus`].
+        14 => SetAutoscale {
+            /// `true` starts the control loop, `false` pauses it (the
+            /// controller's streaks reset on re-enable).
+            enabled: bool,
+        },
+        /// The controller's current status
+        /// ([`Response::AutoscaleStatus`]).
+        15 => AutoscaleStatus,
+        /// Cut an incremental checkpoint to the server's data directory
+        /// ([`Runtime::checkpoint`](cer_core::runtime::Runtime::checkpoint));
+        /// WAL segments below the cut are truncated. Fails with
+        /// [`ErrorCode::NotDurable`](cer_core::ErrorCode) on a server
+        /// started without `--data-dir`.
+        16 => Checkpoint,
+        /// The server's durability status ([`Response::Durability`]):
+        /// WAL health and size, last checkpoint, chain length.
+        17 => DurabilityStatus,
+    }
 }
 
-/// A server→client message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// Reply to [`Request::Hello`].
-    Hello {
-        /// The server's [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// Reply to [`Request::DeclareRelation`].
-    RelationDeclared {
-        /// The relation's id, stable for the server's lifetime.
-        id: RelationId,
-    },
-    /// Reply to [`Request::SubmitQuery`].
-    QueryAccepted {
-        /// The registered query's id.
-        id: QueryId,
-    },
-    /// Reply to [`Request::IngestBatch`].
-    Ingested {
-        /// First stamped position of the batch.
-        start: u64,
-        /// One past the last stamped position.
-        end: u64,
-        /// Tuples shed under `DropNewest` ingest backpressure.
-        dropped: u64,
-    },
-    /// Reply to [`Request::Subscribe`].
-    Subscribed,
-    /// Reply to [`Request::Unsubscribe`].
-    Unsubscribed,
-    /// Reply to [`Request::Deregister`].
-    Deregistered,
-    /// Reply to [`Request::Stats`].
-    Stats(StatsSummary),
-    /// Reply to [`Request::MetricsText`].
-    MetricsText {
-        /// The Prometheus text exposition.
-        text: String,
-    },
-    /// Reply to [`Request::Snapshot`].
-    Snapshot {
-        /// `Snapshot::to_bytes` output.
-        bytes: Vec<u8>,
-    },
-    /// Reply to [`Request::Drain`].
-    Drained,
-    /// Reply to [`Request::Ping`].
-    Pong,
-    /// Reply to [`Request::Shutdown`]; the server closes every
-    /// connection shortly after sending it.
-    ShuttingDown,
-    /// Any request that failed. The connection stays usable.
-    Error {
-        /// [`cer_core::ErrorCode`] discriminant
-        /// (`ErrorCode::from_u16` recovers the variant).
-        code: u16,
-        /// Human-readable context.
-        message: String,
-    },
-    /// An unsolicited pushed match (after [`Request::Subscribe`]).
-    Event(MatchEvent),
-    /// Reply to [`Request::Rescale`].
-    Rescaled {
-        /// Worker count before the move.
-        from: u64,
-        /// Worker count after the move.
-        to: u64,
-        /// Fence-to-resume wall time, in nanoseconds.
-        nanos: u64,
-    },
-    /// Reply to [`Request::SetAutoscale`] and
+wire_enum! {
+    /// A server→client message.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Response {
+        /// Reply to [`Request::Hello`].
+        0 => Hello {
+            /// The server's [`PROTOCOL_VERSION`].
+            version: u32,
+        },
+        /// Reply to [`Request::DeclareRelation`].
+        1 => RelationDeclared {
+            /// The relation's id, stable for the server's lifetime.
+            id: RelationId,
+        },
+        /// Reply to [`Request::SubmitQuery`].
+        2 => QueryAccepted {
+            /// The registered query's id.
+            id: QueryId,
+        },
+        /// Reply to [`Request::IngestBatch`].
+        3 => Ingested {
+            /// First stamped position of the batch.
+            start: u64,
+            /// One past the last stamped position.
+            end: u64,
+            /// Tuples shed under `DropNewest` ingest backpressure.
+            dropped: u64,
+        },
+        /// Reply to [`Request::Subscribe`].
+        4 => Subscribed,
+        /// Reply to [`Request::Unsubscribe`].
+        5 => Unsubscribed,
+        /// Reply to [`Request::Deregister`].
+        6 => Deregistered,
+        /// Reply to [`Request::Stats`].
+        7 => Stats(StatsSummary),
+        /// Reply to [`Request::MetricsText`].
+        8 => MetricsText {
+            /// The Prometheus text exposition.
+            text: String,
+        },
+        /// Reply to [`Request::Snapshot`].
+        9 => Snapshot {
+            /// `Snapshot::to_bytes` output.
+            bytes: Vec<u8> as Bytes,
+        },
+        /// Reply to [`Request::Drain`].
+        10 => Drained,
+        /// Reply to [`Request::Ping`].
+        11 => Pong,
+        /// Reply to [`Request::Shutdown`]; the server closes every
+        /// connection shortly after sending it.
+        12 => ShuttingDown,
+        /// Any request that failed. The connection stays usable.
+        13 => Error {
+            /// [`cer_core::ErrorCode`] discriminant
+            /// (`ErrorCode::from_u16` recovers the variant).
+            code: u16 as CodeAsU32,
+            /// Human-readable context.
+            message: String,
+        },
+        /// An unsolicited pushed match (after [`Request::Subscribe`]).
+        14 => Event(MatchEvent as PresizedEvent),
+        /// Reply to [`Request::Rescale`].
+        15 => Rescaled {
+            /// Worker count before the move.
+            from: u64,
+            /// Worker count after the move.
+            to: u64,
+            /// Fence-to-resume wall time, in nanoseconds.
+            nanos: u64,
+        },
+        /// Reply to [`Request::SetAutoscale`] and
+        /// [`Request::AutoscaleStatus`].
+        16 => AutoscaleStatus(AutoscaleSummary),
+        /// Reply to [`Request::Checkpoint`].
+        17 => CheckpointDone {
+            /// Epoch position the checkpoint cut at.
+            position: u64,
+            /// The checkpoint's epoch counter (dense, one per checkpoint).
+            epoch: u64,
+            /// Bytes written (before the manifest).
+            bytes: u64,
+            /// `true` for a full checkpoint, `false` for a delta.
+            full: bool,
+        },
+        /// Reply to [`Request::DurabilityStatus`].
+        18 => Durability(DurabilitySummary),
+    }
+}
+
+wire_struct! {
+    /// The compact numeric reply to [`Request::DurabilityStatus`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct DurabilitySummary {
+        /// `false` when a WAL append failed and logging stopped (the server
+        /// keeps serving from memory — alert on this).
+        pub healthy: bool,
+        /// WAL segment files on disk (sealed + active).
+        pub wal_segments: u64,
+        /// Bytes appended to the WAL since this process attached it.
+        pub wal_bytes: u64,
+        /// Records appended to the WAL since this process attached it.
+        pub wal_records: u64,
+        /// Epoch of the latest committed checkpoint (`None` before the
+        /// first).
+        pub last_checkpoint_epoch: Option<u64>,
+        /// Stream position of the latest committed checkpoint.
+        pub last_checkpoint_position: Option<u64>,
+        /// Checkpoints a recovery would have to chain (1 after a full).
+        pub chain_len: u64,
+    }
+}
+
+wire_struct! {
+    /// The compact numeric reply to [`Request::SetAutoscale`] and
     /// [`Request::AutoscaleStatus`].
-    AutoscaleStatus(AutoscaleSummary),
-    /// Reply to [`Request::Checkpoint`].
-    CheckpointDone {
-        /// Epoch position the checkpoint cut at.
-        position: u64,
-        /// The checkpoint's epoch counter (dense, one per checkpoint).
-        epoch: u64,
-        /// Bytes written (before the manifest).
-        bytes: u64,
-        /// `true` for a full checkpoint, `false` for a delta.
-        full: bool,
-    },
-    /// Reply to [`Request::DurabilityStatus`].
-    Durability(DurabilitySummary),
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct AutoscaleSummary {
+        /// Whether the control loop is running.
+        pub enabled: bool,
+        /// Current worker shard count.
+        pub shards: u64,
+        /// Rescales performed since the server started (controller-driven
+        /// and explicit [`Request::Rescale`] alike).
+        pub rescales: u64,
+        /// Consecutive hot observations (scale-up streak).
+        pub hot_streak: u64,
+        /// Consecutive cold observations (scale-down streak).
+        pub cold_streak: u64,
+        /// Ticks of post-rescale cooldown remaining.
+        pub cooldown: u64,
+    }
 }
 
-/// The compact numeric reply to [`Request::DurabilityStatus`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DurabilitySummary {
-    /// `false` when a WAL append failed and logging stopped (the server
-    /// keeps serving from memory — alert on this).
-    pub healthy: bool,
-    /// WAL segment files on disk (sealed + active).
-    pub wal_segments: u64,
-    /// Bytes appended to the WAL since this process attached it.
-    pub wal_bytes: u64,
-    /// Records appended to the WAL since this process attached it.
-    pub wal_records: u64,
-    /// Epoch of the latest committed checkpoint (`None` before the
-    /// first).
-    pub last_checkpoint_epoch: Option<u64>,
-    /// Stream position of the latest committed checkpoint.
-    pub last_checkpoint_position: Option<u64>,
-    /// Checkpoints a recovery would have to chain (1 after a full).
-    pub chain_len: u64,
-}
-
-/// The compact numeric reply to [`Request::SetAutoscale`] and
-/// [`Request::AutoscaleStatus`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AutoscaleSummary {
-    /// Whether the control loop is running.
-    pub enabled: bool,
-    /// Current worker shard count.
-    pub shards: u64,
-    /// Rescales performed since the server started (controller-driven
-    /// and explicit [`Request::Rescale`] alike).
-    pub rescales: u64,
-    /// Consecutive hot observations (scale-up streak).
-    pub hot_streak: u64,
-    /// Consecutive cold observations (scale-down streak).
-    pub cold_streak: u64,
-    /// Ticks of post-rescale cooldown remaining.
-    pub cooldown: u64,
-}
-
-/// The compact numeric reply to [`Request::Stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSummary {
-    /// Worker shard count.
-    pub shards: u64,
-    /// Currently registered (live) queries.
-    pub queries: u64,
-    /// The next global stream position.
-    pub next_position: u64,
-    /// Tuples shed by ingest backpressure since start.
-    pub dropped: u64,
-    /// Journal events overwritten before being drained.
-    pub events_overwritten: u64,
+wire_struct! {
+    /// The compact numeric reply to [`Request::Stats`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct StatsSummary {
+        /// Worker shard count.
+        pub shards: u64,
+        /// Currently registered (live) queries.
+        pub queries: u64,
+        /// The next global stream position.
+        pub next_position: u64,
+        /// Tuples shed by ingest backpressure since start.
+        pub dropped: u64,
+        /// Journal events overwritten before being drained.
+        pub events_overwritten: u64,
+    }
 }
 
 // ---------------------------------------------------------------------
-// Wire impls
+// Codecs: the two fields whose wire form is not their type's own
 
-fn put_policy(w: &mut WireWriter, p: BackpressurePolicy) {
-    w.put_u8(match p {
-        BackpressurePolicy::Block => 0,
-        BackpressurePolicy::DropNewest => 1,
-    });
-}
+/// [`Response::Error`]'s `u16` code travels as a `u32`; a value above
+/// `u16::MAX` is corrupt.
+struct CodeAsU32;
 
-fn get_flag(r: &mut WireReader<'_>, ctx: &'static str) -> Result<bool, WireError> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::Corrupt(ctx)),
-    }
-}
-
-fn get_policy(r: &mut WireReader<'_>) -> Result<BackpressurePolicy, WireError> {
-    match r.get_u8()? {
-        0 => Ok(BackpressurePolicy::Block),
-        1 => Ok(BackpressurePolicy::DropNewest),
-        _ => Err(WireError::Corrupt("unknown backpressure policy tag")),
-    }
-}
-
-impl Wire for Frontend {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_u8(match self {
-            Frontend::Hcq => 0,
-            Frontend::Pattern => 1,
-        });
+impl Codec<u16> for CodeAsU32 {
+    fn put(v: &u16, w: &mut WireWriter) -> Result<(), WireError> {
+        w.put_u32(u32::from(*v));
         Ok(())
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(Frontend::Hcq),
-            1 => Ok(Frontend::Pattern),
-            _ => Err(WireError::Corrupt("unknown frontend tag")),
-        }
+    fn get(r: &mut WireReader<'_>) -> Result<u16, WireError> {
+        u16::try_from(r.get_u32()?).map_err(|_| WireError::Corrupt("error code out of u16 range"))
     }
 }
 
-impl Wire for Request {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        match self {
-            Request::Hello { version } => {
-                w.put_u8(0);
-                w.put_u32(*version);
-            }
-            Request::DeclareRelation { name, arity } => {
-                w.put_u8(1);
-                w.put_str(name);
-                w.put_len(*arity);
-            }
-            Request::SubmitQuery {
-                name,
-                frontend,
-                text,
-                window,
-                partition,
-                gc_every,
-            } => {
-                w.put_u8(2);
-                w.put_str(name);
-                frontend.encode(w)?;
-                w.put_str(text);
-                window.encode(w)?;
-                partition.encode(w)?;
-                w.put_u64(*gc_every);
-            }
-            Request::IngestBatch { tuples } => {
-                w.put_u8(3);
-                tuples.encode(w)?;
-            }
-            Request::Subscribe {
-                query,
-                capacity,
-                policy,
-            } => {
-                w.put_u8(4);
-                query.map(|q| q.0).encode(w)?;
-                w.put_len(*capacity);
-                put_policy(w, *policy);
-            }
-            Request::Unsubscribe => w.put_u8(5),
-            Request::Deregister { id } => {
-                w.put_u8(6);
-                w.put_u32(id.0);
-            }
-            Request::Stats => w.put_u8(7),
-            Request::MetricsText => w.put_u8(8),
-            Request::Snapshot => w.put_u8(9),
-            Request::Drain => w.put_u8(10),
-            Request::Ping => w.put_u8(11),
-            Request::Shutdown => w.put_u8(12),
-            Request::Rescale { shards } => {
-                w.put_u8(13);
-                w.put_len(*shards);
-            }
-            Request::SetAutoscale { enabled } => {
-                w.put_u8(14);
-                w.put_u8(u8::from(*enabled));
-            }
-            Request::AutoscaleStatus => w.put_u8(15),
-            Request::Checkpoint => w.put_u8(16),
-            Request::DurabilityStatus => w.put_u8(17),
-        }
-        Ok(())
-    }
+/// [`Response::Event`]'s payload: position, query, valuation. Written by
+/// hand, not as a `wire_struct!` row, because it pre-sizes: the whole
+/// frame — tag, position, query, then the valuation's label count, a
+/// length per label and a word per position — is reserved in one step.
+struct PresizedEvent;
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => Request::Hello {
-                version: r.get_u32()?,
-            },
-            1 => Request::DeclareRelation {
-                name: r.get_str()?,
-                arity: r.get_len()?,
-            },
-            2 => Request::SubmitQuery {
-                name: r.get_str()?,
-                frontend: Frontend::decode(r)?,
-                text: r.get_str()?,
-                window: WindowPolicy::decode(r)?,
-                partition: Option::<Partition>::decode(r)?,
-                gc_every: r.get_u64()?,
-            },
-            3 => Request::IngestBatch {
-                tuples: Vec::<Tuple>::decode(r)?,
-            },
-            4 => Request::Subscribe {
-                query: Option::<u32>::decode(r)?.map(QueryId),
-                capacity: r.get_len()?,
-                policy: get_policy(r)?,
-            },
-            5 => Request::Unsubscribe,
-            6 => Request::Deregister {
-                id: QueryId(r.get_u32()?),
-            },
-            7 => Request::Stats,
-            8 => Request::MetricsText,
-            9 => Request::Snapshot,
-            10 => Request::Drain,
-            11 => Request::Ping,
-            12 => Request::Shutdown,
-            13 => Request::Rescale {
-                shards: r.get_len()?,
-            },
-            14 => Request::SetAutoscale {
-                enabled: match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Corrupt("autoscale flag out of range")),
-                },
-            },
-            15 => Request::AutoscaleStatus,
-            16 => Request::Checkpoint,
-            17 => Request::DurabilityStatus,
-            _ => return Err(WireError::Corrupt("unknown request tag")),
+impl Codec<MatchEvent> for PresizedEvent {
+    fn put(ev: &MatchEvent, w: &mut WireWriter) -> Result<(), WireError> {
+        w.put_u64(ev.position);
+        w.put_u32(ev.query.0);
+        ev.valuation.encode(w)
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<MatchEvent, WireError> {
+        Ok(MatchEvent {
+            position: r.get_u64()?,
+            query: QueryId(r.get_u32()?),
+            valuation: Wire::decode(r)?,
         })
     }
-}
-
-impl Wire for StatsSummary {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_u64(self.shards);
-        w.put_u64(self.queries);
-        w.put_u64(self.next_position);
-        w.put_u64(self.dropped);
-        w.put_u64(self.events_overwritten);
-        Ok(())
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(StatsSummary {
-            shards: r.get_u64()?,
-            queries: r.get_u64()?,
-            next_position: r.get_u64()?,
-            dropped: r.get_u64()?,
-            events_overwritten: r.get_u64()?,
-        })
-    }
-}
-
-impl Wire for Response {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        match self {
-            Response::Hello { version } => {
-                w.put_u8(0);
-                w.put_u32(*version);
-            }
-            Response::RelationDeclared { id } => {
-                w.put_u8(1);
-                id.encode(w)?;
-            }
-            Response::QueryAccepted { id } => {
-                w.put_u8(2);
-                w.put_u32(id.0);
-            }
-            Response::Ingested {
-                start,
-                end,
-                dropped,
-            } => {
-                w.put_u8(3);
-                w.put_u64(*start);
-                w.put_u64(*end);
-                w.put_u64(*dropped);
-            }
-            Response::Subscribed => w.put_u8(4),
-            Response::Unsubscribed => w.put_u8(5),
-            Response::Deregistered => w.put_u8(6),
-            Response::Stats(s) => {
-                w.put_u8(7);
-                s.encode(w)?;
-            }
-            Response::MetricsText { text } => {
-                w.put_u8(8);
-                w.put_str(text);
-            }
-            Response::Snapshot { bytes } => {
-                w.put_u8(9);
-                w.put_bytes(bytes);
-            }
-            Response::Drained => w.put_u8(10),
-            Response::Pong => w.put_u8(11),
-            Response::ShuttingDown => w.put_u8(12),
-            Response::Error { code, message } => {
-                w.put_u8(13);
-                w.put_u32(u32::from(*code));
-                w.put_str(message);
-            }
-            Response::Event(ev) => {
-                // Tag, position, query; then the valuation's label
-                // count, a length per label and a word per position.
-                let v = &ev.valuation;
-                w.reserve(13 + 8 * (1 + v.num_labels() + v.weight()));
-                w.put_u8(14);
-                w.put_u64(ev.position);
-                w.put_u32(ev.query.0);
-                ev.valuation.encode(w)?;
-            }
-            Response::Rescaled { from, to, nanos } => {
-                w.put_u8(15);
-                w.put_u64(*from);
-                w.put_u64(*to);
-                w.put_u64(*nanos);
-            }
-            Response::AutoscaleStatus(s) => {
-                w.put_u8(16);
-                w.put_u8(u8::from(s.enabled));
-                w.put_u64(s.shards);
-                w.put_u64(s.rescales);
-                w.put_u64(s.hot_streak);
-                w.put_u64(s.cold_streak);
-                w.put_u64(s.cooldown);
-            }
-            Response::CheckpointDone {
-                position,
-                epoch,
-                bytes,
-                full,
-            } => {
-                w.put_u8(17);
-                w.put_u64(*position);
-                w.put_u64(*epoch);
-                w.put_u64(*bytes);
-                w.put_u8(u8::from(*full));
-            }
-            Response::Durability(s) => {
-                w.put_u8(18);
-                w.put_u8(u8::from(s.healthy));
-                w.put_u64(s.wal_segments);
-                w.put_u64(s.wal_bytes);
-                w.put_u64(s.wal_records);
-                s.last_checkpoint_epoch.encode(w)?;
-                s.last_checkpoint_position.encode(w)?;
-                w.put_u64(s.chain_len);
-            }
-        }
-        Ok(())
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => Response::Hello {
-                version: r.get_u32()?,
-            },
-            1 => Response::RelationDeclared {
-                id: RelationId::decode(r)?,
-            },
-            2 => Response::QueryAccepted {
-                id: QueryId(r.get_u32()?),
-            },
-            3 => Response::Ingested {
-                start: r.get_u64()?,
-                end: r.get_u64()?,
-                dropped: r.get_u64()?,
-            },
-            4 => Response::Subscribed,
-            5 => Response::Unsubscribed,
-            6 => Response::Deregistered,
-            7 => Response::Stats(StatsSummary::decode(r)?),
-            8 => Response::MetricsText { text: r.get_str()? },
-            9 => Response::Snapshot {
-                bytes: r.get_bytes()?.to_vec(),
-            },
-            10 => Response::Drained,
-            11 => Response::Pong,
-            12 => Response::ShuttingDown,
-            13 => {
-                let code32 = r.get_u32()?;
-                let code = u16::try_from(code32)
-                    .map_err(|_| WireError::Corrupt("error code out of u16 range"))?;
-                Response::Error {
-                    code,
-                    message: r.get_str()?,
-                }
-            }
-            14 => Response::Event(MatchEvent {
-                position: r.get_u64()?,
-                query: QueryId(r.get_u32()?),
-                valuation: cer_automata::valuation::Valuation::decode(r)?,
-            }),
-            15 => Response::Rescaled {
-                from: r.get_u64()?,
-                to: r.get_u64()?,
-                nanos: r.get_u64()?,
-            },
-            16 => Response::AutoscaleStatus(AutoscaleSummary {
-                enabled: match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Corrupt("autoscale flag out of range")),
-                },
-                shards: r.get_u64()?,
-                rescales: r.get_u64()?,
-                hot_streak: r.get_u64()?,
-                cold_streak: r.get_u64()?,
-                cooldown: r.get_u64()?,
-            }),
-            17 => Response::CheckpointDone {
-                position: r.get_u64()?,
-                epoch: r.get_u64()?,
-                bytes: r.get_u64()?,
-                full: get_flag(r, "checkpoint full flag out of range")?,
-            },
-            18 => Response::Durability(DurabilitySummary {
-                healthy: get_flag(r, "durability health flag out of range")?,
-                wal_segments: r.get_u64()?,
-                wal_bytes: r.get_u64()?,
-                wal_records: r.get_u64()?,
-                last_checkpoint_epoch: Option::<u64>::decode(r)?,
-                last_checkpoint_position: Option::<u64>::decode(r)?,
-                chain_len: r.get_u64()?,
-            }),
-            _ => return Err(WireError::Corrupt("unknown response tag")),
-        })
+    fn size_hint(ev: &MatchEvent) -> usize {
+        13 + 8 * (1 + ev.valuation.num_labels() + ev.valuation.weight())
     }
 }
 

@@ -43,7 +43,9 @@ use crate::protocol::{
 };
 use cer_common::Schema;
 use cer_core::ingest::{IngestHandle, Subscription, SubscriptionFilter};
-use cer_core::runtime::{QuerySpec, Runtime, RuntimeStats};
+use cer_core::runtime::{QuerySpec, Runtime, RuntimeError, RuntimeStats};
+use cer_core::DurabilityError::NotDurable;
+use cer_core::IngestError::RuntimeClosed;
 use cer_core::{AutoscalePolicy, Controller, Error, RuntimeConfig};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -133,6 +135,23 @@ struct Shared {
     addr: SocketAddr,
 }
 
+impl Shared {
+    /// Run `f` on the runtime under the control-plane lock; fails with
+    /// `RuntimeClosed` once the server took the runtime out to stop it.
+    fn with_runtime<T>(
+        &self,
+        f: impl FnOnce(&mut Runtime) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        let mut guard = self.runtime.lock().expect("runtime mutex poisoned");
+        f(guard.as_mut().ok_or(Error::Ingest(RuntimeClosed))?)
+    }
+
+    /// Take the runtime out for shutdown (`None` the second time).
+    fn take_runtime(&self) -> Option<Runtime> {
+        self.runtime.lock().expect("runtime mutex poisoned").take()
+    }
+}
+
 /// A listening server. Bind with [`Server::bind`], stop with
 /// [`Server::stop`] (or remotely via [`Request::Shutdown`] +
 /// [`Server::run_until_shutdown`]).
@@ -207,14 +226,8 @@ impl Server {
         for c in conns {
             let _ = c.join();
         }
-        let runtime = self
-            .shared
-            .runtime
-            .lock()
-            .expect("runtime mutex poisoned")
-            .take()
-            .expect("server stopped twice");
-        runtime.shutdown()
+        let runtime = self.shared.take_runtime();
+        runtime.expect("server stopped twice").shutdown()
     }
 
     /// Raise the flag, wake the accept loop, and join it, returning the
@@ -241,13 +254,7 @@ impl Drop for Server {
             for c in self.begin_stop() {
                 let _ = c.join();
             }
-            if let Some(rt) = self
-                .shared
-                .runtime
-                .lock()
-                .expect("runtime mutex poisoned")
-                .take()
-            {
+            if let Some(rt) = self.shared.take_runtime() {
                 rt.shutdown();
             }
         }
@@ -305,10 +312,7 @@ fn autoscale_loop(shared: Arc<Shared>) {
             continue;
         }
         let mut controller = shared.controller.lock().expect("controller mutex poisoned");
-        let mut guard = shared.runtime.lock().expect("runtime mutex poisoned");
-        if let Some(runtime) = guard.as_mut() {
-            let _ = runtime.autoscale_tick(&mut controller);
-        }
+        let _ = shared.with_runtime(|runtime| Ok(runtime.autoscale_tick(&mut controller)?));
     }
 }
 
@@ -316,19 +320,17 @@ fn autoscale_loop(shared: Arc<Shared>) {
 /// order (controller, then runtime).
 fn autoscale_status(shared: &Shared) -> Result<Response, Error> {
     let controller = shared.controller.lock().expect("controller mutex poisoned");
-    let guard = shared.runtime.lock().expect("runtime mutex poisoned");
-    let runtime = guard
-        .as_ref()
-        .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
     let (hot, cold, cooldown) = controller.streaks();
-    Ok(Response::AutoscaleStatus(AutoscaleSummary {
-        enabled: shared.autoscale_on.load(Ordering::SeqCst),
-        shards: runtime.num_shards() as u64,
-        rescales: runtime.rescale_counters().rescales,
-        hot_streak: u64::from(hot),
-        cold_streak: u64::from(cold),
-        cooldown: u64::from(cooldown),
-    }))
+    shared.with_runtime(|runtime| {
+        Ok(Response::AutoscaleStatus(AutoscaleSummary {
+            enabled: shared.autoscale_on.load(Ordering::SeqCst),
+            shards: runtime.num_shards() as u64,
+            rescales: runtime.rescale_counters().rescales,
+            hot_streak: u64::from(hot),
+            cold_streak: u64::from(cold),
+            cooldown: u64::from(cooldown),
+        }))
+    })
 }
 
 /// Most bytes of [`Response::Event`] frames the pusher writes per hold
@@ -497,7 +499,7 @@ fn handle_request(
         }),
         Request::DeclareRelation { name, arity } => {
             let mut schema = shared.schema.lock().expect("schema mutex poisoned");
-            let id = schema.add_relation(&name, arity).map_err(Error::Data)?;
+            let id = schema.add_relation(&name, arity)?;
             Ok(Response::RelationDeclared { id })
         }
         Request::SubmitQuery {
@@ -516,11 +518,7 @@ fn handle_request(
             let spec = QuerySpec::new(name, pcea, window)
                 .with_partition(partition)
                 .with_gc_every(gc_every);
-            let mut guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_mut()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
-            let id = runtime.register(spec).map_err(Error::Runtime)?;
+            let id = shared.with_runtime(|runtime| Ok(runtime.register(spec)?))?;
             Ok(Response::QueryAccepted { id })
         }
         Request::IngestBatch { tuples } => {
@@ -532,7 +530,7 @@ fn handle_request(
                     validate_tuple(&schema, t)?;
                 }
             }
-            let receipt = shared.ingest.push_batch(&tuples).map_err(Error::Ingest)?;
+            let receipt = shared.ingest.push_batch(&tuples)?;
             Ok(Response::Ingested {
                 start: receipt.positions.start,
                 end: receipt.positions.end,
@@ -554,24 +552,16 @@ fn handle_request(
             } else {
                 capacity
             };
-            let sub = {
-                let guard = shared.runtime.lock().expect("runtime mutex poisoned");
-                let runtime = guard
-                    .as_ref()
-                    .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
+            let sub = shared.with_runtime(|runtime| {
                 let filter = match query {
-                    Some(id) => {
-                        if runtime.query_name(id).is_none() {
-                            return Err(Error::Runtime(
-                                cer_core::runtime::RuntimeError::UnknownQuery { id },
-                            ));
-                        }
-                        SubscriptionFilter::Query(id)
+                    Some(id) if runtime.query_name(id).is_none() => {
+                        return Err(RuntimeError::UnknownQuery { id }.into());
                     }
+                    Some(id) => SubscriptionFilter::Query(id),
                     None => SubscriptionFilter::All,
                 };
-                runtime.subscribe_with(filter, capacity, policy)
-            };
+                Ok(runtime.subscribe_with(filter, capacity, policy))
+            })?;
             let stop = Arc::new(AtomicBool::new(false));
             let pusher_stop = stop.clone();
             let pusher_shared = shared.clone();
@@ -600,19 +590,11 @@ fn handle_request(
             }
             None => Err(Error::Protocol("no subscription on this connection".into())),
         },
-        Request::Deregister { id } => {
-            let mut guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_mut()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
-            runtime.deregister(id).map_err(Error::Runtime)?;
+        Request::Deregister { id } => shared.with_runtime(|runtime| {
+            runtime.deregister(id)?;
             Ok(Response::Deregistered)
-        }
-        Request::Stats => {
-            let guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_ref()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
+        }),
+        Request::Stats => shared.with_runtime(|runtime| {
             Ok(Response::Stats(StatsSummary {
                 shards: runtime.num_shards() as u64,
                 queries: runtime.num_queries() as u64,
@@ -620,33 +602,19 @@ fn handle_request(
                 dropped: shared.ingest.total_dropped(),
                 events_overwritten: runtime.events_overwritten(),
             }))
-        }
-        Request::MetricsText => {
-            let guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_ref()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
-            Ok(Response::MetricsText {
-                text: runtime.metrics_text(),
-            })
-        }
-        Request::Snapshot => {
-            let mut guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_mut()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
-            let snapshot = runtime.snapshot().map_err(Error::Snapshot)?;
-            let bytes = snapshot.to_bytes().map_err(Error::Snapshot)?;
+        }),
+        Request::MetricsText => shared.with_runtime(|runtime| {
+            let text = runtime.metrics_text();
+            Ok(Response::MetricsText { text })
+        }),
+        Request::Snapshot => shared.with_runtime(|runtime| {
+            let bytes = runtime.snapshot()?.to_bytes()?;
             Ok(Response::Snapshot { bytes })
-        }
-        Request::Drain => {
-            let guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_ref()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
+        }),
+        Request::Drain => shared.with_runtime(|runtime| {
             runtime.drain();
             Ok(Response::Drained)
-        }
+        }),
         Request::Ping => Ok(Response::Pong),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -655,19 +623,15 @@ fn handle_request(
             let _ = TcpStream::connect(shared.addr);
             Ok(Response::ShuttingDown)
         }
-        Request::Rescale { shards } => {
-            let mut guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_mut()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
+        Request::Rescale { shards } => shared.with_runtime(|runtime| {
             let from = runtime.num_shards() as u64;
-            runtime.rescale(shards).map_err(Error::Runtime)?;
+            runtime.rescale(shards)?;
             Ok(Response::Rescaled {
                 from,
                 to: shards as u64,
                 nanos: runtime.rescale_counters().last_rescale_nanos,
             })
-        }
+        }),
         Request::SetAutoscale { enabled } => {
             // Re-enabling starts from a clean controller so stale
             // streaks from a past epoch cannot trigger a move.
@@ -681,27 +645,17 @@ fn handle_request(
             autoscale_status(shared)
         }
         Request::AutoscaleStatus => autoscale_status(shared),
-        Request::Checkpoint => {
-            let mut guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_mut()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
-            let stats = runtime.checkpoint().map_err(Error::Durability)?;
+        Request::Checkpoint => shared.with_runtime(|runtime| {
+            let stats = runtime.checkpoint()?;
             Ok(Response::CheckpointDone {
                 position: stats.position,
                 epoch: stats.epoch,
                 bytes: stats.bytes,
                 full: stats.full,
             })
-        }
-        Request::DurabilityStatus => {
-            let guard = shared.runtime.lock().expect("runtime mutex poisoned");
-            let runtime = guard
-                .as_ref()
-                .ok_or(Error::Ingest(cer_core::IngestError::RuntimeClosed))?;
-            let status = runtime
-                .durability_status()
-                .ok_or(Error::Durability(cer_core::DurabilityError::NotDurable))?;
+        }),
+        Request::DurabilityStatus => shared.with_runtime(|runtime| {
+            let status = runtime.durability_status().ok_or(NotDurable)?;
             Ok(Response::Durability(DurabilitySummary {
                 healthy: status.healthy,
                 wal_segments: status.wal_segments,
@@ -711,7 +665,7 @@ fn handle_request(
                 last_checkpoint_position: status.last_checkpoint_position,
                 chain_len: status.chain_len,
             }))
-        }
+        }),
     }
 }
 

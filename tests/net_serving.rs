@@ -453,3 +453,53 @@ fn garbage_frames_get_wire_errors_and_framing_violations_close() {
 
     server.stop();
 }
+
+// ---------------------------------------------------------------------
+// A malformed timestamp cannot take a shard worker down
+// ---------------------------------------------------------------------
+
+/// A tuple of the right relation and arity whose timestamp attribute
+/// holds a string passes the schema check at the door and reaches a
+/// time-window query's clock. The clock treats it as an out-of-order
+/// timestamp — clamped and counted — so the shard worker lives: `Ping`
+/// is answered, later matches still arrive, and the operator sees the
+/// violation in `cer_query_ts_regressions_total`.
+#[test]
+fn a_tuple_without_a_timestamp_is_clamped_and_the_server_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let a = client.declare_relation("A", 2).unwrap();
+    let b = client.declare_relation("B", 2).unwrap();
+    let window = WindowPolicy::Time {
+        duration: 10,
+        ts_pos: 0,
+    };
+    let text = "Q(ta, tb, x) <- A(ta, x), B(tb, x)";
+    let q = client
+        .submit_query("timed", Frontend::Hcq, text, window, None)
+        .unwrap();
+    client
+        .subscribe(Some(q), 0, BackpressurePolicy::Block)
+        .unwrap();
+    let int = |rel, ts: i64| Tuple::new(rel, vec![Value::Int(ts), Value::Int(7)]);
+    let late = Tuple::new(b, vec![Value::Str("late".into()), Value::Int(7)]);
+    client.ingest(vec![int(a, 100), late]).unwrap();
+    client.drain().unwrap();
+    client.ping().unwrap();
+    client.ingest(vec![int(b, 105), int(b, 111)]).unwrap();
+    client.drain().unwrap();
+
+    // The stringly tuple is read as "now" (100) and joins the A; so does
+    // the B at 105; at 111 the A has left the window.
+    let events = drain_events(&mut client, Duration::from_millis(200));
+    let positions: Vec<u64> = events.iter().map(|ev| ev.position).collect();
+    assert_eq!(positions, [1, 2]);
+    let metrics = client.metrics_text().unwrap();
+    let counter = metrics
+        .lines()
+        .find(|line| line.starts_with("cer_query_ts_regressions_total{"))
+        .expect("the counter is exported per query");
+    let clamped: u64 = counter.rsplit(' ').next().unwrap().parse().unwrap();
+    assert!(clamped >= 1, "{counter}");
+    server.stop();
+}

@@ -136,13 +136,37 @@ fn paper_p0_over(_schema: &Schema) -> Pcea {
     paper_p0(r, s, t)
 }
 
+/// A tuple with no integer at the timestamp position (here: no such
+/// position at all, then a string in it) is handled like an
+/// out-of-order one: clamped to the clock's latest timestamp and
+/// counted, on the tuple-at-a-time and on the batch path — never a
+/// panic, since such a tuple can come from a remote peer.
 #[test]
-#[should_panic(expected = "timestamp")]
-fn missing_timestamp_panics_with_context() {
+fn missing_timestamp_is_clamped_and_counted() {
     let (schema, pcea) = q0_engine();
     let a = schema.relation("A").unwrap();
-    let mut engine = StreamingEvaluator::new_timed(pcea, 10, 5); // bad ts_pos
+    let b = schema.relation("B").unwrap();
+    let mut engine = StreamingEvaluator::new_timed(pcea.clone(), 10, 5); // bad ts_pos
     engine.push(&tup(a, [0i64, 7]));
+    assert_eq!(engine.stats().ts_regressions, 1);
+
+    // A(ts, x) then B(ts, x) within 10 time units; the B in the middle
+    // carries a string where its timestamp belongs and is read as "now".
+    let stream = [
+        tup(a, [100i64, 7]),
+        Tuple::new(b, vec![Value::Str("late".into()), Value::Int(7)]),
+        tup(b, [105i64, 7]),
+        tup(b, [111i64, 7]),
+    ];
+    let mut scalar = StreamingEvaluator::new_timed(pcea.clone(), 10, 0);
+    let scalar_matches: usize = stream.iter().map(|t| scalar.push_count(t)).sum();
+    let mut batched = StreamingEvaluator::new_timed(pcea, 10, 0);
+    let batched_matches = batched.push_slice_count(&stream);
+    // Positions 1 (clamped to 100) and 2 complete a match; 111 is out.
+    assert_eq!(scalar_matches, 2);
+    assert_eq!(batched_matches, 2);
+    assert_eq!(scalar.stats().ts_regressions, 1);
+    assert_eq!(batched.stats().ts_regressions, 1);
 }
 
 /// A contract-violating stream (out-of-order timestamps) is *detected*:
