@@ -175,6 +175,7 @@ mod wire_impls {
     //! `predicate` module's wire impls for the one exception).
 
     use super::*;
+    use crate::valuation::MAX_LABELS;
     use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
 
     // Not a `wire_struct!` row: decoding validates every transition
@@ -194,12 +195,17 @@ mod wire_impls {
             if is_final.len() != num_states {
                 return Err(WireError::Corrupt("finals length != state count"));
             }
+            // Ω indexes every valuation the evaluator builds.
+            if num_labels > MAX_LABELS {
+                return Err(WireError::Corrupt("label alphabet too large"));
+            }
             let state_ok = |q: &StateId| q.index() < num_states;
             for tr in &transitions {
                 if !state_ok(&tr.target)
                     || !tr.sources.iter().all(state_ok)
                     || tr.sources.len() != tr.binary.len()
                     || tr.labels.is_empty()
+                    || tr.labels.iter().any(|l| l.index() >= num_labels)
                 {
                     return Err(WireError::Corrupt("malformed transition"));
                 }

@@ -83,7 +83,7 @@ cer_common::wire_struct! {
 /// and the entry's consistency checks hold; the key is then the projection
 /// of the entry's positions. Both lookup and projection are linear in
 /// `|t|`, as `Beq` requires.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyExtractor {
     entries: FxHashMap<RelationId, ExtractorEntry>,
 }
@@ -168,7 +168,7 @@ cer_common::wire_struct! {
     /// where `t1` is the *earlier* tuple (stored run) and `t2` the *current*
     /// tuple. The empty-key predicate (both sides project nothing) is the
     /// always-true join, used for variable pairs with no shared attributes.
-    #[derive(Clone, Debug, Default)]
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct EqPredicate {
         /// `⃗B`, applied to the earlier tuple.
         pub left: KeyExtractor,

@@ -271,12 +271,22 @@ impl EnumStructure {
         Ok(())
     }
 
-    /// Decode an arena encoded by [`encode`](Self::encode), validating
-    /// that every link points at an earlier node (or `⊥`) so a corrupt
-    /// snapshot cannot build cycles or dangling references.
+    /// Decode an arena encoded by [`encode`](Self::encode) for an
+    /// automaton over `num_labels` labels whose evaluator reads position
+    /// `next_pos` next. Restored bytes are not trusted: every link must
+    /// point at an earlier node (or `⊥`), so a corrupt snapshot cannot
+    /// build cycles or dangling references; every label set must stay
+    /// inside the alphabet, which the enumerator indexes by; every node
+    /// must mark a position already read, which `extend` requires of
+    /// what it gathers; and every node must keep the rules
+    /// [`check_invariants`](Self::check_invariants) states, which `union`
+    /// builds on (a forged rank would overflow its `rank + 1`).
     pub(crate) fn decode(
         r: &mut cer_common::wire::WireReader<'_>,
+        num_labels: usize,
+        next_pos: u64,
     ) -> Result<Self, cer_common::wire::WireError> {
+        use cer_automata::valuation::MAX_LABELS;
         use cer_common::wire::{Wire, WireError};
         let n = r.get_len()?;
         if n >= u32::MAX as usize {
@@ -287,8 +297,14 @@ impl EnumStructure {
             pool: Vec::new(),
         };
         for i in 0..n {
-            let labels = cer_automata::valuation::LabelSet::decode(r)?;
+            let labels = LabelSet::decode(r)?;
+            if num_labels < MAX_LABELS && labels.0 >> num_labels != 0 {
+                return Err(WireError::Corrupt("node label outside the alphabet"));
+            }
             let pos = r.get_u64()?;
+            if pos >= next_pos {
+                return Err(WireError::Corrupt("node at a position not yet read"));
+            }
             let max_start = r.get_u64()?;
             let rank = r.get_u32()?;
             let link = |raw: u32| -> Result<NodeId, WireError> {
@@ -311,7 +327,7 @@ impl EnumStructure {
             }
             let uleft = link(r.get_u32()?)?;
             let uright = link(r.get_u32()?)?;
-            ds.nodes.push(Node {
+            let id = ds.push(Node {
                 labels,
                 pos,
                 max_start,
@@ -321,6 +337,7 @@ impl EnumStructure {
                 uleft,
                 uright,
             });
+            ds.check_node(id).map_err(WireError::Corrupt)?;
         }
         Ok(ds)
     }
@@ -358,38 +375,35 @@ impl EnumStructure {
         if root.is_bottom() {
             return Ok(());
         }
+        self.check_node(root)?;
         let n = self.node(root);
-        for &u in [n.uleft, n.uright].iter() {
-            if u.is_bottom() {
-                continue;
-            }
-            if self.max_start(u) > n.max_start {
-                return Err(format!(
-                    "heap violation: child max-start {} > parent {}",
-                    self.max_start(u),
-                    n.max_start
-                ));
-            }
-            self.check_invariants(u)?;
+        for &c in [n.uleft, n.uright].iter().chain(self.prod(root)) {
+            self.check_invariants(c)?;
+        }
+        Ok(())
+    }
+
+    /// The rules of [`check_invariants`](Self::check_invariants) for one
+    /// node against its direct children — what every node `extend`,
+    /// `union` and `compact` build satisfies.
+    fn check_node(&self, id: NodeId) -> Result<(), &'static str> {
+        let n = self.node(id);
+        if self.max_start(n.uleft) > n.max_start || self.max_start(n.uright) > n.max_start {
+            return Err("heap violation: union child max-start above its parent's");
         }
         if self.rank(n.uleft) < self.rank(n.uright) {
-            return Err("leftist violation: rank(left) < rank(right)".into());
+            return Err("leftist violation: rank(left) < rank(right)");
         }
-        if n.rank != self.rank(n.uright) + 1 {
-            return Err(format!(
-                "rank bookkeeping: {} != {} + 1",
-                n.rank,
-                self.rank(n.uright)
-            ));
+        if self.rank(n.uright).checked_add(1) != Some(n.rank) {
+            return Err("rank bookkeeping: rank != rank(right) + 1");
         }
-        for &c in self.prod(root) {
+        for &c in self.prod(id) {
             if self.node(c).pos >= n.pos {
-                return Err("product child not strictly earlier".into());
+                return Err("product child not strictly earlier");
             }
             if self.max_start(c) < n.max_start {
-                return Err("product child max-start below parent's".into());
+                return Err("product child max-start below parent's");
             }
-            self.check_invariants(c)?;
         }
         Ok(())
     }
@@ -576,7 +590,7 @@ mod tests {
         ds.encode(&mut w).unwrap();
         let bytes = w.into_bytes();
         let mut r = cer_common::wire::WireReader::new(&bytes);
-        let decoded = EnumStructure::decode(&mut r).unwrap();
+        let decoded = EnumStructure::decode(&mut r, 3, 20).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(decoded.len(), ds.len());
         decoded.check_invariants(root).unwrap();
@@ -615,12 +629,55 @@ mod tests {
             let orig = [bytes[k], bytes[k + 1], bytes[k + 2], bytes[k + 3]];
             bytes[k..k + 4].copy_from_slice(&2u32.to_le_bytes());
             let mut r = cer_common::wire::WireReader::new(&bytes);
-            if let Err(cer_common::wire::WireError::Corrupt(_)) = EnumStructure::decode(&mut r) {
+            if let Err(cer_common::wire::WireError::Corrupt(_)) =
+                EnumStructure::decode(&mut r, 1, 3)
+            {
                 caught = true;
             }
             bytes[k..k + 4].copy_from_slice(&orig);
         }
         assert!(caught, "some mutation must trip the link validator");
+    }
+
+    /// Hostile bytes (ROADMAP 1(e)): every mutation of an encoded arena
+    /// decodes to an arena that re-encodes to itself, or fails — and the
+    /// label and rank checks are both seen to fire.
+    #[test]
+    fn mutated_arena_bytes_are_rejected_or_reencode() {
+        use cer_common::wire::{hostile_mutations, WireError, WireReader, WireWriter};
+        let mut ds = EnumStructure::new();
+        let leaf = ds.extend(l(0), 0, &[]);
+        let mut root = BOTTOM;
+        for i in 1..6u64 {
+            let n = ds.extend(l((i % 2) as u32), i, &[leaf]);
+            root = ds.union(root, n, 0);
+        }
+        ds.check_invariants(root).unwrap();
+        let encode = |ds: &EnumStructure| {
+            let mut w = WireWriter::new();
+            ds.encode(&mut w).unwrap();
+            w.into_bytes()
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for mutated in hostile_mutations(&encode(&ds)) {
+            match EnumStructure::decode(&mut WireReader::new(&mutated), 2, 6) {
+                Ok(back) => {
+                    let bytes = encode(&back);
+                    let again = EnumStructure::decode(&mut WireReader::new(&bytes), 2, 6);
+                    assert_eq!(again.map(|a| encode(&a)), Ok(bytes));
+                }
+                Err(WireError::Corrupt(why)) => {
+                    seen.insert(why);
+                }
+                Err(_) => {}
+            }
+        }
+        for why in [
+            "node label outside the alphabet",
+            "rank bookkeeping: rank != rank(right) + 1",
+        ] {
+            assert!(seen.contains(why), "no mutation tripped {why:?}: {seen:?}");
+        }
     }
 
     #[test]

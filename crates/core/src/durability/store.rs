@@ -172,7 +172,9 @@ fn decode_blob(r: &mut WireReader, base: Option<&[u8]>) -> Result<Vec<u8>, Durab
                 "delta blob without a base blob",
             ))?;
             let new_len = er.get_u64()? as usize;
-            let mut out = Vec::with_capacity(new_len.min(1 << 26));
+            // Sized by what the delta can produce — copies of the base
+            // plus its own literals — never by the forgeable length.
+            let mut out = Vec::with_capacity(new_len.min(base.len() + enc.len()));
             loop {
                 match er.get_u8()? {
                     OP_COPY => {
@@ -576,6 +578,30 @@ mod tests {
         }
         assert!(reread > 0, "a resealed body with another epoch is honest");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Hostile bytes (ROADMAP 1(e)): a mutated blob, full or delta,
+    /// decodes to bytes that encode and decode back to themselves
+    /// against the same base, or fails.
+    #[test]
+    fn mutated_blobs_are_rejected_or_reencode() {
+        let base: Vec<u8> = (0..3 * CHUNK as u32).map(|i| (i % 251) as u8).collect();
+        let mut blob = base.clone();
+        blob[CHUNK + 7] ^= 0xFF;
+        blob.extend_from_slice(b"a literal tail");
+        let mut decoded = 0;
+        for base in [Some(base.as_slice()), None] {
+            let mut w = WireWriter::new();
+            encode_blob(&mut w, base, &blob);
+            for mutated in cer_common::wire::hostile_mutations(&w.into_bytes()) {
+                let Ok(bytes) = decode_blob(&mut WireReader::new(&mutated), base) else {
+                    continue;
+                };
+                assert_eq!(roundtrip(base, &bytes), bytes);
+                decoded += 1;
+            }
+        }
+        assert!(decoded > 0, "a literal with other contents is honest");
     }
 
     fn roundtrip(base: Option<&[u8]>, blob: &[u8]) -> Vec<u8> {

@@ -241,6 +241,24 @@ impl StreamingEvaluator {
         }
     }
 
+    /// Whether `other` provably evaluates every stream exactly as this
+    /// evaluator does, given that the two automata share a skeleton and
+    /// equal unary predicates (the runtime's shard host checks those):
+    /// equal join predicates, window policy and GC cadence, and both
+    /// still in their initial state — no position seen, the same next
+    /// position, the same counters.
+    pub(crate) fn is_twin(&self, other: &Self) -> bool {
+        let (mine, theirs) = (self.pcea.transitions(), other.pcea.transitions());
+        let joins = mine.len() == theirs.len()
+            && mine.iter().zip(theirs).all(|(a, b)| a.binary == b.binary);
+        joins
+            && self.window() == other.window()
+            && self.gc_every == other.gc_every
+            && self.stats.positions == 0
+            && self.next_pos == other.next_pos
+            && self.stats() == other.stats()
+    }
+
     /// The keys of the look-up table `H`.
     #[cfg(test)]
     pub(crate) fn index_keys(&self) -> Vec<(u32, u32, cer_automata::predicate::Key)> {
@@ -534,7 +552,7 @@ impl StreamingEvaluator {
             ..EngineStats::default()
         };
         stats.collections = r.get_u64()?;
-        let ds = crate::ds::EnumStructure::decode(&mut r)?;
+        let ds = crate::ds::EnumStructure::decode(&mut r, pcea.num_labels(), next_pos)?;
         let stage = FireStage::decode(&mut r, &pcea, ds.len())?;
         if !r.is_exhausted() {
             return Err(cer_common::wire::WireError::Corrupt(

@@ -354,8 +354,9 @@ pub struct RuntimeStats {
     pub rescales: RescaleCounters,
     /// Shared-evaluation effectiveness, summed across shards: predicate
     /// dedup (distinct vs referenced predicates, prefilter `matches()`
-    /// calls performed vs avoided) and skeleton grouping (group count
-    /// and sizes, concatenated across shards).
+    /// calls performed vs avoided), skeleton grouping (group count
+    /// and sizes, concatenated across shards) and twin classes (distinct
+    /// evaluators hosted).
     pub shared: SharedEvalStats,
 }
 
@@ -382,6 +383,11 @@ pub struct SharedEvalStats {
     pub groups: usize,
     /// Member count of every live group, concatenated across shards.
     pub group_sizes: Vec<usize>,
+    /// Distinct evaluators hosted (summed across shards): one per twin
+    /// class — queries registered as exact duplicates of each other
+    /// before either saw a tuple share one. The gap to the summed
+    /// `group_sizes` is the evaluation work sharing saved.
+    pub evaluators: usize,
 }
 
 /// Checkpoint counters surfaced in [`RuntimeStats`], alongside the
@@ -580,7 +586,7 @@ impl Runtime {
         });
         let position = fence.position;
         let fresh = [(id, meta, spec.fresh_evaluator())];
-        let adopted = state::install(&mut fence, &queues, fresh);
+        let adopted = state::install(&mut fence, &queues, fresh, true);
         let logged = Cow::Borrowed(&spec);
         let op = WalOp::Register {
             position,
@@ -833,6 +839,7 @@ impl Runtime {
             shared.prefilter_evals_saved += sh.prefilter_evals_saved;
             shared.groups += sh.groups;
             shared.group_sizes.extend(sh.group_sizes);
+            shared.evaluators += sh.evaluators;
         }
         let total = |(id, shards): (&QueryId, &Vec<(usize, EngineStats)>)| {
             let mut total = EngineStats::default();

@@ -187,7 +187,7 @@ impl Runtime {
             eval.set_resume_position(fence_pos);
             (id, meta, eval)
         });
-        install(&mut fence, &new_queues, merged)?.collect()?;
+        install(&mut fence, &new_queues, merged, false)?.collect()?;
         let nanos = fence_at.elapsed().as_nanos() as u64;
         // Retire the old epoch: fold the retiring queues' drop totals
         // into the monotone carry-over, shrink the broadcast set back
@@ -336,7 +336,7 @@ impl Runtime {
         }
         let placed = placements.into_iter().zip(merged);
         let placed = placed.map(|((id, meta), eval)| (id, meta, eval));
-        install(&mut fence, &queues, placed)?.collect()?;
+        install(&mut fence, &queues, placed, false)?.collect()?;
         drop(fence);
         rt.shared
             .metrics
@@ -632,12 +632,13 @@ fn place(
 /// across its homes and stage one [`ShardHost::adopt`] job per shard
 /// that received anything, under the next block of `fence`. `queues` is
 /// the worker set the placements were computed for. A registration
-/// installs one fresh evaluator; restore and rescale install every live
-/// query at once.
+/// installs one `fresh` evaluator, which may join a twin class; restore
+/// and rescale install every live query at once, each as a class of one.
 pub(super) fn install(
     fence: &mut Fence<'_>,
     queues: &[Arc<ShardQueue>],
     queries: impl IntoIterator<Item = (QueryId, QueryMeta, StreamingEvaluator)>,
+    fresh: bool,
 ) -> Result<Replies<()>, ShardWorkerDied> {
     let mut batches: Vec<Vec<Adopt>> = queues.iter().map(|_| Vec::new()).collect();
     for (id, meta, merged) in queries {
@@ -653,7 +654,7 @@ pub(super) fn install(
     }
     let jobs = queues.iter().zip(batches).filter(|(_, b)| !b.is_empty());
     fence.stage(jobs.map(|(queue, batch)| {
-        let adopt = move |host: &mut ShardHost| host.adopt(batch);
+        let adopt = move |host: &mut ShardHost| host.adopt(batch, fresh);
         (Arc::clone(queue), adopt)
     }))
 }
@@ -750,6 +751,46 @@ mod tests {
                 assert_eq!(want.len(), 2, "both S runs of the key complete");
                 assert_eq!(outputs(&merged, next), want, "{n} homes, {next:?}");
             }
+        }
+    }
+
+    /// A restored arena is not trusted: a node whose label set leaves the
+    /// automaton's alphabet, or whose rank breaks the leftist
+    /// bookkeeping, is `Corrupt` at restore — not a panic in the first
+    /// enumeration (labels) or the first `union` (a rank of `u32::MAX`).
+    #[test]
+    fn restore_rejects_forged_labels_and_ranks() {
+        let (_, r, s, t) = Schema::sigma0();
+        let window = WindowPolicy::Count(100);
+        let mut rt = Runtime::new(1);
+        let spec = crate::runtime::QuerySpec::new("p0", paper_p0(r, s, t), window.clone());
+        rt.register(spec).unwrap();
+        rt.push_batch(&[tup(t, [1i64]), tup(s, [1i64, 2])]);
+        let snap = rt.snapshot().unwrap();
+        assert!(Runtime::restore(&snap, 1).is_ok(), "the honest snapshot");
+        // A blob is the clock, eight u64 header words, then the arena:
+        // its node count and node 0's labels (u64), pos and max-start
+        // (u64 each) and rank (u32).
+        let mut clock = cer_common::wire::WireWriter::new();
+        crate::window::WindowClock::new(window)
+            .encode(&mut clock)
+            .unwrap();
+        let labels_at = clock.len() + 8 * 8 + 8;
+        let rank_at = labels_at + 3 * 8;
+        for (at, forged) in [
+            (labels_at, 0b10u64.to_le_bytes().to_vec()),
+            (rank_at, u32::MAX.to_le_bytes().to_vec()),
+        ] {
+            let mut bad = snap.clone();
+            let blob = &mut bad.queries[0].blobs[0];
+            blob[at..at + forged.len()].copy_from_slice(&forged);
+            assert!(
+                matches!(
+                    Runtime::restore(&bad, 1),
+                    Err(SnapshotError::Wire(WireError::Corrupt(_)))
+                ),
+                "forged bytes at {at} restored"
+            );
         }
     }
 

@@ -1,6 +1,41 @@
 //! The shard worker: one thread per shard, hosting that shard's query
 //! evaluators behind a [`ShardHost`] and draining its
 //! [`ShardQueue`] in released (position) order.
+//!
+//! # Twin classes
+//!
+//! Inside a skeleton group the host keeps one evaluator per *twin
+//! class*: the hosted query ids whose evaluators are provably identical.
+//! The evaluator runs once per batch, and each output becomes one
+//! [`MatchEvent`] per member id that has a subscriber. A query without a
+//! twin is a class of one and runs through the same loop.
+//!
+//! A fresh registration joins a class when a cheap sufficient check
+//! holds, decided on the worker in position order:
+//!
+//! * the same group — skeleton, routing interests, partition;
+//! * equal predicate-slot tables, which fixes the unary predicates
+//!   because the [`PredicateCache`] interns them structurally;
+//! * equal join extractors, window policy and GC cadence;
+//! * the class's evaluator has seen no position, and both evaluators
+//!   report the same next position and the same counters
+//!   ([`StreamingEvaluator::is_twin`]).
+//!
+//! Then the two automata are equal and both evaluators are in their
+//! initial state. Evaluation is a deterministic function of automaton,
+//! state and routed subsequence, and members of one group share the
+//! subsequence by construction, so each member's outputs and counters
+//! are exactly those of a private evaluator. A query registered after
+//! its twin has seen tuples starts its own class.
+//!
+//! A class only ever loses members: [`evict`](ShardHost::evict) drops
+//! the evaluator with its last member, [`swap`](ShardHost::swap) first
+//! splits the id off with a clone, and [`capture`](ShardHost::capture)
+//! hands every id its own clone, so snapshot bytes and per-query
+//! counters are what private evaluators produce. Restored and rescaled
+//! state is adopted as classes of one: exact but unshared, because a
+//! restored replica's zeroed counters no longer prove that it is in its
+//! initial state.
 
 use super::{MatchEvent, Partition, QueryId, SharedEvalStats};
 use crate::evaluator::{EngineStats, StreamingEvaluator};
@@ -15,34 +50,40 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// What a shard worker hosts for one registered query.
-struct LocalQuery {
-    id: QueryId,
+/// One evaluator and the hosted query ids it serves (module docs).
+struct TwinClass {
+    /// Member ids in hosting order; never empty.
+    members: Vec<QueryId>,
     eval: StreamingEvaluator,
-    partition: Partition,
-    listens: Option<Vec<RelationId>>,
     /// Indirection table: transition index → shared predicate slot in
-    /// the shard's [`PredicateCache`].
+    /// the shard's [`PredicateCache`]. Every member holds its own
+    /// reference to each slot.
     slots: Vec<u32>,
-    /// Index of this query's [`QueryGroup`].
+    /// Index of this class's [`QueryGroup`].
     group: usize,
+    /// Where this class's members start in the host's per-member
+    /// `listening` scratch.
+    first: usize,
+    /// Formed by a fresh registration, so later ones may join it;
+    /// restored state never is.
+    fresh: bool,
     /// `ts_regressions` observed after the previous batch — new clamps
-    /// show up as a delta and are journaled per batch.
+    /// show up as a delta and are journaled per batch and member.
     last_regressions: u64,
 }
 
 /// A shard-local bucket of skeleton-compatible queries: same automaton
 /// skeleton ([`Pcea::skeleton_compatible`]), same routing interests and
 /// same partition mode, so the whole group shares one routed tuple
-/// selection per batch and its members differ only in per-query
+/// selection per batch and its twin classes differ only in per-query
 /// residuals (predicates, join state, windows).
 struct QueryGroup {
     /// Routing interests shared by every member (equal by construction).
     listens: Option<Vec<RelationId>>,
     /// Partition mode shared by every member.
     partition: Partition,
-    /// Indices into the worker's `queries`.
-    members: Vec<usize>,
+    /// Indices into the worker's `classes`.
+    classes: Vec<usize>,
     /// Reusable per-batch selection scratch (indices into the drained
     /// slice), computed once per group instead of once per query.
     sel: Vec<u32>,
@@ -65,7 +106,8 @@ pub(crate) struct Adopt {
 /// plane ([`crate::checkpoint`]) and that `Runtime::rescale` moves
 /// between worker sets with **zero** encode/decode.
 pub(crate) struct ShardState {
-    /// `(query, evaluator)` per hosted query, in hosting order.
+    /// `(query, evaluator)` per hosted query, in hosting order; twins
+    /// each carry their own copy.
     pub queries: Vec<(QueryId, StreamingEvaluator)>,
     /// How long the capture stalled this shard's worker, in nanoseconds
     /// (surfaced as a `RuntimeStats` counter by both snapshot and
@@ -85,10 +127,10 @@ pub(crate) struct ShardState {
 /// by whichever thread encodes it.
 const MATCH_CHUNK: usize = 256;
 
-/// Everything one shard worker owns: the hosted queries, their skeleton
-/// groups, the shared predicate cache and the local routing tables.
-/// Tuple batches go through [`eval_batch`](Self::eval_batch); every
-/// structural change arrives as a control job of a
+/// Everything one shard worker owns: the twin classes and their
+/// skeleton groups, the shared predicate cache and the local routing
+/// tables. Tuple batches go through [`eval_batch`](Self::eval_batch);
+/// every structural change arrives as a control job of a
 /// [`Fence`](crate::ingest::Fence) and calls one of
 /// [`adopt`](Self::adopt) / [`evict`](Self::evict) /
 /// [`swap`](Self::swap) / [`capture`](Self::capture) /
@@ -103,7 +145,8 @@ pub(crate) struct ShardHost {
     shard_idx: usize,
     n_shards: usize,
     hasher: FxBuildHasher,
-    queries: Vec<LocalQuery>,
+    /// One evaluator per twin class (module docs).
+    classes: Vec<TwinClass>,
     /// Skeleton-compatible query groups: selection (and, through the
     /// predicate cache, unary prefiltering) is computed once per group
     /// per batch, not once per query.
@@ -115,7 +158,8 @@ pub(crate) struct ShardHost {
     /// Local routing: relation → indices into `groups`.
     routes: FxHashMap<RelationId, Vec<usize>>,
     wildcards: Vec<usize>,
-    /// Reusable per-batch scratch: which queries have a subscriber.
+    /// Reusable per-batch scratch: which members have a subscriber, in
+    /// class order ([`TwinClass::first`]).
     listening: Vec<bool>,
     /// Completed matches on their way to the subscriber channels; see
     /// [`MATCH_CHUNK`].
@@ -135,7 +179,7 @@ impl ShardHost {
             shard_idx,
             n_shards,
             hasher: FxBuildHasher::default(),
-            queries: Vec::new(),
+            classes: Vec::new(),
             groups: Vec::new(),
             cache: PredicateCache::default(),
             routes: FxHashMap::default(),
@@ -145,35 +189,23 @@ impl ShardHost {
         }
     }
 
-    /// Host `q` at index `k` of `queries`: intern its predicate slots
-    /// and place it in a skeleton group — same skeleton, listens and
-    /// partition — creating the group if none fits. The caller finishes
-    /// with [`reindex`](Self::reindex).
-    fn host_at(&mut self, k: usize, q: Adopt) {
+    /// Host `q`: intern its predicate slots, place it in a skeleton
+    /// group — same skeleton, listens and partition — creating the group
+    /// if none fits, and, when `fresh`, add it to a twin class of that
+    /// group if one passes the module docs' check; otherwise it starts a
+    /// class of its own. The caller finishes with
+    /// [`reindex`](Self::reindex).
+    fn host(&mut self, q: Adopt, fresh: bool) {
         let transitions = q.eval.pcea().transitions();
-        let slots = transitions
+        let slots: Vec<u32> = transitions
             .iter()
             .map(|tr| self.cache.intern(&tr.unary))
             .collect();
-        let last_regressions = q.eval.stats().ts_regressions;
-        self.queries.insert(
-            k,
-            LocalQuery {
-                id: q.id,
-                eval: q.eval,
-                partition: q.partition,
-                listens: q.listens,
-                slots,
-                group: 0,
-                last_regressions,
-            },
-        );
-        let q = &self.queries[k];
         let fits = |g: &QueryGroup| {
             g.partition == q.partition
                 && g.listens == q.listens
-                && g.members.first().is_some_and(|&m| {
-                    let representative = self.queries[m].eval.pcea();
+                && g.classes.first().is_some_and(|&c| {
+                    let representative = self.classes[c].eval.pcea();
                     representative.skeleton_compatible(q.eval.pcea())
                 })
         };
@@ -181,46 +213,73 @@ impl ShardHost {
             self.groups.push(QueryGroup {
                 listens: q.listens.clone(),
                 partition: q.partition,
-                members: Vec::new(),
+                classes: Vec::new(),
                 sel: Vec::new(),
             });
             self.groups.len() - 1
         });
-        self.groups[group].members.push(k);
-        self.queries[k].group = group;
+        if fresh {
+            let twin = self.groups[group].classes.iter().find(|&&c| {
+                let class = &self.classes[c];
+                class.fresh && class.slots == slots && class.eval.is_twin(&q.eval)
+            });
+            if let Some(&c) = twin {
+                self.classes[c].members.push(q.id);
+                return;
+            }
+        }
+        let last_regressions = q.eval.stats().ts_regressions;
+        self.classes.push(TwinClass {
+            members: vec![q.id],
+            eval: q.eval,
+            slots,
+            group,
+            first: 0,
+            fresh,
+            last_regressions,
+        });
+        self.groups[group].classes.push(self.classes.len() - 1);
     }
 
-    /// Remove the query at index `k`, releasing its predicate slots.
-    fn unhost(&mut self, k: usize) -> LocalQuery {
-        let q = self.queries.remove(k);
-        for &s in &q.slots {
+    /// Take `id` out of its twin class, releasing its predicate-slot
+    /// references; returns the class's index (the class is left empty
+    /// when `id` was its last member).
+    fn leave(&mut self, id: QueryId) -> Option<usize> {
+        let c = self.classes.iter().position(|c| c.members.contains(&id))?;
+        let class = &mut self.classes[c];
+        class.members.retain(|&m| m != id);
+        for &s in &class.slots {
             self.cache.release(s);
         }
-        q
+        Some(c)
     }
 
-    /// Recompute every group's membership from the queries' `group`
-    /// fields (indices into `queries` shift on removal), drop groups
-    /// left empty, and rebuild the local routing tables.
+    /// Recompute every group's classes from the classes' `group` fields
+    /// (indices into `classes` shift on removal) and every class's
+    /// `first`, drop groups left empty, and rebuild the local routing
+    /// tables.
     fn reindex(&mut self) {
         for g in &mut self.groups {
-            g.members.clear();
+            g.classes.clear();
         }
-        for (k, q) in self.queries.iter().enumerate() {
-            self.groups[q.group].members.push(k);
+        let mut first = 0;
+        for (c, class) in self.classes.iter_mut().enumerate() {
+            self.groups[class.group].classes.push(c);
+            class.first = first;
+            first += class.members.len();
         }
         let mut remap = vec![usize::MAX; self.groups.len()];
         let mut live = 0usize;
         for (gi, slot) in remap.iter_mut().enumerate() {
-            if !self.groups[gi].members.is_empty() {
+            if !self.groups[gi].classes.is_empty() {
                 *slot = live;
                 self.groups.swap(gi, live);
                 live += 1;
             }
         }
         self.groups.truncate(live);
-        for q in &mut self.queries {
-            q.group = remap[q.group];
+        for class in &mut self.classes {
+            class.group = remap[class.group];
         }
         self.routes.clear();
         self.wildcards.clear();
@@ -236,29 +295,35 @@ impl ShardHost {
         }
     }
 
-    /// Start hosting `batch` — fresh registrations, restored state, or
-    /// a rescale hand-off; the worker cannot tell and need not.
-    pub fn adopt(&mut self, batch: Vec<Adopt>) {
+    /// Start hosting `batch`. `fresh` says it holds fresh registrations,
+    /// which may join twin classes; restored state and a rescale
+    /// hand-off are adopted as classes of one.
+    pub fn adopt(&mut self, batch: Vec<Adopt>, fresh: bool) {
         for q in batch {
-            self.host_at(self.queries.len(), q);
+            self.host(q, fresh);
         }
         self.reindex();
     }
 
     /// Drop a hosted query; returns its final engine counters (`None`
-    /// if this shard never hosted it).
+    /// if this shard never hosted it). Its evaluator goes with its last
+    /// twin.
     pub fn evict(&mut self, id: QueryId) -> Option<EngineStats> {
-        let k = self.queries.iter().position(|q| q.id == id)?;
-        let q = self.unhost(k);
+        let c = self.leave(id)?;
+        let stats = self.classes[c].eval.stats();
+        if self.classes[c].members.is_empty() {
+            self.classes.remove(c);
+        }
         self.reindex();
-        Some(q.eval.stats())
+        Some(stats)
     }
 
-    /// Hot-swap a hosted query's automaton in place
-    /// (`Runtime::replace`): evict + adopt at the same index, with the
-    /// accumulated state handed to the recompiled automaton. Returns
-    /// whether this shard hosted (and swapped) the query; compatibility
-    /// was validated by the control plane.
+    /// Hot-swap a hosted query's automaton (`Runtime::replace`): split
+    /// the query off its twin class (with a clone while twins remain),
+    /// hand the accumulated state to the recompiled automaton and host
+    /// the result as a class of one. Returns whether this shard hosted
+    /// (and swapped) the query; compatibility was validated by the
+    /// control plane.
     pub fn swap(
         &mut self,
         id: QueryId,
@@ -267,48 +332,55 @@ impl ShardHost {
         gc_every: u64,
         listens: Option<Vec<RelationId>>,
     ) -> bool {
-        let Some(k) = self.queries.iter().position(|q| q.id == id) else {
+        let Some(c) = self.leave(id) else {
             return false;
         };
-        let old = self.unhost(k);
+        let partition = self.groups[self.classes[c].group].partition;
+        let old = if self.classes[c].members.is_empty() {
+            self.classes.remove(c).eval
+        } else {
+            self.classes[c].eval.clone()
+        };
+        self.reindex();
         let eval = old
-            .eval
             .replace_automaton(pcea, window, gc_every)
             .expect("replace compatibility validated by the control plane");
-        let partition = old.partition;
-        self.host_at(
-            k,
-            Adopt {
-                id,
-                partition,
-                listens,
-                eval,
-            },
-        );
-        self.reindex();
+        let swapped = Adopt {
+            id,
+            partition,
+            listens,
+            eval,
+        };
+        self.adopt(vec![swapped], false);
         true
     }
 
     /// Copy-on-fence: capture every hosted query at this exact point of
-    /// the released position order. Shards hit their fences
-    /// concurrently; producers keep staging later blocks meanwhile. No
-    /// bytes here — a snapshot encodes the capture on the control
-    /// plane, a rescale never encodes at all.
+    /// the released position order, each id with its own evaluator.
+    /// Shards hit their fences concurrently; producers keep staging
+    /// later blocks meanwhile. No bytes here — a snapshot encodes the
+    /// capture on the control plane, a rescale never encodes at all.
     ///
     /// `detach: false` (snapshot) clones the evaluators and keeps
-    /// serving; `detach: true` (rescale hand-off) moves them out and
-    /// leaves the host empty — its queue is retired, and the reply
-    /// doubles as proof the entire pre-fence backlog was evaluated.
+    /// serving; `detach: true` (rescale hand-off) moves them out — to the
+    /// last member of each class, clones to its twins — and leaves the
+    /// host empty: its queue is retired, and the reply doubles as proof
+    /// the entire pre-fence backlog was evaluated.
     pub fn capture(&mut self, detach: bool) -> ShardState {
         let started = Instant::now();
-        let queries = if detach {
-            let moved = self.queries.drain(..).map(|q| (q.id, q.eval)).collect();
+        let mut queries = Vec::new();
+        if detach {
+            for class in std::mem::take(&mut self.classes) {
+                let (&last, twins) = class.members.split_last().expect("a class has a member");
+                queries.extend(twins.iter().map(|&id| (id, class.eval.clone())));
+                queries.push((last, class.eval));
+            }
             self.reindex();
-            moved
         } else {
-            let cloned = self.queries.iter().map(|q| (q.id, q.eval.clone()));
-            cloned.collect()
-        };
+            for class in &self.classes {
+                queries.extend(class.members.iter().map(|&id| (id, class.eval.clone())));
+            }
+        }
         ShardState {
             queries,
             capture_nanos: started.elapsed().as_nanos() as u64,
@@ -316,25 +388,35 @@ impl ShardHost {
     }
 
     /// Per-query engine counters plus the shared-evaluation counters of
-    /// this shard.
+    /// this shard. Twins report their class's counters, which are
+    /// exactly what each one's private evaluator would count.
     pub fn stats(&self) -> (Vec<(QueryId, EngineStats)>, SharedEvalStats) {
-        let per_query = self.queries.iter().map(|q| (q.id, q.eval.stats()));
+        let per_query = self.classes.iter().flat_map(|c| {
+            let st = c.eval.stats();
+            c.members.iter().map(move |&id| (id, st))
+        });
+        let group_size = |g: &QueryGroup| {
+            let members = g.classes.iter().map(|&c| self.classes[c].members.len());
+            members.sum()
+        };
         let shared = SharedEvalStats {
             distinct_predicates: self.cache.distinct_predicates(),
             referenced_predicates: self.cache.referenced_predicates(),
             prefilter_evals_done: self.cache.evals_done(),
             prefilter_evals_saved: self.cache.evals_saved(),
             groups: self.groups.len(),
-            group_sizes: self.groups.iter().map(|g| g.members.len()).collect(),
+            group_sizes: self.groups.iter().map(group_size).collect(),
+            evaluators: self.classes.len(),
         };
         (per_query.collect(), shared)
     }
 
-    /// Evaluate one drained (coalesced) tuple batch: each query's
-    /// subsequence of the slice goes through the vectorized batch path,
-    /// and completed matches are published to the subscription registry
-    /// in chunks of at most [`MATCH_CHUNK`], the last one when the
-    /// batch ends.
+    /// Evaluate one drained (coalesced) tuple batch: each twin class's
+    /// subsequence of the slice goes through the vectorized batch path
+    /// once, its outputs fan out to the class's listening members, and
+    /// completed matches are published to the subscription registry in
+    /// chunks of at most [`MATCH_CHUNK`], the last one when the batch
+    /// ends.
     fn eval_batch(&mut self, batch: TupleBatch) {
         let ingest_at = batch.ingest_at;
         let tuples = batch.tuples;
@@ -342,12 +424,12 @@ impl ShardHost {
         // Enumerating outputs only pays off if someone is listening for
         // the query's events; gate once per batch rather than per tuple
         // (subscriber churn mid-batch is already racy by construction).
-        let hosted = self.queries.iter().map(|q| q.id);
+        let hosted = self.classes.iter().flat_map(|c| c.members.iter().copied());
         self.shared.subs.listening(hosted, &mut self.listening);
         self.cache.begin_batch(&tuples);
         // Select each *group's* subsequence of the slice (every member
         // shares listens and partition, so the group selection is
-        // exactly each member's), then evaluate query-major so the
+        // exactly each member's), then evaluate class-major so the
         // batch path sees the whole run at once. Per-query event order
         // (by position) is unchanged; only the interleaving *across*
         // queries differs from tuple-major, and that was never ordered.
@@ -376,45 +458,51 @@ impl ShardHost {
             if g.sel.is_empty() {
                 continue;
             }
-            for &k in &g.members {
-                let q = &mut self.queries[k];
-                let id = q.id;
-                q.eval.push_slice_selected_shared(
+            for &c in &g.classes {
+                let class = &mut self.classes[c];
+                let members = &class.members;
+                let listening = &self.listening[class.first..][..members.len()];
+                class.eval.push_slice_selected_shared(
                     &tuples,
                     &g.sel,
-                    &q.slots,
+                    &class.slots,
                     &mut self.cache,
-                    self.listening[k],
+                    listening.contains(&true),
                     Some((&self.stage.prefilter, &self.stage.eval_tail)),
                     |position, v| {
                         // `v` is the enumerator's scratch; keeping the
-                        // match is one clone of its one flat buffer —
-                        // the only allocation a match costs this thread.
-                        self.chunk.push(MatchEvent {
-                            position,
-                            query: id,
-                            valuation: v.clone(),
-                        });
-                        if self.chunk.len() >= MATCH_CHUNK {
-                            deliver(&self.shared, &mut self.chunk, ingest_at);
+                        // match is one clone of its one flat buffer per
+                        // listening member — the only allocation a
+                        // match costs this thread.
+                        for (&query, _) in members.iter().zip(listening).filter(|(_, &on)| on) {
+                            self.chunk.push(MatchEvent {
+                                position,
+                                query,
+                                valuation: v.clone(),
+                            });
+                            if self.chunk.len() >= MATCH_CHUNK {
+                                deliver(&self.shared, &mut self.chunk, ingest_at);
+                            }
                         }
                     },
                 );
                 // Journal new time-window clamps as a per-batch delta —
-                // one cheap counter read per query per batch, an event
-                // only when the stream actually violated the timestamp
-                // contract.
-                let regs = q.eval.stats().ts_regressions;
-                if regs > q.last_regressions {
-                    let count = regs - q.last_regressions;
-                    q.last_regressions = regs;
+                // one cheap counter read per class per batch, an event
+                // per member only when the stream actually violated the
+                // timestamp contract.
+                let regs = class.eval.stats().ts_regressions;
+                if regs > class.last_regressions {
+                    let count = regs - class.last_regressions;
+                    class.last_regressions = regs;
                     let journal = &self.shared.metrics.journal;
-                    journal.push(PipelineEvent::TsRegressions {
-                        shard: self.shard_idx,
-                        query: id,
-                        position: last_pos,
-                        count,
-                    });
+                    for &query in &class.members {
+                        journal.push(PipelineEvent::TsRegressions {
+                            shard: self.shard_idx,
+                            query,
+                            position: last_pos,
+                            count,
+                        });
+                    }
                 }
             }
         }

@@ -27,6 +27,15 @@
 //! for `(slot, tuple)` is exactly `pred.matches(tuple)` (unary
 //! predicates are pure), and the fan-out reads the same bits the
 //! private path would have computed.
+//!
+//! Interning is also what lets the shard worker share whole evaluators:
+//! two queries whose transitions intern to the same slot table have
+//! equal unary predicates, which is the first half of the *twin* check
+//! (`runtime::worker`'s module docs). Twins registered before either
+//! saw a tuple are evaluated once and their matches fan out per query
+//! id. Every member keeps its own slot references, so
+//! `referenced_predicates` still counts one reference per transition
+//! per hosted query.
 
 use cer_automata::predicate::{PredicateKey, UnaryPredicate};
 use cer_common::hash::FxHashMap;

@@ -381,6 +381,37 @@ mod tests {
         assert_eq!(back.last_ts, 100);
     }
 
+    /// Hostile bytes (ROADMAP 1(e)): every mutation of an encoded time
+    /// clock decodes to a clock that re-encodes to itself, or fails.
+    #[test]
+    fn mutated_clock_bytes_are_rejected_or_reencode() {
+        use cer_common::wire::{hostile_mutations, WireReader, WireWriter};
+        let (_, r, _, _) = Schema::sigma0();
+        let mut clock = WindowClock::new(WindowPolicy::Time {
+            duration: 10,
+            ts_pos: 0,
+        });
+        for (i, ts) in [(0u64, 3i64), (2, 5), (3, 4), (7, 9)] {
+            clock.observe(i, &tup(r, [ts, 0]));
+        }
+        let encode = |clock: &WindowClock| {
+            let mut w = WireWriter::new();
+            clock.encode(&mut w).unwrap();
+            w.into_bytes()
+        };
+        let mut decoded = 0;
+        for mutated in hostile_mutations(&encode(&clock)) {
+            let Ok(back) = WindowClock::decode(&mut WireReader::new(&mutated)) else {
+                continue;
+            };
+            let bytes = encode(&back);
+            let again = WindowClock::decode(&mut WireReader::new(&bytes)).map(|c| encode(&c));
+            assert_eq!(again, Ok(bytes));
+            decoded += 1;
+        }
+        assert!(decoded > 0, "a clock with another duration is honest");
+    }
+
     #[test]
     fn out_of_order_timestamps_are_counted() {
         let (_, r, _, _) = Schema::sigma0();

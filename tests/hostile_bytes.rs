@@ -5,16 +5,20 @@
 //! [`hostile_mutations`]: each 4-byte window overwritten with 7 and with
 //! `u32::MAX`. A decoder must answer every copy with an error or with a
 //! message that encodes and decodes back to itself — never a panic,
-//! never an allocation sized by a forged count. The WAL record and
-//! MANIFEST decoders are crate-private and run the same helper in
-//! `cer_core::durability`'s unit tests; `FireStage::decode` does in
-//! `cer_core::fire`'s.
+//! never an allocation sized by a forged count. A [`Snapshot`] built
+//! here goes through the same helper and through `Runtime::restore`. The
+//! WAL record, MANIFEST and checkpoint-blob decoders are crate-private
+//! and run the same helper in `cer_core::durability`'s unit tests;
+//! `FireStage::decode`, `EnumStructure::decode` and
+//! `WindowClock::decode` do in `cer_core::{fire, ds, window}`'s.
 //!
 //! The three accept/reject quirks the op table has to keep are explicit
 //! cases: a count is bounded by the payload it arrived in, a flag is 0
 //! or 1, an error code fits a `u16`.
 
 use pcea::common::wire::{hostile_mutations, Wire, WireError};
+use pcea::prelude::{sigma0_prefix, Runtime, Schema, Snapshot};
+use pcea::prelude::{QuerySpec, WindowPolicy};
 use pcea::serve::protocol::{decode_message, encode_message, Request, Response};
 use std::fmt::Debug;
 
@@ -137,4 +141,36 @@ fn an_error_code_above_u16_is_corrupt() {
         decode_message::<Response>(&payload),
         Ok(Response::Error { code: u16::MAX, .. })
     ));
+}
+
+/// `Snapshot::from_bytes` over a snapshot of a few hundred bytes (one
+/// small query with live state): every mutation is rejected or decodes
+/// to a snapshot that re-encodes to itself, and restoring it either
+/// fails or yields a runtime that keeps serving.
+#[test]
+fn mutated_snapshots_are_rejected_or_reencode() {
+    let (_, r, s, t) = Schema::sigma0();
+    let p0 = pcea::automata::pcea::paper_p0(r, s, t);
+    let stream = sigma0_prefix(r, s, t);
+    let mut rt = Runtime::new(1);
+    rt.register(QuerySpec::new("p0", p0, WindowPolicy::Count(8)))
+        .unwrap();
+    rt.push_batch(&stream[..4]);
+    let bytes = rt.snapshot().unwrap().to_bytes().unwrap();
+    assert!(bytes.len() < 1024, "{} bytes", bytes.len());
+    let (mut decoded, mut restored) = (0, 0);
+    for mutated in hostile_mutations(&bytes) {
+        let Ok(snap) = Snapshot::from_bytes(&mutated) else {
+            continue;
+        };
+        let again = snap.to_bytes().expect("a decoded snapshot re-encodes");
+        let back = Snapshot::from_bytes(&again).and_then(|s| s.to_bytes());
+        assert_eq!(back.as_ref(), Ok(&again));
+        decoded += 1;
+        if let Ok(mut rt) = Runtime::restore(&snap, 1) {
+            rt.push_batch(&stream[4..]);
+            restored += 1;
+        }
+    }
+    assert!(decoded > restored && restored > 0, "{decoded} / {restored}");
 }

@@ -535,3 +535,190 @@ fn late_registration_sees_the_suffix() {
         .collect();
     assert_eq!(late_got, want_suffix);
 }
+
+/// One step of a twin-class scenario (`run_twin_script`).
+#[derive(Clone, Debug)]
+enum Step {
+    /// Register fleet query `k`.
+    Register(usize),
+    /// Push this range of the stream.
+    Push(std::ops::Range<usize>),
+    /// Deregister fleet query `k`.
+    Deregister(usize),
+    /// Replace fleet query `k` with the variant of this threshold.
+    Replace(usize, i64),
+    /// Snapshot, then restore into this many shards.
+    Restore(usize),
+    /// Rescale to this many shards.
+    Rescale(usize),
+}
+
+/// What one fleet query saw in a scenario.
+#[derive(Debug, PartialEq)]
+struct QueryOutcome {
+    /// Sorted `(position, valuation)` outputs.
+    outputs: Vec<(u64, Valuation)>,
+    /// The counters `deregister` returned, or the final `stats()` row.
+    stats: Option<pcea::engine::evaluator::EngineStats>,
+}
+
+/// Run `steps` over `stream` on a runtime with `shards` shards. With
+/// `only: Some(k)` the runtime hosts fleet query `k` alone — a private
+/// evaluator, the oracle — and skips every step about another query.
+/// Returns each fleet query's outcome (the skipped ones stay empty) and
+/// the `evaluators` count polled after each registration.
+fn run_twin_script(
+    spec: &dyn Fn(&str, i64) -> QuerySpec,
+    thresholds: &[i64],
+    stream: &[Tuple],
+    steps: &[Step],
+    shards: usize,
+    only: Option<usize>,
+) -> (Vec<QueryOutcome>, Vec<usize>) {
+    let mine = |k: usize| only.is_none_or(|q| q == k);
+    let mut rt = Runtime::new(shards);
+    let mut ids: Vec<Option<QueryId>> = vec![None; thresholds.len()];
+    let mut outcomes: Vec<QueryOutcome> = thresholds
+        .iter()
+        .map(|_| QueryOutcome {
+            outputs: Vec::new(),
+            stats: None,
+        })
+        .collect();
+    let mut evaluators = Vec::new();
+    for step in steps {
+        match step {
+            Step::Register(k) if mine(*k) => {
+                let name = format!("v{k}");
+                ids[*k] = Some(rt.register(spec(&name, thresholds[*k])).unwrap());
+                evaluators.push(rt.stats().shared.evaluators);
+            }
+            Step::Push(range) => {
+                for event in rt.push_batch(&stream[range.clone()]) {
+                    let k = ids.iter().position(|&id| id == Some(event.query)).unwrap();
+                    outcomes[k].outputs.push((event.position, event.valuation));
+                }
+            }
+            Step::Deregister(k) if mine(*k) => {
+                let id = ids[*k].take().unwrap();
+                outcomes[*k].stats = Some(rt.deregister(id).unwrap());
+            }
+            Step::Replace(k, th) if mine(*k) => {
+                let id = ids[*k].unwrap();
+                rt.replace(id, spec(&format!("v{k}'"), *th)).unwrap();
+            }
+            Step::Restore(n) => {
+                let snap = rt.snapshot().unwrap();
+                rt = Runtime::restore(&snap, *n).unwrap();
+            }
+            Step::Rescale(n) => rt.rescale(*n).unwrap(),
+            _ => {}
+        }
+    }
+    let stats = rt.stats();
+    for (k, id) in ids.iter().enumerate() {
+        if let Some(id) = id {
+            let row = stats.per_query.iter().find(|(q, _)| q == id).unwrap();
+            outcomes[k].stats = Some(row.1);
+        }
+        outcomes[k].outputs.sort();
+    }
+    (outcomes, evaluators)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Twin classes stay exact: a fleet of duplicate and near-duplicate
+    /// queries registered in waves before and after tuples, with one
+    /// twin deregistered and one replaced mid-stream, a snapshot
+    /// restored at another shard count and a rescale, under count and
+    /// time windows. Every query's outputs and engine counters equal
+    /// those of the same steps on a runtime hosting that query alone.
+    /// (Streams stay below the default collection cadence, so counters
+    /// do not depend on where batches were cut.)
+    #[test]
+    fn twin_classes_match_private_evaluators(
+        shards in 1usize..4,
+        restored_shards in 1usize..4,
+        keyed in any::<bool>(),
+        window in prop_oneof![
+            Just(WindowPolicy::Count(3)),
+            Just(WindowPolicy::Count(1000)),
+            Just(WindowPolicy::Time { duration: 2, ts_pos: 0 }),
+            Just(WindowPolicy::Time { duration: 10_000, ts_pos: 0 }),
+        ],
+        early in proptest::collection::vec(0i64..3, 2..6),
+        late in proptest::collection::vec(0i64..3, 1..4),
+        replaced_threshold in 0i64..3,
+    ) {
+        let (schema, r, s, t) = sigma0_schema();
+        let stream = mixed_stream(&schema, 200);
+        let spec = |name: &str, th: i64| {
+            let spec = QuerySpec::new(name, sigma0_variant(r, s, t, th), window.clone());
+            if keyed {
+                spec.with_partition(Partition::ByKey { pos: 0 })
+            } else {
+                spec
+            }
+        };
+        let thresholds: Vec<i64> = early.iter().chain(&late).copied().collect();
+        let (n_early, n) = (early.len(), thresholds.len());
+        let mut steps: Vec<Step> = (0..n_early).map(Step::Register).collect();
+        steps.push(Step::Push(0..40));
+        steps.extend((n_early..n).map(Step::Register));
+        steps.extend([
+            Step::Push(40..90),
+            Step::Deregister(0),
+            Step::Replace(1, replaced_threshold),
+            Step::Push(90..120),
+            Step::Restore(restored_shards),
+            Step::Push(120..160),
+            Step::Rescale(shards),
+            Step::Push(160..200),
+        ]);
+        let (fleet, evaluators) = run_twin_script(&spec, &thresholds, &stream, &steps, shards, None);
+        for (k, got) in fleet.iter().enumerate() {
+            let (solo, _) = run_twin_script(&spec, &thresholds, &stream, &steps, shards, Some(k));
+            prop_assert_eq!(got, &solo[k], "query v{}", k);
+        }
+        // The early wave's twins visibly shared: one evaluator per
+        // distinct threshold per hosting shard (keyed queries are hosted
+        // on every shard; pinned twins share a shard when there is one).
+        if keyed || shards == 1 {
+            let distinct: std::collections::HashSet<i64> = early.iter().copied().collect();
+            prop_assert_eq!(evaluators[n_early - 1], shards * distinct.len());
+        }
+    }
+}
+
+/// `SharedEvalStats::evaluators` on the easiest-to-count configuration:
+/// six pinned queries over three thresholds registered before any tuple
+/// form three twin classes; a seventh twin registered after tuples have
+/// reached its class starts a fourth.
+#[test]
+fn evaluators_count_twin_classes() {
+    let (schema, r, s, t) = sigma0_schema();
+    let stream = mixed_stream(&schema, 90);
+    let spec = |i: usize, th: i64| {
+        let pcea = sigma0_variant(r, s, t, th);
+        QuerySpec::new(format!("v{i}"), pcea, WindowPolicy::Count(16))
+    };
+    let mut rt = Runtime::new(1);
+    for (i, &th) in [0i64, 1, 2, 0, 1, 2].iter().enumerate() {
+        rt.register(spec(i, th)).unwrap();
+    }
+    let stats = rt.stats();
+    assert_eq!(stats.shared.evaluators, 3);
+    assert_eq!(stats.shared.group_sizes, vec![6]);
+    assert_eq!(stats.shared.referenced_predicates, 18);
+    rt.push_batch(&stream);
+    rt.register(spec(6, 0)).unwrap();
+    let stats = rt.stats();
+    assert_eq!(stats.shared.evaluators, 4);
+    assert_eq!(stats.shared.group_sizes, vec![7]);
+    // The twins report the same counters, the late one only its own.
+    let row = |q: u32| stats.per_query[q as usize].1;
+    assert_eq!(row(0), row(3));
+    assert_eq!(row(6).positions, 0);
+}
