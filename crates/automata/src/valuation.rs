@@ -10,7 +10,9 @@
 //! enumerator to a subscriber's socket and out of the client's decoder,
 //! so it is a single flat buffer — offsets, then positions — cloned,
 //! moved and freed as one block. Its type docs give the layout, the
-//! invariants and what each operation costs.
+//! invariants and what each operation costs. A [`ValuationRef`] is the
+//! same layout borrowed from wherever the words lie — the enumerator's
+//! scratch, or a run of words in a buffer shared by many matches.
 
 use std::fmt;
 
@@ -222,12 +224,16 @@ impl Valuation {
 
     /// `ν(ℓ0), ν(ℓ1), …` in label order.
     fn groups(&self) -> impl Iterator<Item = &[u64]> + '_ {
-        let (ends, mut start) = (&self.buf[..self.labels], self.labels);
-        ends.iter().map(move |&end| {
-            let group = &self.buf[start..end as usize];
-            start = end as usize;
-            group
-        })
+        self.view().groups()
+    }
+
+    /// The valuation borrowed: the same words, no copy.
+    #[inline]
+    pub fn view(&self) -> ValuationRef<'_> {
+        ValuationRef {
+            labels: self.labels,
+            buf: &self.buf,
+        }
     }
 
     /// The positions assigned to a label.
@@ -354,13 +360,7 @@ impl cer_common::wire::Wire for Valuation {
         &self,
         w: &mut cer_common::wire::WireWriter,
     ) -> Result<(), cer_common::wire::WireError> {
-        w.put_len(self.labels);
-        for group in self.groups() {
-            w.put_len(group.len());
-            for &p in group {
-                w.put_u64(p);
-            }
-        }
+        self.view().encode(w);
         Ok(())
     }
 
@@ -406,6 +406,101 @@ impl cer_common::wire::Wire for Valuation {
 }
 
 impl fmt::Debug for Valuation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+/// A [`Valuation`] borrowed from wherever its words lie: `|Ω|` and a
+/// slice in the owned type's layout (end offsets, then positions; see
+/// [`Valuation`]). Equal iff the valuations are. It is what lets a
+/// match be copied as words into a buffer shared by many matches,
+/// encoded from there, and turned into an owned [`Valuation`] only by a
+/// consumer that asks for one.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ValuationRef<'a> {
+    labels: usize,
+    buf: &'a [u64],
+}
+
+impl<'a> ValuationRef<'a> {
+    /// View `words` — a copy of some valuation's
+    /// [`words`](Self::words) — as a valuation over `labels` labels.
+    /// Checks the offset table (`O(|Ω|)`), so no accessor can index
+    /// outside `words`; the positions are trusted to be what they were
+    /// copied from.
+    ///
+    /// # Panics
+    ///
+    /// On `labels > MAX_LABELS` or an offset table that does not
+    /// describe `words`.
+    #[inline]
+    pub fn from_words(labels: usize, words: &'a [u64]) -> Self {
+        let ends = words.get(..labels).filter(|_| labels <= MAX_LABELS);
+        let well_formed = ends.is_some_and(|ends| {
+            let mut at = labels as u64;
+            ends.iter().all(|&end| {
+                let ok = at <= end;
+                at = end;
+                ok
+            }) && at == words.len() as u64
+        });
+        assert!(
+            well_formed,
+            "not the words of a valuation over {labels} labels"
+        );
+        ValuationRef { labels, buf: words }
+    }
+
+    /// Number of labels in the underlying Ω.
+    #[inline]
+    pub fn num_labels(self) -> usize {
+        self.labels
+    }
+
+    /// The flat buffer, `|Ω| + |ν|` words: what to copy to keep the
+    /// valuation, and what [`from_words`](Self::from_words) takes back.
+    #[inline]
+    pub fn words(self) -> &'a [u64] {
+        self.buf
+    }
+
+    /// The owned valuation: one allocation, one `memcpy`.
+    pub fn to_valuation(self) -> Valuation {
+        Valuation {
+            labels: self.labels,
+            buf: self.buf.to_vec(),
+        }
+    }
+
+    /// `ν(ℓ0), ν(ℓ1), …` in label order.
+    #[inline]
+    fn groups(self) -> impl Iterator<Item = &'a [u64]> {
+        let (buf, mut start) = (self.buf, self.labels);
+        buf[..self.labels].iter().map(move |&end| {
+            let group = &buf[start..end as usize];
+            start = end as usize;
+            group
+        })
+    }
+
+    /// Append the valuation's wire form: the label count, then per
+    /// label a length and the positions, every field one little-endian
+    /// word — `8 · (1 + |Ω| + |ν|)` bytes. [`Valuation`]'s
+    /// [`Wire`](cer_common::wire::Wire) encoding is this.
+    #[inline]
+    pub fn encode(self, w: &mut cer_common::wire::WireWriter) {
+        w.put_len(self.labels);
+        for group in self.groups() {
+            w.put_len(group.len());
+            for &p in group {
+                w.put_u64(p);
+            }
+        }
+    }
+}
+
+impl fmt::Debug for ValuationRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
         let mut first = true;
@@ -699,6 +794,44 @@ mod tests {
         w.put_len(3);
         w.put_len(0);
         assert_eq!(from_wire(&w.into_bytes()), Err(WireError::Truncated));
+    }
+
+    /// A view of a valuation's words, wherever they were copied, is
+    /// that valuation: same bytes on the wire, same debug text, equal
+    /// when owned again.
+    #[test]
+    fn a_view_of_copied_words_is_the_valuation() {
+        let mut v = Valuation::empty(4);
+        for (l, p) in [(0, 11), (1, 5), (1, 8), (3, u64::MAX)] {
+            v.insert(LabelSet::singleton(Label(l)), p);
+        }
+        for v in [v, Valuation::default(), Valuation::empty(64)] {
+            let copied = v.view().words().to_vec();
+            let view = ValuationRef::from_words(v.num_labels(), &copied);
+            assert_eq!(view, v.view());
+            assert_eq!(view.num_labels(), v.num_labels());
+            let mut w = cer_common::wire::WireWriter::new();
+            view.encode(&mut w);
+            assert_eq!(w.into_bytes(), wire_bytes(&v));
+            assert_eq!(format!("{view:?}"), format!("{v:?}"));
+            assert_eq!(view.to_valuation(), v);
+        }
+    }
+
+    /// An offset table that does not describe the words is refused
+    /// before any group is sliced.
+    #[test]
+    fn from_words_rejects_what_is_not_an_offset_table() {
+        let refused = |labels: usize, words: &[u64]| {
+            std::panic::catch_unwind(|| ValuationRef::from_words(labels, words)).is_err()
+        };
+        assert!(!refused(2, &[3, 4, 7, 9]));
+        assert!(refused(2, &[3]), "shorter than the table");
+        assert!(refused(2, &[3, 5, 7, 9]), "last end past the words");
+        assert!(refused(2, &[3, 3, 7, 9]), "last end short of the words");
+        assert!(refused(2, &[4, 3, 7, 9]), "ends decreasing");
+        assert!(refused(2, &[1, 3, 7]), "first group inside the table");
+        assert!(refused(65, &[65; 65]), "more labels than a LabelSet holds");
     }
 
     #[test]

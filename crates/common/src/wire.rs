@@ -131,21 +131,25 @@ impl WireWriter {
 
     /// Make room for `additional` more bytes in one step, for a caller
     /// that knows the size of what it is about to write.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
 
     /// Write one raw byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Write a `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -156,6 +160,7 @@ impl WireWriter {
     }
 
     /// Write a `usize` as a `u64` (portable across word sizes).
+    #[inline]
     pub fn put_len(&mut self, v: usize) {
         self.put_u64(v as u64);
     }

@@ -181,7 +181,7 @@ mod queue;
 mod subscribe;
 
 pub use queue::QueueStats;
-pub use subscribe::{Subscription, SubscriptionFilter};
+pub use subscribe::{MatchChunk, Subscription, SubscriptionFilter};
 
 pub(crate) use queue::{Closed, ShardMsg, ShardQueue, TupleBatch};
 pub(crate) use subscribe::SubscriptionRegistry;

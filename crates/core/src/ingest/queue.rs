@@ -481,6 +481,24 @@ impl ShardQueue {
         self.not_full.notify_all();
     }
 
+    /// Close the queue for a worker that died: everything staged or
+    /// released is dropped unprocessed (control jobs with their reply
+    /// senders), so nothing waits on work that will never run. Used
+    /// while unwinding, so a poisoned lock is taken as it is.
+    pub fn abandon(&self) {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.closed = true;
+        let (msgs, pending) = (
+            std::mem::take(&mut inner.msgs),
+            std::mem::take(&mut inner.pending),
+        );
+        self.has_pending.store(false, Ordering::Release);
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+        drop(inner);
+        drop((msgs, pending));
+    }
+
     /// Current occupancy counters.
     pub fn stats(&self) -> QueueStats {
         let inner = self.inner.lock().expect("ingest queue poisoned");

@@ -1,24 +1,35 @@
 //! The subscription registry: per-consumer bounded match-event channels.
 //!
-//! Shard workers publish the [`MatchEvent`]s they complete to the
-//! registry in **chunks** (a single event is a chunk of one); each
-//! subscriber owns its *own* bounded queue with its own
-//! [`BackpressurePolicy`], so a slow or stalled consumer lags or drops
-//! on its private channel without ever stalling ingestion (use
-//! [`BackpressurePolicy::DropNewest`] for that guarantee — a `Block`
-//! subscriber that never drains *will* eventually park the shard
-//! workers, which is the explicit opt-in "lossless but stalling"
-//! trade-off).
+//! Shard workers publish the matches they complete to the registry in
+//! **chunks** — a [`MatchChunk`]: a header per match (position, query
+//! id, a range of words) and one word vector holding every valuation's
+//! flat buffer, copied there from the enumerator's scratch, with twin
+//! queries sharing one copy. Each subscriber owns its *own* bounded
+//! queue of chunks with its own [`BackpressurePolicy`], so a slow or
+//! stalled consumer lags or drops on its private channel without ever
+//! stalling ingestion (use [`BackpressurePolicy::DropNewest`] for that
+//! guarantee — a `Block` subscriber that never drains *will* eventually
+//! park the shard workers, which is the explicit opt-in "lossless but
+//! stalling" trade-off).
 //!
 //! One publish call costs one registry read lock and, per accepting
 //! subscriber, one queue lock — whatever the chunk's size. A chunk is
-//! delivered in order, and the last live subscriber receives the events
-//! themselves; only earlier ones get clones. `capacity` bounds the
-//! events *queued* on a channel, never the chunk: a `Block` channel
-//! admits the part of a chunk that fits and parks the publisher for the
-//! rest (so a capacity of 1 still delivers any chunk, one event per
-//! consumer take), and a `DropNewest` channel admits what fits and
-//! counts exactly the overflow as dropped.
+//! delivered in order. The last live subscriber receives the chunk
+//! itself when its filter takes all of it; any other subscriber, and a
+//! filter that takes part of it, gets a copy of the matches it accepts
+//! (two allocations, not one per match). `capacity` bounds the events
+//! *queued* on a channel, never the chunk: a `Block` channel admits the
+//! part of a chunk that fits (split off as a copy) and parks the
+//! publisher for the rest (so a capacity of 1 still delivers any chunk,
+//! one event per consumer take), and a `DropNewest` channel admits what
+//! fits and counts exactly the overflow as dropped.
+//!
+//! Consumers choose what they take. [`Subscription::recv_chunks`] moves
+//! whole chunks out — the served path encodes `Event` frames straight
+//! from their words and never builds a match. `try_recv`,
+//! `recv_timeout`, `recv_all` and `drain` build owned [`MatchEvent`]s
+//! from the same chunks, one allocation per event, paid by the consumer
+//! that asked for ownership.
 //!
 //! Wakes are paid only when someone sleeps: the queue keeps, under its
 //! mutex, how many publishers are parked on a full channel and how many
@@ -37,8 +48,10 @@
 
 use super::BackpressurePolicy;
 use crate::runtime::{MatchEvent, QueryId};
+use cer_automata::valuation::ValuationRef;
 use cer_obs::Histogram;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
@@ -61,8 +74,156 @@ impl SubscriptionFilter {
     }
 }
 
+/// Completed matches in one buffer: a header per match and one word
+/// vector holding each match's valuation in [`Valuation`]'s own layout
+/// (end offsets, then positions). Matches of twin queries — one output
+/// pushed for several query ids — share one copy of the words. Word
+/// ranges never decrease from one match to the next.
+///
+/// Iterating borrows each valuation as a [`ValuationRef`];
+/// [`event`](Self::event) builds an owned [`MatchEvent`].
+///
+/// [`Valuation`]: cer_automata::valuation::Valuation
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MatchChunk {
+    heads: Vec<MatchHead>,
+    words: Vec<u64>,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct MatchHead {
+    position: u64,
+    query: QueryId,
+    /// `|Ω|` of the valuation at `words`.
+    labels: u32,
+    words: (usize, usize),
+}
+
+impl MatchChunk {
+    /// An empty chunk with room for `matches` headers and `words` words.
+    fn with_capacity(matches: usize, words: usize) -> Self {
+        MatchChunk {
+            heads: Vec::with_capacity(matches),
+            words: Vec::with_capacity(words),
+        }
+    }
+
+    /// Append one match per id of `queries`, all at `position` and all
+    /// sharing one copy of `valuation`'s words (none when `queries` is
+    /// empty).
+    pub fn push(
+        &mut self,
+        position: u64,
+        valuation: ValuationRef<'_>,
+        queries: impl IntoIterator<Item = QueryId>,
+    ) {
+        let mut queries = queries.into_iter().peekable();
+        if queries.peek().is_none() {
+            return;
+        }
+        let start = self.words.len();
+        self.words.extend_from_slice(valuation.words());
+        let head = |query| MatchHead {
+            position,
+            query,
+            labels: valuation.num_labels() as u32,
+            words: (start, self.words.len()),
+        };
+        self.heads.extend(queries.map(head));
+    }
+
+    /// Matches in the chunk.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Whether the chunk holds no match.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// Words held, shared copies counted once.
+    pub fn words_len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Drop every match, keeping the allocations.
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.words.clear();
+    }
+
+    #[inline]
+    fn view(&self, h: &MatchHead) -> ValuationRef<'_> {
+        ValuationRef::from_words(h.labels as usize, &self.words[h.words.0..h.words.1])
+    }
+
+    /// `(position, query, valuation)` of every match, in order.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, QueryId, ValuationRef<'_>)> + '_ {
+        self.heads
+            .iter()
+            .map(|h| (h.position, h.query, self.view(h)))
+    }
+
+    /// The `i`-th match as an owned event: one allocation, for its
+    /// valuation.
+    ///
+    /// # Panics
+    ///
+    /// When `i >= self.len()`.
+    pub fn event(&self, i: usize) -> MatchEvent {
+        let h = &self.heads[i];
+        MatchEvent {
+            position: h.position,
+            query: h.query,
+            valuation: self.view(h).to_valuation(),
+        }
+    }
+
+    /// A new chunk holding the matches of `range` that `keep` accepts,
+    /// in order, with shared words still shared.
+    fn copy_where(&self, range: Range<usize>, keep: impl Fn(QueryId) -> bool) -> MatchChunk {
+        let heads = &self.heads[range];
+        let mut out = MatchChunk::with_capacity(heads.len(), 0);
+        // The last source range copied, and where its copy starts.
+        let mut last = ((usize::MAX, 0), 0);
+        for h in heads.iter().filter(|h| keep(h.query)) {
+            let (from, to) = h.words;
+            if last.0 != h.words {
+                last = (h.words, out.words.len());
+                out.words.extend_from_slice(&self.words[from..to]);
+            }
+            let start = last.1;
+            out.heads.push(MatchHead {
+                words: (start, start + (to - from)),
+                ..*h
+            });
+        }
+        out
+    }
+
+    /// Drop the first `n` matches (their words stay, unreferenced).
+    fn skip(&mut self, n: usize) {
+        self.heads.drain(..n);
+    }
+
+    /// Move the matches out, leaving an empty chunk pre-sized to what
+    /// this one held: the shard worker's next chunk grows no further
+    /// than its last one did.
+    fn take(&mut self) -> MatchChunk {
+        let presized = MatchChunk::with_capacity(self.len(), self.words.len());
+        std::mem::replace(self, presized)
+    }
+}
+
 struct SubInner {
-    events: VecDeque<MatchEvent>,
+    chunks: VecDeque<MatchChunk>,
+    /// Matches of the front chunk already taken by single-event
+    /// receives.
+    taken: usize,
+    /// Events queued: the chunks' lengths, less `taken`.
+    len: usize,
     dropped: u64,
     /// Publishers parked on `not_full` and consumers parked on
     /// `not_empty`. The condvars are signalled only when the matching
@@ -70,6 +231,17 @@ struct SubInner {
     /// wake.
     parked_publishers: usize,
     parked_consumers: usize,
+}
+
+impl SubInner {
+    /// Pop every queued chunk, the front one cut at `taken`.
+    fn take_chunks(&mut self) -> impl Iterator<Item = MatchChunk> + '_ {
+        if let Some(front) = self.chunks.front_mut() {
+            front.skip(std::mem::take(&mut self.taken));
+        }
+        self.len = 0;
+        self.chunks.drain(..)
+    }
 }
 
 struct SubQueue {
@@ -105,21 +277,20 @@ impl SubQueue {
         self.not_empty.notify_all();
     }
 
-    /// Publisher side: move `staged` into the queue in order, honouring
-    /// the subscriber's capacity and policy. Whatever a closed channel
-    /// or `DropNewest` refuses is discarded; `staged` comes back empty.
-    fn offer(&self, staged: &mut Vec<MatchEvent>) {
-        if staged.is_empty() {
-            return;
-        }
-        let mut rest = staged.drain(..);
+    /// Publisher side: queue `chunk` in order, honouring the
+    /// subscriber's capacity and policy. A chunk that fits is queued
+    /// whole; one that does not is admitted a copied part at a time.
+    /// Whatever a closed channel or `DropNewest` refuses is discarded.
+    fn offer(&self, mut chunk: MatchChunk) {
+        let total = chunk.len();
+        let mut at = 0;
         let mut inner = self.lock();
-        while rest.len() > 0 && !self.is_closed() {
-            let room = self.capacity.saturating_sub(inner.events.len());
+        while at < total && !self.is_closed() {
+            let room = self.capacity.saturating_sub(inner.len);
             if room == 0 {
                 match self.policy {
                     BackpressurePolicy::DropNewest => {
-                        inner.dropped += rest.len() as u64;
+                        inner.dropped += (total - at) as u64;
                         break;
                     }
                     BackpressurePolicy::Block => {
@@ -133,7 +304,15 @@ impl SubQueue {
                     }
                 }
             }
-            inner.events.extend(rest.by_ref().take(room));
+            let n = room.min(total - at);
+            let part = if n == total {
+                std::mem::take(&mut chunk)
+            } else {
+                chunk.copy_where(at..at + n, |_| true)
+            };
+            at += n;
+            inner.len += n;
+            inner.chunks.push_back(part);
             if inner.parked_consumers > 0 {
                 self.not_empty.notify_all();
             }
@@ -146,7 +325,7 @@ impl SubQueue {
     /// the wait ends early instead of sleeping out the deadline.
     fn lock_when_ready(&self, deadline: Option<Instant>) -> MutexGuard<'_, SubInner> {
         let mut inner = self.lock();
-        while inner.events.is_empty() && !self.is_closed() {
+        while inner.len == 0 && !self.is_closed() {
             let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
             let Some(left) = left.filter(|l| !l.is_zero()) else {
                 break;
@@ -195,7 +374,9 @@ impl SubscriptionRegistry {
     ) -> Subscription {
         let queue = Arc::new(SubQueue {
             inner: Mutex::new(SubInner {
-                events: VecDeque::new(),
+                chunks: VecDeque::new(),
+                taken: 0,
+                len: 0,
                 dropped: 0,
                 parked_publishers: 0,
                 parked_consumers: 0,
@@ -214,10 +395,12 @@ impl SubscriptionRegistry {
     }
 
     /// Publish a chunk of completed matches, in order, to every live
-    /// matching subscriber, leaving `chunk` empty (its allocation is the
-    /// caller's to reuse). The last live subscriber is handed the events
-    /// themselves; only subscribers before it receive clones.
-    pub fn publish(&self, chunk: &mut Vec<MatchEvent>) {
+    /// matching subscriber, leaving `chunk` empty. The last live
+    /// subscriber is handed the chunk itself when it accepts every
+    /// match, and `chunk` is then left pre-sized for the next one;
+    /// otherwise every subscriber gets a copy of what it accepts and
+    /// `chunk` keeps its allocations.
+    pub fn publish(&self, chunk: &mut MatchChunk) {
         if chunk.is_empty() {
             return;
         }
@@ -225,12 +408,11 @@ impl SubscriptionRegistry {
         let subs = self.subs.read().expect("subscription registry poisoned");
         let mut live = subs.iter().filter(|s| !s.is_closed()).peekable();
         while let Some(sub) = live.next() {
-            let accepts = |e: &MatchEvent| sub.filter.accepts(e.query);
-            if live.peek().is_some() {
-                sub.offer(&mut chunk.iter().filter(|e| accepts(e)).cloned().collect());
+            let accepts = |q| sub.filter.accepts(q);
+            if live.peek().is_none() && chunk.heads.iter().all(|h| accepts(h.query)) {
+                sub.offer(chunk.take());
             } else {
-                chunk.retain(accepts);
-                sub.offer(chunk);
+                sub.offer(chunk.copy_where(0..chunk.len(), accepts));
             }
         }
         drop(subs);
@@ -255,7 +437,7 @@ impl SubscriptionRegistry {
 
     /// For each query of `ids`, in order, whether any live subscriber
     /// would accept its events — lets shard workers skip enumeration
-    /// and valuation cloning entirely on quiet queries. One registry
+    /// and valuation copying entirely on quiet queries. One registry
     /// read lock for the whole pass and no queue lock at all.
     pub fn listening(&self, ids: impl Iterator<Item = QueryId>, out: &mut Vec<bool>) {
         let subs = self.subs.read().expect("subscription registry poisoned");
@@ -285,11 +467,17 @@ impl Subscription {
 
     fn recv_one(&self, deadline: Option<Instant>) -> Option<MatchEvent> {
         let mut inner = self.queue.lock_when_ready(deadline);
-        let ev = inner.events.pop_front();
-        if ev.is_some() {
-            self.queue.made_room(&inner);
+        let front = inner.chunks.front()?;
+        let ev = front.event(inner.taken);
+        let done = inner.taken + 1 == front.len();
+        inner.len -= 1;
+        inner.taken += 1;
+        if done {
+            inner.chunks.pop_front();
+            inner.taken = 0;
         }
-        ev
+        self.queue.made_room(&inner);
+        Some(ev)
     }
 
     /// Wait up to `timeout` for the channel to hold an event, then move
@@ -299,21 +487,35 @@ impl Subscription {
     /// counterpart of chunked publishing: under load one call takes a
     /// whole backlog, at rest it returns single events as they arrive.
     pub fn recv_all(&self, timeout: Duration, out: &mut Vec<MatchEvent>) -> usize {
-        self.take_all(Some(Instant::now() + timeout), out)
+        self.take_events(Some(Instant::now() + timeout), out)
+    }
+
+    /// [`recv_all`](Self::recv_all) without building a match: moves the
+    /// queued chunks themselves onto the end of `out`, in order, and
+    /// returns how many events they hold. What a consumer that only
+    /// reads the matches — an encoder — takes.
+    pub fn recv_chunks(&self, timeout: Duration, out: &mut Vec<MatchChunk>) -> usize {
+        self.take_all(Some(Instant::now() + timeout), |chunk| out.push(chunk))
     }
 
     /// Take everything currently queued, without waiting.
     pub fn drain(&self) -> Vec<MatchEvent> {
         let mut out = Vec::new();
-        self.take_all(None, &mut out);
+        self.take_events(None, &mut out);
         out
     }
 
-    fn take_all(&self, deadline: Option<Instant>, out: &mut Vec<MatchEvent>) -> usize {
+    fn take_events(&self, deadline: Option<Instant>, out: &mut Vec<MatchEvent>) -> usize {
+        self.take_all(deadline, |chunk| {
+            out.extend((0..chunk.len()).map(|i| chunk.event(i)));
+        })
+    }
+
+    fn take_all(&self, deadline: Option<Instant>, mut each: impl FnMut(MatchChunk)) -> usize {
         let mut inner = self.queue.lock_when_ready(deadline);
-        let n = inner.events.len();
+        let n = inner.len;
         if n > 0 {
-            out.extend(inner.events.drain(..));
+            inner.take_chunks().for_each(&mut each);
             self.queue.made_room(&inner);
         }
         n
@@ -321,7 +523,7 @@ impl Subscription {
 
     /// Events currently queued.
     pub fn len(&self) -> usize {
-        self.queue.lock().events.len()
+        self.queue.lock().len
     }
 
     /// Whether the queue is currently empty.
@@ -352,7 +554,7 @@ impl Drop for Subscription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cer_automata::valuation::Valuation;
+    use cer_automata::valuation::{Label, LabelSet, Valuation};
 
     fn ev(q: u32, pos: u64) -> MatchEvent {
         MatchEvent {
@@ -362,8 +564,35 @@ mod tests {
         }
     }
 
-    fn chunk(q: u32, positions: std::ops::Range<u64>) -> Vec<MatchEvent> {
-        positions.map(|pos| ev(q, pos)).collect()
+    fn chunk_of(events: impl IntoIterator<Item = MatchEvent>) -> MatchChunk {
+        let mut chunk = MatchChunk::default();
+        for e in events {
+            chunk.push(e.position, e.valuation.view(), [e.query]);
+        }
+        chunk
+    }
+
+    fn chunk(q: u32, positions: std::ops::Range<u64>) -> MatchChunk {
+        chunk_of(positions.map(|pos| ev(q, pos)))
+    }
+
+    /// A match of query `q` at `pos` over three labels, one of them
+    /// empty and one holding two positions.
+    fn rich(q: u32, pos: u64) -> MatchEvent {
+        let labels = LabelSet::from_labels([Label(0), Label(2)]);
+        let mut valuation = Valuation::singleton(3, labels, pos);
+        valuation.insert(LabelSet::singleton(Label(0)), pos + 1000);
+        MatchEvent {
+            position: pos,
+            query: QueryId(q),
+            valuation,
+        }
+    }
+
+    /// Every match of `chunks`, in order, as owned events.
+    fn events_of(chunks: &[MatchChunk]) -> Vec<MatchEvent> {
+        let each = |c: &MatchChunk| (0..c.len()).map(|i| c.event(i)).collect::<Vec<_>>();
+        chunks.iter().flat_map(each).collect()
     }
 
     fn positions(events: &[MatchEvent]) -> Vec<u64> {
@@ -394,7 +623,7 @@ mod tests {
             8,
             BackpressurePolicy::DropNewest,
         );
-        let mut events: Vec<MatchEvent> = (0..4).map(|pos| ev((pos % 2) as u32, pos)).collect();
+        let mut events = chunk_of((0..4).map(|pos| ev((pos % 2) as u32, pos)));
         reg.publish(&mut events);
         assert!(events.is_empty(), "publish hands the chunk back empty");
         // `all` admitted the head of the chunk that fit and counted
@@ -423,7 +652,7 @@ mod tests {
         );
         let last = reg.subscribe(SubscriptionFilter::All, 64, BackpressurePolicy::Block);
         let sent: Vec<MatchEvent> = (0..12).map(|pos| ev((pos % 3) as u32, pos)).collect();
-        reg.publish(&mut sent.clone());
+        reg.publish(&mut chunk_of(sent.clone()));
         assert_eq!(first.drain(), sent);
         assert_eq!(last.drain(), sent);
         assert_eq!(positions(&only1.drain()), [1, 4, 7, 10]);
@@ -539,5 +768,115 @@ mod tests {
         });
         // Appended after what `out` already held.
         assert_eq!(positions(&got), [99, 0, 1, 2, 3, 4]);
+    }
+
+    /// A whole shard chunk into a `Block` channel far smaller than it:
+    /// split into parts as room appears, every match arrives once, in
+    /// order, whichever take the consumer uses.
+    #[test]
+    fn block_channel_delivers_a_full_chunk_through_every_kind_of_take() {
+        for capacity in [1usize, 3] {
+            let reg = Arc::new(SubscriptionRegistry::default());
+            let sub = reg.subscribe(SubscriptionFilter::All, capacity, BackpressurePolicy::Block);
+            let sent: Vec<MatchEvent> = (0..256).map(|pos| rich(0, pos)).collect();
+            let publisher = {
+                let (reg, mut chunk) = (reg.clone(), chunk_of(sent.clone()));
+                std::thread::spawn(move || reg.publish(&mut chunk))
+            };
+            wait_parked(&sub);
+            assert_eq!(sub.len(), capacity, "admitted exactly what fits");
+            let (mut got, mut chunks) = (Vec::new(), Vec::new());
+            for take in 0.. {
+                if got.len() == sent.len() {
+                    break;
+                }
+                let timeout = Duration::from_secs(30);
+                let n = match take % 3 {
+                    0 => usize::from(sub.recv_timeout(timeout).map(|e| got.push(e)).is_some()),
+                    1 => sub.recv_all(timeout, &mut got),
+                    _ => {
+                        let n = sub.recv_chunks(timeout, &mut chunks);
+                        got.extend(events_of(&chunks));
+                        chunks.clear();
+                        n
+                    }
+                };
+                assert!((1..=capacity).contains(&n), "take {take} got {n}");
+            }
+            publisher.join().unwrap();
+            assert_eq!(got, sent, "capacity {capacity}");
+            assert!(sub.is_empty());
+            assert_eq!(sub.dropped(), 0);
+        }
+    }
+
+    /// `DropNewest` overflowing in the middle of a chunk admits its head
+    /// and counts exactly the rest; chunks taken after a single-event
+    /// take start behind it.
+    #[test]
+    fn drop_newest_overflowing_mid_chunk_counts_exactly() {
+        let reg = SubscriptionRegistry::default();
+        let sub = reg.subscribe(SubscriptionFilter::All, 100, BackpressurePolicy::DropNewest);
+        let sent: Vec<MatchEvent> = (0..140).map(|pos| rich(pos as u32 % 2, pos)).collect();
+        reg.publish(&mut chunk_of(sent[..60].to_vec()));
+        assert_eq!(sub.dropped(), 0);
+        reg.publish(&mut chunk_of(sent[60..120].to_vec()));
+        assert_eq!(sub.dropped(), 20);
+        assert_eq!(sub.len(), 100);
+        assert_eq!(sub.try_recv().as_ref(), Some(&sent[0]));
+        let mut chunks = Vec::new();
+        assert_eq!(sub.recv_chunks(Duration::ZERO, &mut chunks), 99);
+        assert_eq!(events_of(&chunks), sent[1..100]);
+        assert!(sub.is_empty());
+        // Room again: the next chunk is admitted whole.
+        reg.publish(&mut chunk_of(sent[120..].to_vec()));
+        assert_eq!(sub.dropped(), 20);
+        assert_eq!(sub.drain(), sent[120..]);
+    }
+
+    /// Twin members share one copy of each output's words, and so does
+    /// every subscriber's copy: a `Query` subscriber before or after an
+    /// `All` one gets exactly its query's matches, the `All` one every
+    /// match, whether it is handed the chunk itself (last) or a copy.
+    #[test]
+    fn query_subscribers_around_an_all_subscriber_over_twins() {
+        use SubscriptionFilter::{All, Query};
+        let q1 = Query(QueryId(1));
+        for filters in [vec![q1, All, q1], vec![q1, All]] {
+            let reg = SubscriptionRegistry::default();
+            let subs: Vec<Subscription> = filters
+                .iter()
+                .map(|&f| reg.subscribe(f, 64, BackpressurePolicy::Block))
+                .collect();
+            let (mut chunk, mut sent) = (MatchChunk::default(), Vec::new());
+            for pos in 0..8 {
+                let e = rich(0, pos);
+                chunk.push(pos, e.valuation.view(), [QueryId(0), QueryId(1)]);
+                let twin = MatchEvent {
+                    query: QueryId(1),
+                    ..e.clone()
+                };
+                sent.extend([e, twin]);
+            }
+            let words = chunk.words_len();
+            assert_eq!(words, 8 * sent[0].valuation.view().words().len());
+            reg.publish(&mut chunk);
+            assert!(chunk.is_empty());
+            for (sub, filter) in subs.iter().zip(&filters) {
+                let want: Vec<MatchEvent> = sent
+                    .iter()
+                    .filter(|e| filter.accepts(e.query))
+                    .cloned()
+                    .collect();
+                let mut chunks = Vec::new();
+                assert_eq!(sub.recv_chunks(Duration::ZERO, &mut chunks), want.len());
+                assert_eq!(events_of(&chunks), want, "{filter:?} of {filters:?}");
+                let held: usize = chunks.iter().map(MatchChunk::words_len).sum();
+                assert_eq!(
+                    held, words,
+                    "{filter:?} of {filters:?}: one copy per output"
+                );
+            }
+        }
     }
 }

@@ -76,8 +76,8 @@ pub use durability::{
 pub use error::{Error, ErrorCode};
 pub use evaluator::{run_to_end, EngineStats, StreamingEvaluator};
 pub use ingest::{
-    BackpressurePolicy, IngestConfig, IngestError, IngestHandle, IngestReceipt, QueueStats,
-    Subscription, SubscriptionFilter,
+    BackpressurePolicy, IngestConfig, IngestError, IngestHandle, IngestReceipt, MatchChunk,
+    QueueStats, Subscription, SubscriptionFilter,
 };
 pub use metrics::PipelineEvent;
 pub use runtime::{

@@ -954,6 +954,56 @@ mod tests {
         }
     }
 
+    /// A shard worker that panics mid-batch fails its callers instead
+    /// of parking them: its queue is closed and the fence's staged job
+    /// dropped, so `push_batch` ends in `alive()` and a producer gets
+    /// `RuntimeClosed`. The call runs on a helper thread behind a
+    /// timeout, so a regression fails here instead of hanging the suite.
+    #[test]
+    fn a_dead_shard_worker_fails_its_callers_instead_of_parking_them() {
+        use cer_automata::pcea::PceaBuilder;
+        use cer_automata::predicate::UnaryPredicate;
+        use cer_automata::valuation::{Label, LabelSet};
+        use cer_common::tuple::tup;
+        use cer_common::Value;
+        let (_, _, _, t) = Schema::sigma0();
+        let mut b = PceaBuilder::new(1);
+        let q = b.add_state();
+        let boom = |t: &Tuple| {
+            assert_ne!(t.get(0), &Value::Int(13), "the predicate panics on 13");
+            true
+        };
+        b.add_initial_transition(
+            UnaryPredicate::Custom(std::sync::Arc::new(boom)),
+            LabelSet::singleton(Label(0)),
+            q,
+        );
+        b.mark_final(q);
+        let mut rt = Runtime::new(1);
+        rt.register(QuerySpec::new("boom", b.build(), WindowPolicy::Count(10)))
+            .unwrap();
+        let stream: Vec<Tuple> = (10..16).map(|k| tup(t, [k])).collect();
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let call = std::panic::AssertUnwindSafe(|| rt.push_batch(&stream));
+            let message = std::panic::catch_unwind(call).map_err(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            });
+            let produced = rt.ingest_handle().push_batch(&stream).map(drop);
+            done.send((message.map(drop), produced)).unwrap();
+        });
+        let (message, produced) = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("push_batch parked on a dead shard worker");
+        helper.join().unwrap();
+        let message = message.expect_err("push_batch returned past a dead shard worker");
+        assert!(message.contains("a runtime shard worker died"), "{message}");
+        assert_eq!(produced, Err(crate::IngestError::RuntimeClosed));
+    }
+
     #[test]
     fn unsound_key_partition_rejected() {
         // A chain whose join key rotates positions cannot be partitioned

@@ -6,8 +6,9 @@
 //!
 //! Inside a skeleton group the host keeps one evaluator per *twin
 //! class*: the hosted query ids whose evaluators are provably identical.
-//! The evaluator runs once per batch, and each output becomes one
-//! [`MatchEvent`] per member id that has a subscriber. A query without a
+//! The evaluator runs once per batch, and each output becomes one match
+//! per member id that has a subscriber, all sharing one copy of the
+//! valuation's words in the worker's [`MatchChunk`]. A query without a
 //! twin is a class of one and runs through the same loop.
 //!
 //! A fresh registration joins a class when a cheap sufficient check
@@ -37,9 +38,9 @@
 //! restored replica's zeroed counters no longer prove that it is in its
 //! initial state.
 
-use super::{MatchEvent, Partition, QueryId, SharedEvalStats};
+use super::{Partition, QueryId, SharedEvalStats};
 use crate::evaluator::{EngineStats, StreamingEvaluator};
-use crate::ingest::{key_shard, IngestShared, ShardMsg, ShardQueue, TupleBatch};
+use crate::ingest::{key_shard, IngestShared, MatchChunk, ShardMsg, ShardQueue, TupleBatch};
 use crate::metrics::{PipelineEvent, ShardStageMetrics};
 use crate::shared::PredicateCache;
 use crate::window::WindowPolicy;
@@ -120,11 +121,13 @@ pub(crate) struct ShardState {
 /// the registry and queue locks are paid once per hundreds of matches,
 /// small enough that a tuple completing millions of matches streams to
 /// its consumers while it is still being enumerated. A staged match is a
-/// 48-byte record owning one buffer of `|Ω| + |ν|` words (the flat
+/// 32-byte header plus, shared with its twins, a copy of the
+/// enumerator's `|Ω| + |ν|` words (the flat
 /// [`Valuation`](cer_automata::valuation::Valuation)), so a full chunk is
-/// 12 KiB of records plus 256 small blocks — a few tens of KiB for the
-/// valuations queries produce — each allocated once here and freed once
-/// by whichever thread encodes it.
+/// two blocks — 8 KiB of headers and a few tens of KiB of words for the
+/// valuations queries produce — allocated once here, each next chunk
+/// pre-sized to the last, and freed once by whichever thread consumes
+/// it.
 const MATCH_CHUNK: usize = 256;
 
 /// Everything one shard worker owns: the twin classes and their
@@ -163,7 +166,7 @@ pub(crate) struct ShardHost {
     listening: Vec<bool>,
     /// Completed matches on their way to the subscriber channels; see
     /// [`MATCH_CHUNK`].
-    chunk: Vec<MatchEvent>,
+    chunk: MatchChunk,
 }
 
 impl ShardHost {
@@ -185,7 +188,7 @@ impl ShardHost {
             routes: FxHashMap::default(),
             wildcards: Vec::new(),
             listening: Vec::new(),
-            chunk: Vec::new(),
+            chunk: MatchChunk::default(),
         }
     }
 
@@ -415,8 +418,8 @@ impl ShardHost {
     /// subsequence of the slice goes through the vectorized batch path
     /// once, its outputs fan out to the class's listening members, and
     /// completed matches are published to the subscription registry in
-    /// chunks of at most [`MATCH_CHUNK`], the last one when the batch
-    /// ends.
+    /// chunks of [`MATCH_CHUNK`] matches (a few more when twins share
+    /// the output that fills one), the last one when the batch ends.
     fn eval_batch(&mut self, batch: TupleBatch) {
         let ingest_at = batch.ingest_at;
         let tuples = batch.tuples;
@@ -471,18 +474,12 @@ impl ShardHost {
                     Some((&self.stage.prefilter, &self.stage.eval_tail)),
                     |position, v| {
                         // `v` is the enumerator's scratch; keeping the
-                        // match is one clone of its one flat buffer per
-                        // listening member — the only allocation a
-                        // match costs this thread.
-                        for (&query, _) in members.iter().zip(listening).filter(|(_, &on)| on) {
-                            self.chunk.push(MatchEvent {
-                                position,
-                                query,
-                                valuation: v.clone(),
-                            });
-                            if self.chunk.len() >= MATCH_CHUNK {
-                                deliver(&self.shared, &mut self.chunk, ingest_at);
-                            }
+                        // match is one copy of its words into the chunk,
+                        // shared by every listening member.
+                        let on = members.iter().zip(listening).filter(|(_, &on)| on);
+                        self.chunk.push(position, v.view(), on.map(|(&q, _)| q));
+                        if self.chunk.len() >= MATCH_CHUNK {
+                            deliver(&self.shared, &mut self.chunk, ingest_at);
                         }
                     },
                 );
@@ -517,7 +514,7 @@ impl ShardHost {
 /// Publish the staged matches (one chunk) and record, for the e2e
 /// samples that fall inside it, the latency since their batch was
 /// reserved at `ingest_at`.
-fn deliver(shared: &IngestShared, chunk: &mut Vec<MatchEvent>, ingest_at: Instant) {
+fn deliver(shared: &IngestShared, chunk: &mut MatchChunk, ingest_at: Instant) {
     let n = chunk.len() as u64;
     if n == 0 {
         return;
@@ -549,6 +546,7 @@ pub(super) fn spawn_workers(
         std::thread::Builder::new()
             .name(format!("cer-shard-{shard_idx}"))
             .spawn(move || {
+                let _dead = AbandonOnUnwind(&queue);
                 while let Some(msg) = queue.pop_batch(max_batch) {
                     match msg {
                         ShardMsg::Tuples(batch) => host.eval_batch(batch),
@@ -559,4 +557,19 @@ pub(super) fn spawn_workers(
             .expect("spawn shard worker")
     };
     queues.iter().zip(stages).enumerate().map(spawn).collect()
+}
+
+/// Abandons the worker's queue if the worker thread unwinds: nothing
+/// will ever pop it again, so its staged control jobs — each holding a
+/// fence's reply sender — are dropped and the queue closed. A waiting
+/// fence then fails with `ShardWorkerDied` instead of parking forever,
+/// and producers get `Closed`.
+struct AbandonOnUnwind<'a>(&'a ShardQueue);
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abandon();
+        }
+    }
 }

@@ -64,6 +64,7 @@
 //! one sample in `tests/wire_golden.rs`. Tags are append-only;
 //! [`PROTOCOL_VERSION`] moves only if a released row changes.
 
+use cer_automata::valuation::ValuationRef;
 use cer_common::wire::{Bytes, Codec, Len, Wire, WireError, WireReader, WireWriter};
 use cer_common::{wire_enum, wire_struct, RelationId, Tuple};
 use cer_core::runtime::{MatchEvent, Partition, QueryId};
@@ -120,6 +121,30 @@ pub(crate) fn encode_frame_into<T: Wire>(buf: &mut Vec<u8>, msg: &T) -> Result<(
         Err(_) => buf.truncate(start),
     }
     len.map(drop)
+}
+
+/// Append one [`Response::Event`] frame for a match borrowed from
+/// wherever it lies — a [`MatchChunk`](cer_core::MatchChunk)'s words —
+/// with no owned match and no intermediate payload: the bytes
+/// [`write_frame`] sends for `encode_message(&Response::Event(ev))`,
+/// `ev` the owned match, `4 + 13 + 8 · (1 + |Ω| + |ν|)` of them,
+/// reserved in one step. On error `buf` is left as it was.
+pub fn encode_event_frame(
+    buf: &mut Vec<u8>,
+    position: u64,
+    query: QueryId,
+    valuation: ValuationRef<'_>,
+) -> Result<(), WireError> {
+    let len = event_payload_len(valuation)
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or(WireError::Corrupt("frame payload over 4 GiB"))?;
+    let mut w = WireWriter::appending_to(std::mem::take(buf));
+    w.reserve(4 + len as usize);
+    w.put_u32(len);
+    w.put_u8(EVENT_TAG);
+    put_event(&mut w, position, query, valuation);
+    *buf = w.into_bytes();
+    Ok(())
 }
 
 /// Read one frame's payload from a stream.
@@ -515,17 +540,36 @@ impl Codec<u16> for CodeAsU32 {
     }
 }
 
+/// [`Response::Event`]'s tag, as its row in the table declares it.
+const EVENT_TAG: u8 = 14;
+
+/// The one `Event` encoder: what follows the tag in every
+/// [`Response::Event`] payload — position, query, valuation — whether
+/// the match is owned ([`PresizedEvent`]) or borrowed from a chunk
+/// ([`encode_event_frame`]).
+fn put_event(w: &mut WireWriter, position: u64, query: QueryId, valuation: ValuationRef<'_>) {
+    w.put_u64(position);
+    w.put_u32(query.0);
+    valuation.encode(w);
+}
+
+/// An `Event` payload's size: tag, position and query (13 bytes), then
+/// the valuation's label count, a length per label and a word per
+/// position. Checked, since a release build would wrap.
+fn event_payload_len(valuation: ValuationRef<'_>) -> Option<usize> {
+    let words = valuation.words().len().checked_add(1)?;
+    words.checked_mul(8)?.checked_add(13)
+}
+
 /// [`Response::Event`]'s payload: position, query, valuation. Written by
 /// hand, not as a `wire_struct!` row, because it pre-sizes: the whole
-/// frame — tag, position, query, then the valuation's label count, a
-/// length per label and a word per position — is reserved in one step.
+/// payload ([`event_payload_len`]) is reserved in one step.
 struct PresizedEvent;
 
 impl Codec<MatchEvent> for PresizedEvent {
     fn put(ev: &MatchEvent, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_u64(ev.position);
-        w.put_u32(ev.query.0);
-        ev.valuation.encode(w)
+        put_event(w, ev.position, ev.query, ev.valuation.view());
+        Ok(())
     }
     fn get(r: &mut WireReader<'_>) -> Result<MatchEvent, WireError> {
         Ok(MatchEvent {
@@ -535,7 +579,7 @@ impl Codec<MatchEvent> for PresizedEvent {
         })
     }
     fn size_hint(ev: &MatchEvent) -> usize {
-        13 + 8 * (1 + ev.valuation.num_labels() + ev.valuation.weight())
+        event_payload_len(ev.valuation.view()).unwrap_or(0)
     }
 }
 
@@ -768,5 +812,76 @@ mod tests {
             decode_message::<Request>(&bytes),
             Err(WireError::Corrupt(_))
         ));
+    }
+
+    mod event_frames {
+        use super::*;
+        use cer_automata::valuation::{Label, LabelSet, Valuation};
+        use cer_core::MatchChunk;
+        use proptest::prelude::*;
+
+        fn position() -> impl Strategy<Value = u64> {
+            prop_oneof![0u64..32, (u64::MAX - 32)..u64::MAX, Just(u64::MAX)]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// The pusher's frames, encoded from a chunk's words, are
+            /// the owned events' `Response::Event` frames: they decode
+            /// to exactly the owned match, byte for byte equal to
+            /// `write_frame(encode_message(..))`, `4 + 13 + 8 · (1 +
+            /// |Ω| + |ν|)` bytes long — over 0, 1 and 64 labels, empty
+            /// label groups, positions up to `u64::MAX` and twin
+            /// members sharing one copy of the words.
+            #[test]
+            fn chunk_frames_are_the_owned_events_frames(
+                labels in prop_oneof![Just(0usize), Just(1usize), Just(64usize), 2usize..8],
+                first in any::<u32>(),
+                outputs in proptest::collection::vec(
+                    (
+                        position(),
+                        1u32..4,
+                        proptest::collection::vec((0usize..64, position()), 0..10),
+                    ),
+                    1..12,
+                ),
+            ) {
+                let (mut chunk, mut owned, mut words) = (MatchChunk::default(), Vec::new(), 0);
+                for (position, twins, entries) in &outputs {
+                    let mut valuation = Valuation::empty(labels);
+                    for &(l, p) in entries.iter().filter(|_| labels > 0) {
+                        valuation.insert(LabelSet::singleton(Label((l % labels) as u32)), p);
+                    }
+                    let ids: Vec<QueryId> =
+                        (0..*twins).map(|k| QueryId(first.wrapping_add(k))).collect();
+                    chunk.push(*position, valuation.view(), ids.iter().copied());
+                    words += labels + valuation.weight();
+                    owned.extend(ids.into_iter().map(|query| MatchEvent {
+                        position: *position,
+                        query,
+                        valuation: valuation.clone(),
+                    }));
+                }
+                prop_assert_eq!(chunk.words_len(), words);
+                prop_assert_eq!(chunk.len(), owned.len());
+                let mut frames = Vec::new();
+                for ((position, query, valuation), event) in chunk.iter().zip(&owned) {
+                    let at = frames.len();
+                    encode_event_frame(&mut frames, position, query, valuation).unwrap();
+                    let frame = &frames[at..];
+                    let weight = event.valuation.weight();
+                    prop_assert_eq!(frame.len(), 4 + 13 + 8 * (1 + labels + weight));
+                    let (payload, rest) = parse_frame(frame, DEFAULT_MAX_FRAME).unwrap().unwrap();
+                    prop_assert!(rest.is_empty());
+                    let decoded = decode_message::<Response>(payload);
+                    prop_assert_eq!(decoded, Ok(Response::Event(event.clone())));
+                    let mut want = Vec::new();
+                    let payload = encode_message(&Response::Event(event.clone())).unwrap();
+                    write_frame(&mut want, &payload).unwrap();
+                    prop_assert_eq!(frame, &want[..]);
+                }
+            }
+        }
     }
 }

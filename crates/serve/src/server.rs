@@ -38,8 +38,9 @@
 //! [`Response::Error`] carries; the connection survives all of them.
 
 use crate::protocol::{
-    decode_message, encode_frame_into, read_frame, AutoscaleSummary, DurabilitySummary, Frontend,
-    Request, Response, StatsSummary, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    decode_message, encode_event_frame, encode_frame_into, read_frame, AutoscaleSummary,
+    DurabilitySummary, Frontend, Request, Response, StatsSummary, DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 use cer_common::Schema;
 use cer_core::ingest::{IngestHandle, Subscription, SubscriptionFilter};
@@ -380,29 +381,28 @@ impl<W: Write> ConnWriter<W> {
 }
 
 /// The pusher thread's loop: wait for the subscription to hold events,
-/// take *all* of them, encode them back to back as [`Response::Event`]
-/// frames into one reused buffer and write that buffer whenever it
-/// reaches [`PUSH_BUF_BYTES`] and when the taken events run out. An
-/// idle connection therefore sends each event the moment it arrives,
-/// one frame per write, and frames coalesce only while the socket is
-/// the slower side — there is no timer and nothing to tune. The byte
-/// stream is the same either way: the events' frames in channel order.
+/// take *all* of them — whole [`MatchChunk`](cer_core::MatchChunk)s,
+/// no match is ever built — encode them back to back as
+/// [`Response::Event`] frames straight from the chunks' words into one
+/// reused buffer, and write that buffer whenever it reaches
+/// [`PUSH_BUF_BYTES`] and when the taken events run out. An idle
+/// connection therefore sends each event the moment it arrives, one
+/// frame per write, and frames coalesce only while the socket is the
+/// slower side — there is no timer and nothing to tune. The byte stream
+/// is the same either way: the events' frames in channel order.
 fn push_events<W: Write>(
     sub: &Subscription,
     writer: &ConnWriter<W>,
     tick: Duration,
     stopped: impl Fn() -> bool,
 ) {
-    let mut events = Vec::new();
+    let mut chunks = Vec::new();
     let mut frames = Vec::new();
     while !stopped() {
-        if sub.recv_all(tick, &mut events) == 0 {
-            continue;
-        }
-        let mut left = events.len();
-        for event in events.drain(..) {
+        let mut left = sub.recv_chunks(tick, &mut chunks);
+        for (position, query, valuation) in chunks.iter().flat_map(|chunk| chunk.iter()) {
             left -= 1;
-            if encode_frame_into(&mut frames, &Response::Event(event)).is_err() {
+            if encode_event_frame(&mut frames, position, query, valuation).is_err() {
                 return;
             }
             if frames.len() >= PUSH_BUF_BYTES || left == 0 {
@@ -412,6 +412,7 @@ fn push_events<W: Write>(
                 frames.clear();
             }
         }
+        chunks.clear();
     }
 }
 

@@ -102,7 +102,7 @@ pub mod prelude {
     pub use cer_automata::pcea::{Pcea, PceaBuilder, StateId};
     pub use cer_automata::predicate::{CmpOp, EqPredicate, KeyExtractor, UnaryPredicate};
     pub use cer_automata::reference::ReferenceEval;
-    pub use cer_automata::valuation::{Label, LabelSet, Valuation};
+    pub use cer_automata::valuation::{Label, LabelSet, Valuation, ValuationRef};
     pub use cer_common::gen::{sigma0_prefix, ChainGen, SensorGen, Sigma0Gen, StarGen, StockGen};
     pub use cer_common::{Schema, SliceStream, Stream, StreamExt, Tuple, Value, VecStream};
     pub use cer_core::api::Evaluator;
@@ -115,8 +115,8 @@ pub mod prelude {
     pub use cer_core::error::{Error, ErrorCode};
     pub use cer_core::evaluator::{run_to_end, StreamingEvaluator};
     pub use cer_core::ingest::{
-        BackpressurePolicy, IngestConfig, IngestError, IngestHandle, IngestReceipt, QueueStats,
-        Subscription, SubscriptionFilter,
+        BackpressurePolicy, IngestConfig, IngestError, IngestHandle, IngestReceipt, MatchChunk,
+        QueueStats, Subscription, SubscriptionFilter,
     };
     pub use cer_core::metrics::PipelineEvent;
     pub use cer_core::runtime::{
