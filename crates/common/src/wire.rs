@@ -87,8 +87,8 @@ impl fmt::Display for WireError {
             WireError::Unsupported(what) => {
                 write!(f, "cannot serialize {what}")
             }
-            WireError::Truncated => write!(f, "snapshot bytes truncated"),
-            WireError::Corrupt(what) => write!(f, "snapshot bytes corrupt: {what}"),
+            WireError::Truncated => write!(f, "bytes truncated"),
+            WireError::Corrupt(what) => write!(f, "bytes corrupt: {what}"),
         }
     }
 }
@@ -177,7 +177,7 @@ impl WireWriter {
     }
 }
 
-/// Cursor over snapshot bytes for decoding. Every read is
+/// Cursor over encoded bytes for decoding. Every read is
 /// bounds-checked; malformed input yields [`WireError`], never a panic.
 pub struct WireReader<'a> {
     buf: &'a [u8],

@@ -122,6 +122,7 @@
 //! assert_eq!(events.iter().filter(|e| e.query == q).count(), 2);
 //! ```
 
+use crate::error::Error;
 use crate::runtime::QuerySpec;
 use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
 use std::fmt;
@@ -130,49 +131,6 @@ use std::fmt;
 const MAGIC: &[u8; 8] = b"CERSNAP\0";
 /// Current snapshot format version.
 const VERSION: u32 = 1;
-
-/// Why a snapshot, serialization or restore failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// A value failed to encode or decode (unsupported closure
-    /// predicate, truncated or corrupt bytes).
-    Wire(WireError),
-    /// The byte stream is not a snapshot (bad magic).
-    NotASnapshot,
-    /// The snapshot was written by an unknown format version.
-    UnknownVersion(u32),
-    /// A shard worker died while serializing its state.
-    ShardWorkerDied,
-    /// A restored query definition failed re-registration (e.g. its key
-    /// partition no longer validates). The payload names the query.
-    BadDefinition(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Wire(e) => write!(f, "snapshot wire error: {e}"),
-            SnapshotError::NotASnapshot => write!(f, "not a snapshot (bad magic)"),
-            SnapshotError::UnknownVersion(v) => {
-                write!(f, "unknown snapshot format version {v}")
-            }
-            SnapshotError::ShardWorkerDied => {
-                write!(f, "a shard worker died during the snapshot")
-            }
-            SnapshotError::BadDefinition(q) => {
-                write!(f, "restored query `{q}` failed re-registration")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<WireError> for SnapshotError {
-    fn from(e: WireError) -> Self {
-        SnapshotError::Wire(e)
-    }
-}
 
 /// One registered query inside a [`Snapshot`]: its id, its definition
 /// (absent for retired ids, which are recorded only to keep id
@@ -238,7 +196,7 @@ impl Snapshot {
     /// Serialize to a self-contained byte vector (magic + version +
     /// body). Fails only when a query definition cannot be encoded
     /// (closure predicates).
-    pub fn to_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
+    pub fn to_bytes(&self) -> Result<Vec<u8>, Error> {
         let mut w = WireWriter::new();
         for &b in MAGIC {
             w.put_u8(b);
@@ -260,16 +218,16 @@ impl Snapshot {
     }
 
     /// Deserialize a snapshot written by [`to_bytes`](Self::to_bytes).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, Error> {
         let mut r = WireReader::new(bytes);
         for &expect in MAGIC {
             if r.get_u8()? != expect {
-                return Err(SnapshotError::NotASnapshot);
+                return Err(Error::NotASnapshot);
             }
         }
         let version = r.get_u32()?;
         if version != VERSION {
-            return Err(SnapshotError::UnknownVersion(version));
+            return Err(Error::UnknownVersion(version));
         }
         let position = r.get_u64()?;
         let origin_shards = usize::decode(&mut r)?;
@@ -292,7 +250,7 @@ impl Snapshot {
             });
         }
         if !r.is_exhausted() {
-            return Err(SnapshotError::Wire(WireError::Corrupt(
+            return Err(Error::Wire(WireError::Corrupt(
                 "trailing bytes after snapshot",
             )));
         }
@@ -363,14 +321,14 @@ mod tests {
 
         assert_eq!(
             Snapshot::from_bytes(b"not a snapshot..").unwrap_err(),
-            SnapshotError::NotASnapshot
+            Error::NotASnapshot
         );
         // Wrong version.
         let mut versioned = bytes.clone();
         versioned[8] = 99;
         assert_eq!(
             Snapshot::from_bytes(&versioned).unwrap_err(),
-            SnapshotError::UnknownVersion(99)
+            Error::UnknownVersion(99)
         );
         // Truncations never panic.
         for cut in 0..bytes.len() {
@@ -404,7 +362,7 @@ mod tests {
         };
         assert!(matches!(
             snap.to_bytes(),
-            Err(SnapshotError::Wire(WireError::Unsupported(_)))
+            Err(Error::Wire(WireError::Unsupported(_)))
         ));
     }
 }

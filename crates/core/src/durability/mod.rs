@@ -64,7 +64,7 @@
 //! that happened before the crash are gone with their sockets.
 //! Queries whose predicates hold `Custom` closures cannot be encoded
 //! and are rejected up front on durable runtimes
-//! ([`crate::runtime::RuntimeError::UnserializableQuery`]).
+//! ([`Error::UnserializableQuery`](crate::Error::UnserializableQuery)).
 //!
 //! # On-disk layout
 //!
@@ -85,9 +85,6 @@ mod wal;
 pub(crate) use store::CheckpointStore;
 pub(crate) use wal::{replay_dir, Wal, WalOp, WalRecord};
 
-use crate::checkpoint::SnapshotError;
-use cer_common::wire::WireError;
-use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -147,92 +144,6 @@ impl DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Why a durability operation failed. Every variant maps to a stable
-/// [`ErrorCode`](crate::error::ErrorCode) via
-/// [`Error::code`](crate::error::Error::code).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DurabilityError {
-    /// An on-disk structure failed validation (bad magic, bad CRC on a
-    /// checkpoint, undecodable record payload). The payload names the
-    /// structure.
-    WalCorrupt(&'static str),
-    /// An I/O operation on a durability file failed. The `io::Error`
-    /// is stringified so the error stays `Clone + Eq`.
-    WalIo {
-        /// What was being attempted (`"append"`, `"open segment"`, …).
-        op: &'static str,
-        /// The stringified `io::Error`.
-        message: String,
-    },
-    /// `recover()` found no manifest and no WAL segments in the
-    /// directory.
-    ManifestMissing,
-    /// Replay diverged from the log: a position stamp, query id or
-    /// sequence number did not reproduce. The payload describes the
-    /// divergence.
-    RecoverMismatch(String),
-    /// A durability operation was invoked on a runtime that was not
-    /// opened through [`Runtime::open_durable`] /
-    /// [`Runtime::recover`](crate::runtime::Runtime::recover).
-    ///
-    /// [`Runtime::open_durable`]: crate::runtime::Runtime::open_durable
-    NotDurable,
-    /// A checkpoint could not be captured or decoded (layered:
-    /// snapshot errors keep their own codes).
-    Snapshot(SnapshotError),
-}
-
-impl fmt::Display for DurabilityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DurabilityError::WalCorrupt(what) => {
-                write!(f, "durability file corrupt: {what}")
-            }
-            DurabilityError::WalIo { op, message } => {
-                write!(f, "durability i/o failed during {op}: {message}")
-            }
-            DurabilityError::ManifestMissing => {
-                write!(f, "no manifest or wal segments found in data directory")
-            }
-            DurabilityError::RecoverMismatch(why) => {
-                write!(f, "wal replay diverged from the log: {why}")
-            }
-            DurabilityError::NotDurable => {
-                write!(f, "runtime was not opened with a data directory")
-            }
-            DurabilityError::Snapshot(e) => write!(f, "checkpoint failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DurabilityError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DurabilityError::Snapshot(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SnapshotError> for DurabilityError {
-    fn from(e: SnapshotError) -> Self {
-        DurabilityError::Snapshot(e)
-    }
-}
-
-impl From<WireError> for DurabilityError {
-    fn from(e: WireError) -> Self {
-        DurabilityError::Snapshot(SnapshotError::Wire(e))
-    }
-}
-
-pub(crate) fn io_err(op: &'static str, e: std::io::Error) -> DurabilityError {
-    DurabilityError::WalIo {
-        op,
-        message: e.to_string(),
     }
 }
 

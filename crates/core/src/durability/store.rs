@@ -18,11 +18,11 @@
 //! previous recovery point — intact; orphaned checkpoint files are
 //! swept on the next open.
 
-use super::{io_err, DurabilityError};
-use crate::checkpoint::{QueryRecord, Snapshot, SnapshotError};
+use crate::checkpoint::{QueryRecord, Snapshot};
+use crate::error::{io_err, Error};
 use crate::runtime::QuerySpec;
 use cer_common::crc::{crc32, Crc32};
-use cer_common::wire::{Wire, WireError, WireReader, WireWriter};
+use cer_common::wire::{Wire, WireReader, WireWriter};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Write};
@@ -156,21 +156,19 @@ fn encode_blob(out: &mut WireWriter, base: Option<&[u8]>, blob: &[u8]) {
 
 /// Decode one blob written by [`encode_blob`], reconstructing copy runs
 /// from `base`.
-fn decode_blob(r: &mut WireReader, base: Option<&[u8]>) -> Result<Vec<u8>, DurabilityError> {
+fn decode_blob(r: &mut WireReader, base: Option<&[u8]>) -> Result<Vec<u8>, Error> {
     let enc = r.get_bytes()?;
     let mut er = WireReader::new(enc);
     match er.get_u8()? {
         KIND_FULL => {
             let bytes = er.get_bytes()?.to_vec();
             if !er.is_exhausted() {
-                return Err(DurabilityError::WalCorrupt("trailing bytes in full blob"));
+                return Err(Error::WalCorrupt("trailing bytes in full blob"));
             }
             Ok(bytes)
         }
         KIND_DELTA => {
-            let base = base.ok_or(DurabilityError::WalCorrupt(
-                "delta blob without a base blob",
-            ))?;
+            let base = base.ok_or(Error::WalCorrupt("delta blob without a base blob"))?;
             let new_len = er.get_u64()? as usize;
             // Sized by what the delta can produce — copies of the base
             // plus its own literals — never by the forgeable length.
@@ -183,9 +181,7 @@ fn decode_blob(r: &mut WireReader, base: Option<&[u8]>) -> Result<Vec<u8>, Durab
                             let off = out.len();
                             let clen = CHUNK.min(new_len.saturating_sub(off));
                             if clen == 0 || base.len() < off + clen {
-                                return Err(DurabilityError::WalCorrupt(
-                                    "delta copy run out of bounds",
-                                ));
+                                return Err(Error::WalCorrupt("delta copy run out of bounds"));
                             }
                             out.extend_from_slice(&base[off..off + clen]);
                         }
@@ -195,17 +191,17 @@ fn decode_blob(r: &mut WireReader, base: Option<&[u8]>) -> Result<Vec<u8>, Durab
                         out.extend_from_slice(bytes);
                     }
                     OP_END => break,
-                    _ => return Err(DurabilityError::WalCorrupt("unknown delta op")),
+                    _ => return Err(Error::WalCorrupt("unknown delta op")),
                 }
             }
             if out.len() != new_len || !er.is_exhausted() {
-                return Err(DurabilityError::WalCorrupt(
+                return Err(Error::WalCorrupt(
                     "delta blob did not reconstruct to its recorded length",
                 ));
             }
             Ok(out)
         }
-        _ => Err(DurabilityError::WalCorrupt("unknown blob encoding kind")),
+        _ => Err(Error::WalCorrupt("unknown blob encoding kind")),
     }
 }
 
@@ -215,7 +211,7 @@ impl CheckpointStore {
     pub fn open(
         root: &Path,
         full_every: u64,
-    ) -> Result<(CheckpointStore, Option<Snapshot>), DurabilityError> {
+    ) -> Result<(CheckpointStore, Option<Snapshot>), Error> {
         let ckpt_dir = root.join("ckpt");
         std::fs::create_dir_all(&ckpt_dir).map_err(|e| io_err("create ckpt dir", e))?;
         let manifest = root.join("MANIFEST");
@@ -234,7 +230,7 @@ impl CheckpointStore {
         let mut snap: Option<Snapshot> = None;
         for (i, entry) in chain.iter().enumerate() {
             if (i == 0) != entry.full {
-                return Err(DurabilityError::WalCorrupt(
+                return Err(Error::WalCorrupt(
                     "manifest chain must start with exactly one full checkpoint",
                 ));
             }
@@ -285,7 +281,7 @@ impl CheckpointStore {
     /// Stream `snap` to disk as the next epoch and commit it to the
     /// manifest. Returns the checkpoint stats with
     /// `wal_segments_removed` left at 0 for the caller to fill in.
-    pub fn write(&mut self, snap: &Snapshot) -> Result<super::CheckpointStats, DurabilityError> {
+    pub fn write(&mut self, snap: &Snapshot) -> Result<super::CheckpointStats, Error> {
         let epoch = self.next_epoch;
         let full = self.chain.is_empty() || self.chain.len() as u64 >= self.full_every;
         let file_name = ckpt_file_name(epoch);
@@ -317,9 +313,7 @@ impl CheckpointStore {
             let mut rec = WireWriter::new();
             rec.put_u32(q.id);
             rec.put_str(&q.name);
-            q.spec
-                .encode(&mut rec)
-                .map_err(|e| DurabilityError::Snapshot(SnapshotError::Wire(e)))?;
+            q.spec.encode(&mut rec)?;
             rec.put_len(q.blobs.len());
             sink.write_all(&rec.into_bytes())
                 .map_err(|e| io_err("write checkpoint", e))?;
@@ -390,25 +384,25 @@ fn blobs_of(queries: &[QueryRecord]) -> BaseMap {
     map
 }
 
-fn read_manifest(path: &Path) -> Result<Vec<ChainEntry>, DurabilityError> {
+fn read_manifest(path: &Path) -> Result<Vec<ChainEntry>, Error> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read manifest", e))?;
     if bytes.len() < 4 {
-        return Err(DurabilityError::WalCorrupt("manifest too short"));
+        return Err(Error::WalCorrupt("manifest too short"));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 4);
     let expect = u32::from_le_bytes(tail.try_into().unwrap());
     if crc32(body) != expect {
-        return Err(DurabilityError::WalCorrupt("manifest checksum mismatch"));
+        return Err(Error::WalCorrupt("manifest checksum mismatch"));
     }
     let mut r = WireReader::new(body);
     for &b in MANIFEST_MAGIC {
         if r.get_u8()? != b {
-            return Err(DurabilityError::WalCorrupt("bad manifest magic"));
+            return Err(Error::WalCorrupt("bad manifest magic"));
         }
     }
     let version = r.get_u32()?;
     if version != VERSION {
-        return Err(DurabilityError::WalCorrupt("unknown manifest version"));
+        return Err(Error::WalCorrupt("unknown manifest version"));
     }
     let n = r.get_len()?;
     let mut chain = Vec::with_capacity(n.min(1 << 10));
@@ -422,12 +416,12 @@ fn read_manifest(path: &Path) -> Result<Vec<ChainEntry>, DurabilityError> {
         });
     }
     if !r.is_exhausted() {
-        return Err(DurabilityError::WalCorrupt("trailing bytes in manifest"));
+        return Err(Error::WalCorrupt("trailing bytes in manifest"));
     }
     Ok(chain)
 }
 
-fn write_manifest(path: &Path, chain: &[ChainEntry]) -> Result<(), DurabilityError> {
+fn write_manifest(path: &Path, chain: &[ChainEntry]) -> Result<(), Error> {
     let mut w = WireWriter::new();
     for &b in MANIFEST_MAGIC {
         w.put_u8(b);
@@ -471,28 +465,28 @@ fn read_checkpoint(
     path: &Path,
     entry: &ChainEntry,
     base: &BaseMap,
-) -> Result<(usize, Vec<QueryRecord>), DurabilityError> {
+) -> Result<(usize, Vec<QueryRecord>), Error> {
     let mut file = File::open(path).map_err(|e| io_err("open checkpoint", e))?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)
         .map_err(|e| io_err("read checkpoint", e))?;
     if bytes.len() < 4 {
-        return Err(DurabilityError::WalCorrupt("checkpoint too short"));
+        return Err(Error::WalCorrupt("checkpoint too short"));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 4);
     let expect = u32::from_le_bytes(tail.try_into().unwrap());
     if crc32(body) != expect {
-        return Err(DurabilityError::WalCorrupt("checkpoint checksum mismatch"));
+        return Err(Error::WalCorrupt("checkpoint checksum mismatch"));
     }
     let mut r = WireReader::new(body);
     for &b in CKPT_MAGIC {
         if r.get_u8()? != b {
-            return Err(DurabilityError::WalCorrupt("bad checkpoint magic"));
+            return Err(Error::WalCorrupt("bad checkpoint magic"));
         }
     }
     let version = r.get_u32()?;
     if version != VERSION {
-        return Err(DurabilityError::WalCorrupt("unknown checkpoint version"));
+        return Err(Error::WalCorrupt("unknown checkpoint version"));
     }
     let epoch = r.get_u64()?;
     let base_epoch = r.get_u64()?;
@@ -504,7 +498,7 @@ fn read_checkpoint(
         || wal_seq != entry.wal_seq
         || (base_epoch == NO_BASE) != entry.full
     {
-        return Err(DurabilityError::WalCorrupt(
+        return Err(Error::WalCorrupt(
             "checkpoint header disagrees with the manifest",
         ));
     }
@@ -513,8 +507,7 @@ fn read_checkpoint(
     for _ in 0..n {
         let id = r.get_u32()?;
         let name = r.get_str()?;
-        let spec = Option::<QuerySpec>::decode(&mut r)
-            .map_err(|e: WireError| DurabilityError::Snapshot(SnapshotError::Wire(e)))?;
+        let spec = Option::<QuerySpec>::decode(&mut r)?;
         let n_blobs = r.get_len()?;
         let mut blobs = Vec::with_capacity(n_blobs.min(1 << 10));
         for idx in 0..n_blobs {
@@ -533,7 +526,7 @@ fn read_checkpoint(
         });
     }
     if !r.is_exhausted() {
-        return Err(DurabilityError::WalCorrupt("trailing bytes in checkpoint"));
+        return Err(Error::WalCorrupt("trailing bytes in checkpoint"));
     }
     Ok((origin_shards, queries))
 }
@@ -678,7 +671,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(
             read_manifest(&path).unwrap_err(),
-            DurabilityError::WalCorrupt("manifest checksum mismatch")
+            Error::WalCorrupt("manifest checksum mismatch")
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

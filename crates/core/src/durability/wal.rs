@@ -27,7 +27,8 @@
 //! the last record that hit the disk, and
 //! [`DurabilityStatus::healthy`](super::DurabilityStatus) reports it.
 
-use super::{io_err, DurabilityConfig, DurabilityError, FsyncPolicy};
+use super::{DurabilityConfig, FsyncPolicy};
+use crate::error::{io_err, Error};
 use crate::runtime::{QueryId, QuerySpec};
 use cer_common::crc::crc32;
 use cer_common::wire::{Wire, WireReader, WireWriter};
@@ -77,13 +78,11 @@ cer_common::wire_enum! {
     }
 }
 
-fn decode_record(payload: &[u8]) -> Result<WalRecord<'static>, DurabilityError> {
+fn decode_record(payload: &[u8]) -> Result<WalRecord<'static>, Error> {
     let mut r = WireReader::new(payload);
     let record = WalRecord::decode(&mut r)?;
     if !r.is_exhausted() {
-        return Err(DurabilityError::WalCorrupt(
-            "trailing bytes in wal record payload",
-        ));
+        return Err(Error::WalCorrupt("trailing bytes in wal record payload"));
     }
     Ok(record)
 }
@@ -181,11 +180,7 @@ impl Wal {
     /// truncate-created: after a replay the segment with that name (if
     /// any) holds zero records, so overwriting it keeps repeated
     /// recoveries steady-state on disk.
-    pub fn resume(
-        &self,
-        next_seq: u64,
-        mut sealed: Vec<SegmentInfo>,
-    ) -> Result<(), DurabilityError> {
+    pub fn resume(&self, next_seq: u64, mut sealed: Vec<SegmentInfo>) -> Result<(), Error> {
         std::fs::create_dir_all(&self.dir).map_err(|e| io_err("create wal dir", e))?;
         let path = segment_path(&self.dir, next_seq);
         sealed.retain(|s| s.path != path);
@@ -224,12 +219,12 @@ impl Wal {
     /// Encode `record` and queue it under its `seq`, then drain every
     /// contiguous pending record to the file and apply the fsync
     /// policy. No-op (empty receipt) once poisoned.
-    pub fn append(&self, record: &WalRecord<'_>) -> Result<AppendReceipt, DurabilityError> {
+    pub fn append(&self, record: &WalRecord<'_>) -> Result<AppendReceipt, Error> {
         if self.poisoned.load(Ordering::Relaxed) {
             return Ok(AppendReceipt::default());
         }
         let mut payload = WireWriter::new();
-        let encoded = record.encode(&mut payload).map_err(DurabilityError::from);
+        let encoded = record.encode(&mut payload).map_err(Error::from);
         let mut core = self.core.lock().unwrap();
         let drained = encoded.and_then(|()| {
             core.pending.insert(record.seq, payload.into_bytes());
@@ -257,7 +252,7 @@ impl Wal {
     }
 
     /// Write every contiguous pending record in `wal_seq` order.
-    fn drain(&self, core: &mut WalCore) -> Result<AppendReceipt, DurabilityError> {
+    fn drain(&self, core: &mut WalCore) -> Result<AppendReceipt, Error> {
         let mut receipt = AppendReceipt::default();
         while core
             .pending
@@ -292,7 +287,7 @@ impl Wal {
             let active = match &mut core.active {
                 Some(a) => a,
                 None => {
-                    return Err(DurabilityError::WalIo {
+                    return Err(Error::WalIo {
                         op: "append",
                         message: "wal not resumed".into(),
                     })
@@ -328,7 +323,7 @@ impl Wal {
         Ok(receipt)
     }
 
-    fn sync_active(&self, core: &mut WalCore) -> Result<u64, DurabilityError> {
+    fn sync_active(&self, core: &mut WalCore) -> Result<u64, Error> {
         let started = Instant::now();
         if let Some(active) = &core.active {
             active.file.sync_data().map_err(|e| io_err("fsync", e))?;
@@ -339,7 +334,7 @@ impl Wal {
     }
 
     /// Force an fsync of the active segment (shutdown, pre-checkpoint).
-    pub fn flush_sync(&self) -> Result<(), DurabilityError> {
+    pub fn flush_sync(&self) -> Result<(), Error> {
         if self.poisoned.load(Ordering::Relaxed) {
             return Ok(());
         }
@@ -351,7 +346,7 @@ impl Wal {
     }
 
     /// Seal the active segment and open a new one at `seq`.
-    fn roll_now(&self, core: &mut WalCore, seq: u64) -> Result<(), DurabilityError> {
+    fn roll_now(&self, core: &mut WalCore, seq: u64) -> Result<(), Error> {
         if let Some(active) = core.active.take() {
             if active.bytes > HEADER_LEN {
                 active
@@ -409,7 +404,7 @@ impl Wal {
     }
 }
 
-fn open_segment(path: &Path, first_seq: u64) -> Result<ActiveSegment, DurabilityError> {
+fn open_segment(path: &Path, first_seq: u64) -> Result<ActiveSegment, Error> {
     let mut file = OpenOptions::new()
         .write(true)
         .create(true)
@@ -454,12 +449,12 @@ pub(crate) struct WalReplay {
 /// Contiguity is enforced: record sequences must increase by exactly 1
 /// across frames *and* segment boundaries; a gap means a segment was
 /// lost (not merely a tail torn) and fails with
-/// [`DurabilityError::RecoverMismatch`].
+/// [`Error::RecoverMismatch`].
 pub(crate) fn replay_dir(
     dir: &Path,
     from_seq: u64,
-    f: &mut dyn FnMut(WalRecord) -> Result<(), DurabilityError>,
-) -> Result<WalReplay, DurabilityError> {
+    f: &mut dyn FnMut(WalRecord) -> Result<(), Error>,
+) -> Result<WalReplay, Error> {
     let mut outcome = WalReplay {
         segments: Vec::new(),
         next_seq: from_seq,
@@ -500,11 +495,11 @@ pub(crate) fn replay_dir(
             continue;
         }
         if &bytes[..8] != SEGMENT_MAGIC {
-            return Err(DurabilityError::WalCorrupt("bad wal segment magic"));
+            return Err(Error::WalCorrupt("bad wal segment magic"));
         }
         let first_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         if first_seq != name_seq {
-            return Err(DurabilityError::WalCorrupt(
+            return Err(Error::WalCorrupt(
                 "wal segment header disagrees with its file name",
             ));
         }
@@ -512,7 +507,7 @@ pub(crate) fn replay_dir(
             None => cursor = Some(first_seq),
             Some(c) if c == first_seq => {}
             Some(_) => {
-                return Err(DurabilityError::RecoverMismatch(format!(
+                return Err(Error::RecoverMismatch(format!(
                     "wal segment {} does not continue the sequence",
                     path.display()
                 )))
@@ -539,7 +534,7 @@ pub(crate) fn replay_dir(
             let record = decode_record(payload)?;
             let c = cursor.unwrap();
             if record.seq != c {
-                return Err(DurabilityError::RecoverMismatch(format!(
+                return Err(Error::RecoverMismatch(format!(
                     "wal record sequence jumped from {c} to {}",
                     record.seq
                 )));
@@ -656,7 +651,7 @@ mod tests {
             bytes.push(0);
             assert_eq!(
                 decode_record(&bytes).unwrap_err(),
-                DurabilityError::WalCorrupt("trailing bytes in wal record payload")
+                Error::WalCorrupt("trailing bytes in wal record payload")
             );
         }
         let unknown_tag = [0, 0, 0, 0, 0, 0, 0, 0, 4];

@@ -187,13 +187,13 @@ pub(crate) use queue::{Closed, ShardMsg, ShardQueue, TupleBatch};
 pub(crate) use subscribe::SubscriptionRegistry;
 
 use crate::durability::{WalOp, WalRecord};
+use crate::error::Error;
 use crate::metrics::{PipelineEvent, PipelineMetrics};
 use crate::runtime::{Partition, QueryId, ShardHost};
 use cer_common::hash::{FxBuildHasher, FxHashMap};
 use cer_common::{RelationId, Tuple};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::fmt;
 use std::hash::BuildHasher;
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver};
@@ -251,23 +251,6 @@ impl Default for IngestConfig {
         }
     }
 }
-
-/// Why an ingest operation failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IngestError {
-    /// The runtime was dropped or shut down; its shard workers are gone.
-    RuntimeClosed,
-}
-
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IngestError::RuntimeClosed => write!(f, "the runtime has shut down"),
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
 
 /// What one `push_batch` on an [`IngestHandle`] did.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -572,10 +555,11 @@ impl IngestShared {
                     self.metrics.wal_fsync.record(nanos);
                 }
             }
-            Err(_) => {
+            Err(e) => {
+                let code = e.code();
                 self.metrics
                     .journal
-                    .push(PipelineEvent::WalFailed { position });
+                    .push(PipelineEvent::WalFailed { position, code });
             }
         }
     }
@@ -617,7 +601,7 @@ impl IngestShared {
         &self,
         batch: &[Tuple],
         policy: BackpressurePolicy,
-    ) -> Result<IngestReceipt, IngestError> {
+    ) -> Result<IngestReceipt, Error> {
         if batch.is_empty() {
             let seq = self.seq.lock().expect("sequencer poisoned");
             return Ok(IngestReceipt {
@@ -713,7 +697,7 @@ impl IngestShared {
         // watermark back.
         self.finish_block(id);
         if closed {
-            return Err(IngestError::RuntimeClosed);
+            return Err(Error::RuntimeClosed);
         }
         if policy == BackpressurePolicy::Block {
             while touched != 0 {
@@ -722,7 +706,7 @@ impl IngestShared {
                 let park_at = Instant::now();
                 let parked = queues[s]
                     .wait_for_room()
-                    .map_err(|Closed| IngestError::RuntimeClosed)?;
+                    .map_err(|Closed| Error::RuntimeClosed)?;
                 if parked {
                     let park = park_at.elapsed();
                     self.metrics.producer_park.record_duration(park);
@@ -803,6 +787,12 @@ impl IngestShared {
 /// its job, or it dropped the job unanswered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ShardWorkerDied;
+
+impl From<ShardWorkerDied> for Error {
+    fn from(_: ShardWorkerDied) -> Self {
+        Error::ShardWorkerDied
+    }
+}
 
 /// The one control fence — see [the module docs](self#the-control-fence)
 /// for what it is and for the ordering argument every structural
@@ -893,7 +883,7 @@ impl<R> Replies<R> {
 /// concurrently; the sequencer serializes them only to reserve position
 /// blocks — routing and staging stripe across the producers' threads.
 /// The handle outlives the runtime safely: once the runtime shuts down,
-/// pushes return [`IngestError::RuntimeClosed`].
+/// pushes return [`Error::RuntimeClosed`].
 #[derive(Clone)]
 pub struct IngestHandle {
     pub(crate) shared: Arc<IngestShared>,
@@ -901,14 +891,14 @@ pub struct IngestHandle {
 
 impl IngestHandle {
     /// Push one tuple; returns its stamped global position.
-    pub fn push(&self, t: &Tuple) -> Result<u64, IngestError> {
+    pub fn push(&self, t: &Tuple) -> Result<u64, Error> {
         let receipt = self.push_batch(std::slice::from_ref(t))?;
         Ok(receipt.positions.start)
     }
 
     /// Push a batch in stream order under the runtime's configured
     /// [`BackpressurePolicy`].
-    pub fn push_batch(&self, batch: &[Tuple]) -> Result<IngestReceipt, IngestError> {
+    pub fn push_batch(&self, batch: &[Tuple]) -> Result<IngestReceipt, Error> {
         self.shared.ingest(batch, self.shared.config.policy)
     }
 

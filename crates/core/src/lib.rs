@@ -67,21 +67,19 @@ pub use autoscale::{AutoscalePolicy, Controller, LoadSignals, ScaleDecision};
 pub use cer_obs::{
     validate_prometheus_text, HistogramSnapshot, JournalEntry, Metric, MetricValue, MetricsSnapshot,
 };
-pub use checkpoint::{Snapshot, SnapshotError};
+pub use checkpoint::Snapshot;
 pub use config::RuntimeConfig;
 pub use ds::{EnumStructure, NodeId, BOTTOM};
-pub use durability::{
-    CheckpointStats, DurabilityConfig, DurabilityError, DurabilityStatus, FsyncPolicy,
-};
+pub use durability::{CheckpointStats, DurabilityConfig, DurabilityStatus, FsyncPolicy};
 pub use error::{Error, ErrorCode};
 pub use evaluator::{run_to_end, EngineStats, StreamingEvaluator};
 pub use ingest::{
-    BackpressurePolicy, IngestConfig, IngestError, IngestHandle, IngestReceipt, MatchChunk,
-    QueueStats, Subscription, SubscriptionFilter,
+    BackpressurePolicy, IngestConfig, IngestHandle, IngestReceipt, MatchChunk, QueueStats,
+    Subscription, SubscriptionFilter,
 };
 pub use metrics::PipelineEvent;
 pub use runtime::{
-    MatchEvent, Partition, QueryId, QuerySpec, RescaleCounters, Runtime, RuntimeError,
-    RuntimeStats, SharedEvalStats, SnapshotCounters,
+    MatchEvent, Partition, QueryId, QuerySpec, RescaleCounters, Runtime, RuntimeStats,
+    SharedEvalStats, SnapshotCounters,
 };
 pub use window::{WindowClock, WindowPolicy};

@@ -37,6 +37,7 @@
 //! (parks, drops, churn), which are orders of magnitude rarer than
 //! tuples.
 
+use crate::error::ErrorCode;
 use crate::runtime::QueryId;
 use cer_obs::{Counter, Histogram, Journal, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -162,11 +163,14 @@ pub enum PipelineEvent {
         /// The fence's stream position.
         position: u64,
     },
-    /// A WAL append hit an I/O error: logging is disabled from here on
+    /// A WAL append failed: logging is disabled from here on
     /// (fail-open), the runtime keeps serving from memory.
     WalFailed {
         /// Start of the position block whose append failed.
         position: u64,
+        /// Why it failed: [`ErrorCode::WalIo`] for the disk, a wire
+        /// code for a record that would not encode.
+        code: ErrorCode,
     },
     /// A checkpoint was written and committed to the manifest; WAL
     /// segments it covers were truncated.
@@ -207,7 +211,7 @@ impl PipelineEvent {
             | PipelineEvent::Shutdown { position }
             | PipelineEvent::WalTornTail { position, .. }
             | PipelineEvent::WalRolled { position }
-            | PipelineEvent::WalFailed { position }
+            | PipelineEvent::WalFailed { position, .. }
             | PipelineEvent::CheckpointWritten { position, .. }
             | PipelineEvent::Recovered { position, .. } => *position,
             PipelineEvent::Rescale { fence_pos, .. } => *fence_pos,

@@ -91,9 +91,9 @@ mod worker;
 
 pub(crate) use worker::ShardHost;
 
-use crate::checkpoint::SnapshotError;
 use crate::config::RuntimeConfig;
 use crate::durability::{DurabilityHandle, WalOp};
+use crate::error::Error;
 use crate::evaluator::{EngineStats, StreamingEvaluator};
 use crate::ingest::{
     BackpressurePolicy, IngestHandle, IngestShared, QueryMeta, QueueStats, Router, ShardWorkerDied,
@@ -108,7 +108,6 @@ use cer_common::Tuple;
 use cer_obs::JournalEntry;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -184,10 +183,10 @@ impl QuerySpec {
     }
 
     /// Key-partitioned placements must be sound for the automaton.
-    fn check_partition(&self) -> Result<(), RuntimeError> {
+    fn check_partition(&self) -> Result<(), Error> {
         match self.partition {
             Partition::ByKey { pos } if !self.pcea.supports_key_partition(pos) => {
-                Err(RuntimeError::KeyPartitionUnsound {
+                Err(Error::KeyPartitionUnsound {
                     query: self.name.clone(),
                     pos,
                 })
@@ -221,104 +220,6 @@ pub struct MatchEvent {
     /// The match itself.
     pub valuation: Valuation,
 }
-
-/// Why a registration or deregistration was rejected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RuntimeError {
-    /// [`Partition::ByKey`] was requested but some join of the automaton
-    /// does not project the partition attribute on both sides, so runs
-    /// could cross shard boundaries and outputs would be lost.
-    KeyPartitionUnsound {
-        /// The query's name.
-        query: String,
-        /// The requested partition attribute.
-        pos: usize,
-    },
-    /// The query id is not currently registered (never was, or already
-    /// deregistered).
-    UnknownQuery {
-        /// The offending id.
-        id: QueryId,
-    },
-    /// [`Runtime::replace`] rejected a hot-swap: the new query cannot
-    /// take over the old one's accumulated state. The old query keeps
-    /// running untouched.
-    ReplaceIncompatible {
-        /// The replacement query's name.
-        query: String,
-        /// What failed the compatibility check.
-        reason: &'static str,
-    },
-    /// [`Runtime::rescale`] was asked for a shard count outside the
-    /// supported `1..=64` range (the same bound
-    /// [`RuntimeConfig`] clamps to at construction).
-    InvalidShardCount {
-        /// The rejected count.
-        shards: usize,
-    },
-    /// A durable runtime rejected a registration (or hot-swap) whose
-    /// definition cannot be serialized to the write-ahead log —
-    /// closure predicates have no wire form, so the query could never
-    /// be recovered. Rejected *before* anything is logged or routed;
-    /// the runtime is unchanged.
-    UnserializableQuery {
-        /// The rejected query's name.
-        query: String,
-    },
-    /// A shard worker vanished while the operation's fence was waiting
-    /// on it. The operation's registry bookkeeping was not applied; the
-    /// runtime should be dropped.
-    ShardWorkerDied,
-}
-
-impl From<ShardWorkerDied> for RuntimeError {
-    fn from(_: ShardWorkerDied) -> Self {
-        RuntimeError::ShardWorkerDied
-    }
-}
-
-impl From<ShardWorkerDied> for SnapshotError {
-    fn from(_: ShardWorkerDied) -> Self {
-        SnapshotError::ShardWorkerDied
-    }
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeError::KeyPartitionUnsound { query, pos } => write!(
-                f,
-                "query `{query}`: key partitioning on tuple position {pos} is unsound — \
-                 every join must project that attribute on both sides"
-            ),
-            RuntimeError::UnknownQuery { id } => {
-                write!(f, "query {id:?} is not registered")
-            }
-            RuntimeError::ReplaceIncompatible { query, reason } => {
-                write!(
-                    f,
-                    "query `{query}` cannot take over the old state: {reason}"
-                )
-            }
-            RuntimeError::InvalidShardCount { shards } => {
-                write!(f, "shard count {shards} out of range (1..=64)")
-            }
-            RuntimeError::UnserializableQuery { query } => {
-                write!(
-                    f,
-                    "query `{query}` cannot be written to the WAL (closure \
-                     predicates have no wire form) — a durable runtime would \
-                     lose it on recovery"
-                )
-            }
-            RuntimeError::ShardWorkerDied => {
-                write!(f, "a shard worker died during the operation")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
 
 /// Runtime counters: per-query engine stats aggregated across shards,
 /// plus the occupancy of every shard's ingest queue.
@@ -464,8 +365,7 @@ pub struct Runtime {
     /// `Some` when this runtime was opened on a data directory
     /// ([`Runtime::open_durable`] / [`Runtime::recover`]): the attached
     /// WAL plus the checkpoint store. In-memory runtimes carry `None`
-    /// and every durability entry point reports
-    /// [`DurabilityError::NotDurable`](crate::durability::DurabilityError::NotDurable).
+    /// and every durability entry point reports [`Error::NotDurable`].
     durability: Option<DurabilityHandle>,
 }
 
@@ -537,20 +437,20 @@ impl Runtime {
         self.queries.get(id.0 as usize).map(|q| q.name.as_str())
     }
 
-    /// The spec of a live query, or [`RuntimeError::UnknownQuery`].
-    fn live_spec(&self, id: QueryId) -> Result<&QuerySpec, RuntimeError> {
+    /// The spec of a live query, or [`Error::UnknownQuery`].
+    fn live_spec(&self, id: QueryId) -> Result<&QuerySpec, Error> {
         let info = self.queries.get(id.0 as usize).filter(|info| info.alive);
-        let info = info.ok_or(RuntimeError::UnknownQuery { id })?;
+        let info = info.ok_or(Error::UnknownQuery { id })?;
         Ok(info.spec.as_ref().expect("live query retains its spec"))
     }
 
     /// A durable runtime must be able to log the definition. Probed
     /// *before* anything is fenced, so a rejection consumes no
     /// `wal_seq` and leaves no gap in the log.
-    fn check_loggable(&self, spec: &QuerySpec) -> Result<(), RuntimeError> {
+    fn check_loggable(&self, spec: &QuerySpec) -> Result<(), Error> {
         if self.shared.wal.get().is_some() && encodable(spec).is_err() {
             let query = spec.name.clone();
-            return Err(RuntimeError::UnserializableQuery { query });
+            return Err(Error::UnserializableQuery { query });
         }
         Ok(())
     }
@@ -565,7 +465,7 @@ impl Runtime {
     /// gains the query under the same lock acquisition that reserves
     /// the block, and the home shards adopt a fresh evaluator at that
     /// point of the stream.
-    pub fn register(&mut self, spec: QuerySpec) -> Result<QueryId, RuntimeError> {
+    pub fn register(&mut self, spec: QuerySpec) -> Result<QueryId, Error> {
         spec.check_partition()?;
         self.check_loggable(&spec)?;
         let id = QueryId(self.queries.len() as u32);
@@ -617,7 +517,7 @@ impl Runtime {
     /// deregistration is one [control
     /// fence](crate::ingest#the-control-fence), ordered with ingestion
     /// like registration. The id is retired, not reused.
-    pub fn deregister(&mut self, id: QueryId) -> Result<EngineStats, RuntimeError> {
+    pub fn deregister(&mut self, id: QueryId) -> Result<EngineStats, Error> {
         self.live_spec(id)?;
         let (mut fence, (wal_seq, homes)) = self.shared.fence(1, |seq| {
             let homes = seq.home_queues(id);
@@ -668,11 +568,11 @@ impl Runtime {
     ///
     /// On any incompatibility the swap is rejected and the old query
     /// keeps running untouched.
-    pub fn replace(&mut self, id: QueryId, new: QuerySpec) -> Result<(), RuntimeError> {
+    pub fn replace(&mut self, id: QueryId, new: QuerySpec) -> Result<(), Error> {
         let old = self.live_spec(id)?;
         let incompatible = |reason| {
             let query = new.name.clone();
-            Err(RuntimeError::ReplaceIncompatible { query, reason })
+            Err(Error::ReplaceIncompatible { query, reason })
         };
         if new.partition != old.partition {
             return incompatible("partition mode must match (snapshot/restore re-shards)");
@@ -803,8 +703,7 @@ impl Runtime {
 
     /// Drain the pipeline, collect final statistics, and stop the shard
     /// workers. Outstanding [`IngestHandle`]s observe
-    /// [`IngestError::RuntimeClosed`](crate::ingest::IngestError::RuntimeClosed)
-    /// afterwards.
+    /// [`Error::RuntimeClosed`] afterwards.
     ///
     /// The initial drain is a lossless fence, so it shares `drain`'s
     /// caveat about full `Block` subscribers. Dropping the runtime
@@ -1001,7 +900,7 @@ mod tests {
         helper.join().unwrap();
         let message = message.expect_err("push_batch returned past a dead shard worker");
         assert!(message.contains("a runtime shard worker died"), "{message}");
-        assert_eq!(produced, Err(crate::IngestError::RuntimeClosed));
+        assert_eq!(produced, Err(Error::RuntimeClosed));
     }
 
     #[test]
@@ -1038,10 +937,7 @@ mod tests {
                     .with_partition(Partition::ByKey { pos: 0 }),
             )
             .unwrap_err();
-        assert!(matches!(
-            err,
-            RuntimeError::KeyPartitionUnsound { pos: 0, .. }
-        ));
+        assert!(matches!(err, Error::KeyPartitionUnsound { pos: 0, .. }));
     }
 
     #[test]
@@ -1079,7 +975,7 @@ mod tests {
                     .with_partition(Partition::ByKey { pos: 0 }),
             )
             .unwrap_err();
-        assert!(matches!(err, RuntimeError::KeyPartitionUnsound { .. }));
+        assert!(matches!(err, Error::KeyPartitionUnsound { .. }));
     }
 
     #[test]
@@ -1262,7 +1158,7 @@ mod tests {
             assert_eq!(rt.num_queries(), 1);
             assert_eq!(rt.query_name(b), Some("keyed"), "name outlives the query");
             // Retired id: a second deregister is rejected.
-            assert_eq!(rt.deregister(b), Err(RuntimeError::UnknownQuery { id: b }));
+            assert_eq!(rt.deregister(b), Err(Error::UnknownQuery { id: b }));
             // The survivor keeps matching (the wide window also joins
             // across batches); the dead query stays silent and no
             // longer accrues stats.
@@ -1279,7 +1175,7 @@ mod tests {
         let mut rt = Runtime::new(2);
         assert_eq!(
             rt.deregister(QueryId(7)),
-            Err(RuntimeError::UnknownQuery { id: QueryId(7) })
+            Err(Error::UnknownQuery { id: QueryId(7) })
         );
     }
 

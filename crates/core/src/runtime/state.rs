@@ -11,13 +11,14 @@
 //! workers of a — possibly different — layout.
 
 use super::worker::{spawn_workers, Adopt, ShardHost, ShardState};
-use super::{encodable, Partition, QueryId, QueryInfo, Runtime, RuntimeError};
-use crate::checkpoint::{QueryRecord, Snapshot, SnapshotError};
+use super::{encodable, Partition, QueryId, QueryInfo, Runtime};
+use crate::checkpoint::{QueryRecord, Snapshot};
 use crate::config::RuntimeConfig;
 use crate::durability::{
-    io_err, replay_dir, CheckpointStats, CheckpointStore, DurabilityError, DurabilityHandle,
-    DurabilityStatus, Wal, WalOp, WalRecord,
+    replay_dir, CheckpointStats, CheckpointStore, DurabilityHandle, DurabilityStatus, Wal, WalOp,
+    WalRecord,
 };
+use crate::error::{io_err, Error};
 use crate::evaluator::StreamingEvaluator;
 use crate::ingest::{BackpressurePolicy, Fence, QueryMeta, Replies, ShardQueue, ShardWorkerDied};
 use crate::metrics::{PipelineEvent, ShardStageMetrics};
@@ -41,7 +42,7 @@ impl Runtime {
     ///
     /// Fails up front — before fencing anything — when a registered
     /// definition cannot be serialized (closure predicates).
-    pub fn snapshot(&mut self) -> Result<Snapshot, SnapshotError> {
+    pub fn snapshot(&mut self) -> Result<Snapshot, Error> {
         // Every live definition must round-trip, or the snapshot would
         // be unrestorable.
         for info in self.queries.iter().filter(|i| i.alive) {
@@ -131,9 +132,9 @@ impl Runtime {
     /// serialized by construction — a rescale can neither interleave
     /// with nor deadlock against another one. Concurrent producers and
     /// consumers keep running throughout.
-    pub fn rescale(&mut self, shards: usize) -> Result<(), RuntimeError> {
+    pub fn rescale(&mut self, shards: usize) -> Result<(), Error> {
         if shards == 0 || shards > 64 {
-            return Err(RuntimeError::InvalidShardCount { shards });
+            return Err(Error::InvalidShardCount { shards });
         }
         let old_n = self.num_shards();
         // Everything construction-like happens before the fence.
@@ -233,7 +234,7 @@ impl Runtime {
     pub fn autoscale_tick(
         &mut self,
         controller: &mut crate::autoscale::Controller,
-    ) -> Result<Option<(usize, usize)>, RuntimeError> {
+    ) -> Result<Option<(usize, usize)>, Error> {
         use crate::autoscale::{LoadSignals, ScaleDecision};
         let stats = self.stats();
         let mut signals =
@@ -259,7 +260,7 @@ impl Runtime {
     /// included, so pre-snapshot [`QueryId`]s stay valid. Subscriptions
     /// are not part of a snapshot; consumers re-subscribe on the
     /// restored runtime.
-    pub fn restore(snapshot: &Snapshot, shards: usize) -> Result<Runtime, SnapshotError> {
+    pub fn restore(snapshot: &Snapshot, shards: usize) -> Result<Runtime, Error> {
         Self::restore_with(snapshot, shards)
     }
 
@@ -270,7 +271,7 @@ impl Runtime {
     pub fn restore_with(
         snapshot: &Snapshot,
         config: impl Into<RuntimeConfig>,
-    ) -> Result<Runtime, SnapshotError> {
+    ) -> Result<Runtime, Error> {
         let restore_at = Instant::now();
         let position = snapshot.position;
         let mut rt = Runtime::build(config.into());
@@ -283,7 +284,7 @@ impl Runtime {
         for record in &snapshot.queries {
             if record.id as usize != rt.queries.len() {
                 let dense = WireError::Corrupt("snapshot query ids not dense");
-                return Err(SnapshotError::Wire(dense));
+                return Err(Error::Wire(dense));
             }
             // A retired id keeps its slot (and its name for
             // `query_name`) without hosting anything.
@@ -303,7 +304,7 @@ impl Runtime {
             });
             let Some(spec) = &record.spec else { continue };
             if spec.check_partition().is_err() {
-                return Err(SnapshotError::BadDefinition(spec.name.clone()));
+                return Err(Error::BadDefinition(spec.name.clone()));
             }
             let replicas = record
                 .blobs
@@ -316,7 +317,7 @@ impl Runtime {
             // reject it here — decoding must never panic the process.
             if eval.next_position() > position {
                 let ahead = WireError::Corrupt("captured state ahead of the snapshot position");
-                return Err(SnapshotError::Wire(ahead));
+                return Err(Error::Wire(ahead));
             }
             eval.set_resume_position(position);
             merged.push(eval);
@@ -359,7 +360,7 @@ impl Runtime {
     pub fn open_durable(
         dir: impl Into<PathBuf>,
         config: impl Into<RuntimeConfig>,
-    ) -> Result<Runtime, DurabilityError> {
+    ) -> Result<Runtime, Error> {
         Self::recover_inner(dir.into(), config.into(), true)
     }
 
@@ -373,7 +374,7 @@ impl Runtime {
     /// exactly — see the [module docs](crate::durability) for the
     /// replay-order soundness argument.
     ///
-    /// Fails with [`DurabilityError::ManifestMissing`] when the
+    /// Fails with [`Error::ManifestMissing`] when the
     /// directory holds neither a checkpoint manifest nor any WAL
     /// segment — recovering "nothing" is almost always an operator
     /// error (wrong path), so it is not silently turned into a fresh
@@ -382,7 +383,7 @@ impl Runtime {
     pub fn recover(
         dir: impl Into<PathBuf>,
         config: impl Into<RuntimeConfig>,
-    ) -> Result<Runtime, DurabilityError> {
+    ) -> Result<Runtime, Error> {
         Self::recover_inner(dir.into(), config.into(), false)
     }
 
@@ -390,7 +391,7 @@ impl Runtime {
         dir: PathBuf,
         config: RuntimeConfig,
         allow_fresh: bool,
-    ) -> Result<Runtime, DurabilityError> {
+    ) -> Result<Runtime, Error> {
         let config = config.validated();
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create data dir", e))?;
         let wal_dir = dir.join("wal");
@@ -406,7 +407,7 @@ impl Runtime {
                     .is_some_and(|n| n.starts_with("wal-") && n.ends_with(".log"))
             });
         if !allow_fresh && snapshot.is_none() && !wal_present {
-            return Err(DurabilityError::ManifestMissing);
+            return Err(Error::ManifestMissing);
         }
         // Restore the checkpointed base state (or start empty), then
         // rewind the wal_seq counter to the checkpoint's high-water so
@@ -430,9 +431,9 @@ impl Runtime {
         // continuing would silently fork history.
         let replay = {
             let mut expected = from_seq;
-            let mut apply = |rec: WalRecord| -> Result<(), DurabilityError> {
+            let mut apply = |rec: WalRecord| -> Result<(), Error> {
                 if rec.seq != expected {
-                    return Err(DurabilityError::RecoverMismatch(format!(
+                    return Err(Error::RecoverMismatch(format!(
                         "wal replay expected record {expected}, found {}",
                         rec.seq
                     )));
@@ -444,12 +445,12 @@ impl Runtime {
                             .shared
                             .ingest(&tuples, BackpressurePolicy::Block)
                             .map_err(|_| {
-                                DurabilityError::RecoverMismatch(
+                                Error::RecoverMismatch(
                                     "runtime closed while replaying a batch".into(),
                                 )
                             })?;
                         if receipt.positions.start != start {
-                            return Err(DurabilityError::RecoverMismatch(format!(
+                            return Err(Error::RecoverMismatch(format!(
                                 "replayed batch stamped at {}, logged at {start}",
                                 receipt.positions.start
                             )));
@@ -458,12 +459,10 @@ impl Runtime {
                     WalOp::Register { position, id, spec } => {
                         check_position("register", rt.next_position(), position)?;
                         let got = rt.register(spec.into_owned()).map_err(|e| {
-                            DurabilityError::RecoverMismatch(format!(
-                                "replayed register failed: {e}"
-                            ))
+                            Error::RecoverMismatch(format!("replayed register failed: {e}"))
                         })?;
                         if got != id {
-                            return Err(DurabilityError::RecoverMismatch(format!(
+                            return Err(Error::RecoverMismatch(format!(
                                 "replayed register yielded id {}, logged id {}",
                                 got.0, id.0
                             )));
@@ -472,17 +471,13 @@ impl Runtime {
                     WalOp::Deregister { position, id } => {
                         check_position("deregister", rt.next_position(), position)?;
                         rt.deregister(id).map_err(|e| {
-                            DurabilityError::RecoverMismatch(format!(
-                                "replayed deregister failed: {e}"
-                            ))
+                            Error::RecoverMismatch(format!("replayed deregister failed: {e}"))
                         })?;
                     }
                     WalOp::Replace { position, id, spec } => {
                         check_position("replace", rt.next_position(), position)?;
                         rt.replace(id, spec.into_owned()).map_err(|e| {
-                            DurabilityError::RecoverMismatch(format!(
-                                "replayed replace failed: {e}"
-                            ))
+                            Error::RecoverMismatch(format!("replayed replace failed: {e}"))
                         })?;
                     }
                 }
@@ -497,7 +492,7 @@ impl Runtime {
         {
             let seq = rt.shared.seq.lock().expect("sequencer poisoned");
             if seq.next_wal_seq != replay.next_seq {
-                return Err(DurabilityError::RecoverMismatch(format!(
+                return Err(Error::RecoverMismatch(format!(
                     "replay consumed wal_seq up to {}, log ends at {}",
                     seq.next_wal_seq, replay.next_seq
                 )));
@@ -535,9 +530,9 @@ impl Runtime {
     /// Errors leave the *previous* checkpoint intact — the manifest is
     /// replaced atomically, so a torn checkpoint write is swept as an
     /// orphan on the next open, never half-restored.
-    pub fn checkpoint(&mut self) -> Result<CheckpointStats, DurabilityError> {
+    pub fn checkpoint(&mut self) -> Result<CheckpointStats, Error> {
         if self.durability.is_none() {
-            return Err(DurabilityError::NotDurable);
+            return Err(Error::NotDurable);
         }
         let snap = self.snapshot()?;
         let stats = {
@@ -662,9 +657,9 @@ pub(super) fn install(
 /// Replay cross-check: a logged control operation must re-apply at the
 /// stream position it was originally stamped at, or the log and the
 /// restored base state disagree.
-fn check_position(op: &str, at: u64, logged: u64) -> Result<(), DurabilityError> {
+fn check_position(op: &str, at: u64, logged: u64) -> Result<(), Error> {
     if at != logged {
-        return Err(DurabilityError::RecoverMismatch(format!(
+        return Err(Error::RecoverMismatch(format!(
             "replayed {op} at position {at}, logged at {logged}"
         )));
     }
@@ -787,7 +782,7 @@ mod tests {
             assert!(
                 matches!(
                     Runtime::restore(&bad, 1),
-                    Err(SnapshotError::Wire(WireError::Corrupt(_)))
+                    Err(Error::Wire(WireError::Corrupt(_)))
                 ),
                 "forged bytes at {at} restored"
             );

@@ -44,9 +44,7 @@ use crate::protocol::{
 };
 use cer_common::Schema;
 use cer_core::ingest::{IngestHandle, Subscription, SubscriptionFilter};
-use cer_core::runtime::{QuerySpec, Runtime, RuntimeError, RuntimeStats};
-use cer_core::DurabilityError::NotDurable;
-use cer_core::IngestError::RuntimeClosed;
+use cer_core::runtime::{QuerySpec, Runtime, RuntimeStats};
 use cer_core::{AutoscalePolicy, Controller, Error, RuntimeConfig};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -144,7 +142,7 @@ impl Shared {
         f: impl FnOnce(&mut Runtime) -> Result<T, Error>,
     ) -> Result<T, Error> {
         let mut guard = self.runtime.lock().expect("runtime mutex poisoned");
-        f(guard.as_mut().ok_or(Error::Ingest(RuntimeClosed))?)
+        f(guard.as_mut().ok_or(Error::RuntimeClosed)?)
     }
 
     /// Take the runtime out for shutdown (`None` the second time).
@@ -313,7 +311,7 @@ fn autoscale_loop(shared: Arc<Shared>) {
             continue;
         }
         let mut controller = shared.controller.lock().expect("controller mutex poisoned");
-        let _ = shared.with_runtime(|runtime| Ok(runtime.autoscale_tick(&mut controller)?));
+        let _ = shared.with_runtime(|runtime| runtime.autoscale_tick(&mut controller));
     }
 }
 
@@ -519,7 +517,7 @@ fn handle_request(
             let spec = QuerySpec::new(name, pcea, window)
                 .with_partition(partition)
                 .with_gc_every(gc_every);
-            let id = shared.with_runtime(|runtime| Ok(runtime.register(spec)?))?;
+            let id = shared.with_runtime(|runtime| runtime.register(spec))?;
             Ok(Response::QueryAccepted { id })
         }
         Request::IngestBatch { tuples } => {
@@ -556,7 +554,7 @@ fn handle_request(
             let sub = shared.with_runtime(|runtime| {
                 let filter = match query {
                     Some(id) if runtime.query_name(id).is_none() => {
-                        return Err(RuntimeError::UnknownQuery { id }.into());
+                        return Err(Error::UnknownQuery { id });
                     }
                     Some(id) => SubscriptionFilter::Query(id),
                     None => SubscriptionFilter::All,
@@ -656,7 +654,7 @@ fn handle_request(
             })
         }),
         Request::DurabilityStatus => shared.with_runtime(|runtime| {
-            let status = runtime.durability_status().ok_or(NotDurable)?;
+            let status = runtime.durability_status().ok_or(Error::NotDurable)?;
             Ok(Response::Durability(DurabilitySummary {
                 healthy: status.healthy,
                 wal_segments: status.wal_segments,

@@ -107,21 +107,21 @@ pub mod prelude {
     pub use cer_common::{Schema, SliceStream, Stream, StreamExt, Tuple, Value, VecStream};
     pub use cer_core::api::Evaluator;
     pub use cer_core::autoscale::{AutoscalePolicy, Controller, LoadSignals, ScaleDecision};
-    pub use cer_core::checkpoint::{Snapshot, SnapshotError};
+    pub use cer_core::checkpoint::Snapshot;
     pub use cer_core::config::RuntimeConfig;
     pub use cer_core::durability::{
-        CheckpointStats, DurabilityConfig, DurabilityError, DurabilityStatus, FsyncPolicy,
+        CheckpointStats, DurabilityConfig, DurabilityStatus, FsyncPolicy,
     };
     pub use cer_core::error::{Error, ErrorCode};
     pub use cer_core::evaluator::{run_to_end, StreamingEvaluator};
     pub use cer_core::ingest::{
-        BackpressurePolicy, IngestConfig, IngestError, IngestHandle, IngestReceipt, MatchChunk,
-        QueueStats, Subscription, SubscriptionFilter,
+        BackpressurePolicy, IngestConfig, IngestHandle, IngestReceipt, MatchChunk, QueueStats,
+        Subscription, SubscriptionFilter,
     };
     pub use cer_core::metrics::PipelineEvent;
     pub use cer_core::runtime::{
-        MatchEvent, Partition, QueryId, QuerySpec, RescaleCounters, Runtime, RuntimeError,
-        RuntimeStats, SharedEvalStats, SnapshotCounters,
+        MatchEvent, Partition, QueryId, QuerySpec, RescaleCounters, Runtime, RuntimeStats,
+        SharedEvalStats, SnapshotCounters,
     };
     pub use cer_core::window::{WindowClock, WindowPolicy};
     pub use cer_core::{

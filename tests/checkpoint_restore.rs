@@ -12,7 +12,7 @@
 //! swap exactly at the call's position, and incompatible hand-offs
 //! must be rejected with the old query untouched.
 
-use pcea::engine::checkpoint::{Snapshot, SnapshotError};
+use pcea::engine::checkpoint::Snapshot;
 use pcea::prelude::*;
 use proptest::prelude::*;
 
@@ -439,7 +439,7 @@ fn replace_rejects_incompatible_handoffs_and_leaves_state_intact() {
             QueryId(99),
             QuerySpec::new("x", pcea0.clone(), window.clone())
         ),
-        Err(RuntimeError::UnknownQuery { .. })
+        Err(Error::UnknownQuery { .. })
     ));
     // Different skeleton (another query's automaton).
     assert!(matches!(
@@ -447,7 +447,7 @@ fn replace_rejects_incompatible_handoffs_and_leaves_state_intact() {
             ids[0],
             QuerySpec::new("skel", specs[2].1.clone(), window.clone())
         ),
-        Err(RuntimeError::ReplaceIncompatible { .. })
+        Err(Error::ReplaceIncompatible { .. })
     ));
     // Window kind change.
     assert!(matches!(
@@ -462,7 +462,7 @@ fn replace_rejects_incompatible_handoffs_and_leaves_state_intact() {
                 }
             )
         ),
-        Err(RuntimeError::ReplaceIncompatible { .. })
+        Err(Error::ReplaceIncompatible { .. })
     ));
     // Partition change.
     assert!(matches!(
@@ -471,7 +471,7 @@ fn replace_rejects_incompatible_handoffs_and_leaves_state_intact() {
             QuerySpec::new("part", pcea0.clone(), window.clone())
                 .with_partition(Partition::ByKey { pos: 0 })
         ),
-        Err(RuntimeError::ReplaceIncompatible { .. })
+        Err(Error::ReplaceIncompatible { .. })
     ));
     // The rejected swaps left everything untouched: the run continues
     // exactly like an undisturbed one.
@@ -527,7 +527,7 @@ fn restore_preserves_ids_across_deregistration() {
     assert_eq!(rt2.query_name(ids[1]), Some("q0_keyed"), "name outlives");
     assert_eq!(
         rt2.deregister(ids[1]),
-        Err(RuntimeError::UnknownQuery { id: ids[1] })
+        Err(Error::UnknownQuery { id: ids[1] })
     );
     // The survivors keep evaluating, and a *new* registration gets the
     // next dense id.
@@ -598,7 +598,7 @@ fn snapshot_rejects_closure_predicates() {
     ))
     .unwrap();
     rt.push(&Tuple::new(a, vec![Value::Int(1)]));
-    assert!(matches!(rt.snapshot(), Err(SnapshotError::Wire(_))));
+    assert!(matches!(rt.snapshot(), Err(Error::Wire(_))));
     // The runtime is unharmed by the refused snapshot.
     let events = rt.push(&Tuple::new(a, vec![Value::Int(2)]));
     assert_eq!(events.len(), 1);
@@ -667,10 +667,7 @@ fn restore_rejects_position_behind_captured_state() {
     bytes[12..20].copy_from_slice(&1u64.to_le_bytes());
     let snap = Snapshot::from_bytes(&bytes).unwrap();
     assert_eq!(snap.position(), 1);
-    assert!(matches!(
-        Runtime::restore(&snap, 2),
-        Err(SnapshotError::Wire(_))
-    ));
+    assert!(matches!(Runtime::restore(&snap, 2), Err(Error::Wire(_))));
 }
 
 /// Query definitions round-trip through snapshot bytes: the restored

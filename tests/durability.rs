@@ -355,7 +355,7 @@ fn chained_checkpoint_wal_rescale_recover() {
     assert_eq!(rt2.query_name(ids[0]), Some("q0_v2"), "replace replayed");
     assert_eq!(
         rt2.deregister(ids[2]),
-        Err(RuntimeError::UnknownQuery { id: ids[2] }),
+        Err(Error::UnknownQuery { id: ids[2] }),
         "deregister replayed"
     );
 
@@ -398,7 +398,7 @@ fn recover_refuses_empty_dir_open_durable_initializes() {
     let config = durable_config(1, FsyncPolicy::Always);
     assert_eq!(
         Runtime::recover(scratch.path(), config).err(),
-        Some(DurabilityError::ManifestMissing)
+        Some(Error::ManifestMissing)
     );
     // open_durable on the same path starts fresh…
     let mut schema = Schema::new();
@@ -442,7 +442,7 @@ fn recovery_rejects_corruption_with_stable_errors() {
     std::fs::write(&files[0], &bytes).unwrap();
     assert_eq!(
         Runtime::recover(scratch.path(), config).err(),
-        Some(DurabilityError::WalCorrupt("bad wal segment magic"))
+        Some(Error::WalCorrupt("bad wal segment magic"))
     );
 
     // A flipped payload byte mid-chain truncates that segment like a
@@ -455,7 +455,7 @@ fn recovery_rejects_corruption_with_stable_errors() {
     bytes[(len / 2) as usize] ^= 0xff;
     std::fs::write(mid, &bytes).unwrap();
     match Runtime::recover(scratch.path(), config).err() {
-        Some(DurabilityError::RecoverMismatch(_)) => {}
+        Some(Error::RecoverMismatch(_)) => {}
         other => panic!("expected RecoverMismatch, got {other:?}"),
     }
 
@@ -463,7 +463,7 @@ fn recovery_rejects_corruption_with_stable_errors() {
     let (scratch, config, files) = build("gap");
     std::fs::remove_file(&files[1]).unwrap();
     match Runtime::recover(scratch.path(), config).err() {
-        Some(DurabilityError::RecoverMismatch(_)) => {}
+        Some(Error::RecoverMismatch(_)) => {}
         other => panic!("expected RecoverMismatch, got {other:?}"),
     }
 }
@@ -496,13 +496,13 @@ fn durable_runtime_rejects_unserializable_queries_without_gaps() {
             closure_pcea.clone(),
             WindowPolicy::Count(5)
         )),
-        Err(RuntimeError::UnserializableQuery { .. })
+        Err(Error::UnserializableQuery { .. })
     ));
     // The stable code is exposed for the serving layer.
     assert_eq!(
-        pcea::engine::Error::Runtime(RuntimeError::UnserializableQuery {
+        pcea::engine::Error::UnserializableQuery {
             query: "closure".into()
-        })
+        }
         .code(),
         ErrorCode::UnserializableQuery
     );
@@ -521,7 +521,7 @@ fn durable_runtime_rejects_unserializable_queries_without_gaps() {
 #[test]
 fn durability_status_and_not_durable() {
     let mut rt = Runtime::new(1);
-    assert_eq!(rt.checkpoint().err(), Some(DurabilityError::NotDurable));
+    assert_eq!(rt.checkpoint().err(), Some(Error::NotDurable));
     assert!(rt.durability_status().is_none());
 
     let mut schema = Schema::new();
@@ -540,4 +540,53 @@ fn durability_status_and_not_durable() {
     let st = rt.durability_status().expect("durable");
     assert_eq!(st.last_checkpoint_position, Some(50));
     assert_eq!(st.chain_len, 1);
+}
+
+/// A WAL that dies under a live runtime fails open: the data directory
+/// vanishes after the first batch, the next segment roll cannot open
+/// its file, and the failure is journaled once with its stable code.
+/// The runtime reports itself unhealthy and keeps serving exact
+/// matches; a checkpoint fails with `wal_io`, and ingest carries on
+/// past it.
+#[test]
+fn live_wal_failure_fails_open() {
+    let mut schema = Schema::new();
+    let specs = spec_set(&mut schema);
+    let stream = mixed_stream(&schema, 300);
+    let window = WindowPolicy::Count(40);
+    let want = uninterrupted(&specs, &window, &stream, 2);
+    let scratch = Scratch::new("live-fail");
+    let config = durable_config(2, FsyncPolicy::Always);
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("open_durable");
+    register_all(&mut rt, &specs, &window);
+    let mut got = rt.push_batch(&stream[..20]);
+    assert!(rt.durability_status().expect("durable").healthy);
+
+    std::fs::remove_dir_all(scratch.path()).expect("remove data dir");
+    for chunk in stream[20..200].chunks(10) {
+        got.extend(rt.push_batch(chunk));
+    }
+    let failed: Vec<(u64, ErrorCode)> = rt
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.item {
+            PipelineEvent::WalFailed { position, code } => Some((position, code)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(failed.len(), 1, "journaled once: {failed:?}");
+    let (position, code) = failed[0];
+    assert_eq!(code, ErrorCode::WalIo);
+    assert!((20..200).contains(&position), "failed at {position}");
+    assert!(!rt.durability_status().expect("durable").healthy);
+
+    let err = rt
+        .checkpoint()
+        .expect_err("checkpoint into a vanished directory");
+    assert_eq!(err.code(), ErrorCode::WalIo, "{err}");
+    assert_eq!((err.code().as_u16(), err.code().name()), (71, "wal_io"));
+
+    got.extend(rt.push_batch(&stream[200..]));
+    assert_eq!(sorted(got), want, "matches survive the dead log");
+    assert!(!rt.durability_status().expect("durable").healthy);
 }

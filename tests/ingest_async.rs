@@ -319,7 +319,7 @@ fn dropping_runtime_with_full_block_subscriber_terminates() {
     assert!(sub.recv_timeout(Duration::from_millis(1)).is_none());
     assert_eq!(
         handle.push(&tuples[0]),
-        Err(IngestError::RuntimeClosed),
+        Err(Error::RuntimeClosed),
         "handles fail fast after the drop"
     );
 }
@@ -354,7 +354,7 @@ fn late_subscription_and_closed_runtime() {
     assert_eq!(stats.per_query[0].1.positions, 10);
     assert_eq!(
         handle.push(&tuples[0]),
-        Err(IngestError::RuntimeClosed),
+        Err(Error::RuntimeClosed),
         "handles outliving the runtime fail fast"
     );
 }

@@ -447,7 +447,7 @@ fn rescale_rejects_invalid_shard_counts() {
     for bad in [0usize, 65, 1000] {
         assert_eq!(
             rt.rescale(bad),
-            Err(RuntimeError::InvalidShardCount { shards: bad })
+            Err(Error::InvalidShardCount { shards: bad })
         );
     }
     assert_eq!(rt.num_shards(), 2);
@@ -455,7 +455,7 @@ fn rescale_rejects_invalid_shard_counts() {
     events.extend(rt.push_batch(&stream[30..]));
     assert_eq!(sorted(events), want);
     // The stable error code is wired through the unified table.
-    let err: Error = RuntimeError::InvalidShardCount { shards: 0 }.into();
+    let err = Error::InvalidShardCount { shards: 0 };
     assert_eq!(err.code(), ErrorCode::InvalidShardCount);
 }
 
