@@ -88,22 +88,41 @@ impl CceaStreamEvaluator {
         self.nodes.len()
     }
 
-    /// Push one tuple; returns the new outputs at its position.
-    pub fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
+    /// Walk the chain backwards, exploring live alternatives at each
+    /// level. The caller guarantees `max_start(node) ≥ lo`.
+    fn emit<F: FnMut(&Valuation)>(&self, node: u32, lo: u64, val: &mut Valuation, f: &mut F) {
+        let n = &self.nodes[node as usize];
+        debug_assert!(n.pos >= lo);
+        val.insert(n.labels, n.pos);
+        if n.parent == NIL {
+            f(val);
+        } else {
+            let mut a = n.parent;
+            while a != NIL && self.nodes[a as usize].suffix_start >= lo {
+                if self.nodes[a as usize].max_start >= lo {
+                    self.emit(a, lo, val, f);
+                }
+                a = self.nodes[a as usize].alt;
+            }
+        }
+        val.remove(n.labels, n.pos);
+    }
+}
+
+impl Evaluator for CceaStreamEvaluator {
+    fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
         let mut out = Vec::new();
-        self.push_for_each(t, |v| out.push(v.clone()));
+        self.push_for_each(t, &mut |v| out.push(v.clone()));
         out
     }
 
-    /// Push a tuple and count the new outputs.
-    pub fn push_count(&mut self, t: &Tuple) -> usize {
+    fn push_count(&mut self, t: &Tuple) -> usize {
         let mut n = 0;
-        self.push_for_each(t, |_| n += 1);
+        self.push_for_each(t, &mut |_| n += 1);
         n
     }
 
-    /// Push a tuple, calling `f` per new output.
-    pub fn push_for_each<F: FnMut(&Valuation)>(&mut self, t: &Tuple, mut f: F) {
+    fn push_for_each(&mut self, t: &Tuple, mut f: &mut dyn FnMut(&Valuation)) {
         let i = self.next_pos;
         self.next_pos += 1;
         let lo = self.clock.observe(i, t);
@@ -211,40 +230,6 @@ impl CceaStreamEvaluator {
                 }
             }
         }
-    }
-
-    /// Walk the chain backwards, exploring live alternatives at each
-    /// level. The caller guarantees `max_start(node) ≥ lo`.
-    fn emit<F: FnMut(&Valuation)>(&self, node: u32, lo: u64, val: &mut Valuation, f: &mut F) {
-        let n = &self.nodes[node as usize];
-        debug_assert!(n.pos >= lo);
-        val.insert(n.labels, n.pos);
-        if n.parent == NIL {
-            f(val);
-        } else {
-            let mut a = n.parent;
-            while a != NIL && self.nodes[a as usize].suffix_start >= lo {
-                if self.nodes[a as usize].max_start >= lo {
-                    self.emit(a, lo, val, f);
-                }
-                a = self.nodes[a as usize].alt;
-            }
-        }
-        val.remove(n.labels, n.pos);
-    }
-}
-
-impl Evaluator for CceaStreamEvaluator {
-    fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
-        CceaStreamEvaluator::push_collect(self, t)
-    }
-
-    fn push_count(&mut self, t: &Tuple) -> usize {
-        CceaStreamEvaluator::push_count(self, t)
-    }
-
-    fn push_for_each(&mut self, t: &Tuple, f: &mut dyn FnMut(&Valuation)) {
-        CceaStreamEvaluator::push_for_each(self, t, f);
     }
 }
 

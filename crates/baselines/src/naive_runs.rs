@@ -59,9 +59,10 @@ impl NaiveRunsEvaluator {
     pub fn stored_runs(&self) -> usize {
         self.runs.iter().map(Vec::len).sum()
     }
+}
 
-    /// Push one tuple; returns the new outputs at its position.
-    pub fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
+impl Evaluator for NaiveRunsEvaluator {
+    fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
         let i = self.next_pos;
         self.next_pos += 1;
         let lo = self.clock.observe(i, t);
@@ -132,17 +133,6 @@ impl NaiveRunsEvaluator {
             self.max_runs
         );
         outputs
-    }
-
-    /// Push a tuple and count the new outputs.
-    pub fn push_count(&mut self, t: &Tuple) -> usize {
-        self.push_collect(t).len()
-    }
-}
-
-impl Evaluator for NaiveRunsEvaluator {
-    fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
-        NaiveRunsEvaluator::push_collect(self, t)
     }
 }
 

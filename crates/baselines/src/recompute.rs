@@ -48,9 +48,19 @@ impl RecomputeEvaluator {
         self.window.len()
     }
 
-    /// Push one tuple; returns the new outputs at its position (with
-    /// *global* stream positions in the valuations).
-    pub fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
+    /// Per-relation sizes of the current buffer (diagnostics).
+    pub fn relation_histogram(&self) -> FxHashMap<RelationId, usize> {
+        let mut h: FxHashMap<RelationId, usize> = FxHashMap::default();
+        for (_, t) in &self.window {
+            *h.entry(t.relation()).or_insert(0) += 1;
+        }
+        h
+    }
+}
+
+impl Evaluator for RecomputeEvaluator {
+    /// The new outputs carry *global* stream positions.
+    fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
         let i = self.next_pos;
         self.next_pos += 1;
         let lo = self.clock.observe(i, t);
@@ -81,26 +91,6 @@ impl RecomputeEvaluator {
         out.sort();
         out.dedup();
         out
-    }
-
-    /// Push a tuple and count the new outputs.
-    pub fn push_count(&mut self, t: &Tuple) -> usize {
-        self.push_collect(t).len()
-    }
-
-    /// Per-relation sizes of the current buffer (diagnostics).
-    pub fn relation_histogram(&self) -> FxHashMap<RelationId, usize> {
-        let mut h: FxHashMap<RelationId, usize> = FxHashMap::default();
-        for (_, t) in &self.window {
-            *h.entry(t.relation()).or_insert(0) += 1;
-        }
-        h
-    }
-}
-
-impl Evaluator for RecomputeEvaluator {
-    fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
-        RecomputeEvaluator::push_collect(self, t)
     }
 }
 

@@ -8,7 +8,7 @@
 //!   the price of materialization, not of the enumeration walk.
 
 use cer_bench::sigma0_workload;
-use cer_core::StreamingEvaluator;
+use cer_core::{Evaluator, StreamingEvaluator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_gc_cadence(c: &mut Criterion) {

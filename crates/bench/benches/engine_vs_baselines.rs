@@ -8,7 +8,7 @@
 
 use cer_baselines::{CceaStreamEvaluator, NaiveRunsEvaluator, RecomputeEvaluator};
 use cer_bench::{chain_workload, sigma0_workload};
-use cer_core::StreamingEvaluator;
+use cer_core::{Evaluator, StreamingEvaluator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_e5(c: &mut Criterion) {

@@ -11,7 +11,7 @@
 use cer_bench::{multi_query_workload, near_duplicate_workload};
 use cer_core::runtime::{Partition, QuerySpec, Runtime};
 use cer_core::window::WindowPolicy;
-use cer_core::StreamingEvaluator;
+use cer_core::{Evaluator, StreamingEvaluator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const QUERIES: usize = 8;

@@ -13,7 +13,7 @@ use cer_bench::{
     star_workload,
 };
 use cer_common::{Schema, Tuple};
-use cer_core::StreamingEvaluator;
+use cer_core::{Evaluator, StreamingEvaluator};
 use cer_cq::compile::compile_hcq;
 use cer_cq::parser::parse_query;
 use std::time::Instant;

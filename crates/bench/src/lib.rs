@@ -321,6 +321,7 @@ pub fn parallel_branch_pfa(n: usize) -> Pfa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cer_core::Evaluator;
 
     #[test]
     fn star_workload_builds_and_matches() {

@@ -5,6 +5,14 @@
 //! [`Evaluator`], so differential tests and the multi-query
 //! [`Runtime`](crate::runtime::Runtime) benches can swap engines behind
 //! one interface and compare like-for-like.
+//!
+//! An evaluator's `impl Evaluator` is the only definition of its
+//! single-tuple surface: no evaluator repeats `push_collect`,
+//! `push_count` or `push_for_each` as inherent methods, so calling them
+//! on a concrete type needs this trait in scope (it is in `cer_core`'s
+//! root and in `pcea::prelude`). The streaming engine's impl pushes a
+//! slice of one through the same per-position core as its batch path
+//! ([`crate::evaluator`]).
 
 use cer_automata::valuation::Valuation;
 use cer_common::Tuple;

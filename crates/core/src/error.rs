@@ -51,9 +51,9 @@
 //! | A missing, non-integer or regressing time-window timestamp | `WindowClock::observe`, per shard clock | — (clamped and counted) | `TsRegressions` | everything; under `ByKey` the clamp can depend on the shard count ([`crate::window`]) | `net_serving::a_tuple_without_a_timestamp_is_clamped_and_the_server_keeps_serving`, `time_windows::missing_timestamp_is_clamped_and_counted` |
 //! | A full shard queue | the producer, after staging its block | — | `ProducerParked` (`Block`), `TuplesDropped` (`DropNewest`) | everything; `DropNewest` sheds and counts | `ingest_async::drop_newest_accounting_with_tiny_capacities` |
 //! | A push after the runtime was dropped or shut down | `IngestHandle::push{,_batch}` | `runtime_closed` (30) | — | nothing; the handle fails fast | `ingest_async::late_subscription_and_closed_runtime` |
-//! | A shard worker panics | its closed queue, or its dropped fence reply | `shard_worker_died` (42) to fences; `runtime_closed` (30) to producers | — | nothing: `Runtime::{push_batch, drain, stats}` panic in `alive()`; the runtime must be dropped | `crates/core/src/runtime/mod.rs::a_dead_shard_worker_fails_its_callers_instead_of_parking_them` |
+//! | A shard worker panics | its closed queue, or its dropped fence reply | `shard_worker_died` (42) to fences; `runtime_closed` (30) to producers | — | nothing: `Runtime::{push_batch, drain, stats}` panic in `alive()`; the runtime must be dropped. A `deregister` or `replace` it fails is still committed — stamped, routed, logged and in the registry — so a repeat `deregister` answers `unknown_query` | `crates/core/src/runtime/mod.rs::a_dead_shard_worker_fails_its_callers_instead_of_parking_them`, `crates/core/src/runtime/mod.rs::a_dead_shard_worker_leaves_the_registry_in_step_with_the_log` |
 //! | A WAL append fails under a live runtime (directory gone, disk full, I/O error) | `Wal::append`, on the pushing or registering thread | none to the producer: its block is already stamped | `WalFailed { code }`, `wal_io` (71) for the disk | everything, from memory: the log poisons itself, `durability_status().healthy` turns `false`, and nothing after the failure is durable | `durability::live_wal_failure_fails_open` |
-//! | A checkpoint write fails | `CheckpointStore::write` | `wal_io` (71) | `SnapshotTaken` only | everything; the previous manifest stays the recovery point | `durability::live_wal_failure_fails_open` |
+//! | A checkpoint write fails | `CheckpointStore::write` | `wal_io` (71) | `SnapshotTaken`, then `CheckpointFailed { code }` | everything; the previous manifest stays the recovery point | `durability::live_wal_failure_fails_open` |
 //! | A record torn by a crash mid-write | `recover`, by the frame CRC | — (the tail is truncated) | `WalTornTail` | the recovered runtime, up to the last whole record | `durability::crash_recovery_differential`, `crates/core/src/durability/wal.rs::torn_tail_is_truncated_and_survivors_replay` |
 //! | A damaged segment header, checkpoint or manifest | `recover`, `open_durable` | `wal_corrupt` (70), or `wire_*` from a checkpoint payload | — | nothing is built | `durability::recovery_rejects_corruption_with_stable_errors`, `crates/core/src/durability/store.rs::mutated_manifests_are_rejected_or_reread` |
 //! | A hole in the record sequence, or a replay that diverges from the log | `recover`, `open_durable` | `recover_mismatch` (73) | — | nothing is built | `durability::recovery_rejects_corruption_with_stable_errors` |
@@ -65,13 +65,12 @@
 //! * A dead shard worker is not contained. Fences report
 //!   `shard_worker_died` and producers `runtime_closed`, but the
 //!   infallible `push_batch`, `drain` and `stats` panic, and nothing is
-//!   journaled.
+//!   journaled. Only the registry is kept in step: a structural
+//!   operation the dead worker fails stays committed.
 //! * Storage faults are injected only as a vanished data directory.
 //!   Failing `fsync`, failing `rename` and short writes on live files
 //!   are not attacked yet, so the claim that `FsyncPolicy::Always` loses
 //!   no acknowledged operation when `fsync` itself fails is untested.
-//! * A failed checkpoint journals no event of its own; only its caller
-//!   sees `wal_io`.
 
 use crate::runtime::QueryId;
 use cer_common::wire::WireError;

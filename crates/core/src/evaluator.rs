@@ -26,13 +26,16 @@
 //! copying collector ([`StreamingEvaluator::set_gc_every`]) keeps memory
 //! proportional to the live window on unbounded streams.
 //!
-//! # Batch evaluation and its exactness argument
+//! # One core, and its exactness argument
 //!
-//! Algorithm 1 is stated tuple-at-a-time, and [`StreamingEvaluator::push`]
-//! mirrors it. The batch entry points
-//! ([`StreamingEvaluator::push_slice_for_each`] and friends) evaluate a
-//! whole slice per call instead, restructuring the *work* without
-//! changing the *outputs*:
+//! Algorithm 1 is stated tuple-at-a-time. Every push here runs one
+//! private per-position core over a *slice* of stamped tuples instead:
+//! [`StreamingEvaluator::push_slice_for_each`] and
+//! [`push_slice_count`](StreamingEvaluator::push_slice_count) over the
+//! caller's slice, the runtime's shard workers over the tuples routed to
+//! one query, and [`StreamingEvaluator::push`] and the [`Evaluator`]
+//! methods over a slice of one. The core restructures the *work*
+//! without changing the *outputs*:
 //!
 //! 1. **Unary pre-filter.** Every transition's unary predicate is
 //!    evaluated across the whole slice up front, transition-major, into
@@ -40,29 +43,32 @@
 //!    only visits transitions whose predicate accepted. The same
 //!    predicate evaluations happen on the same tuples — only their
 //!    order changes, and unary predicates are pure, so every firing
-//!    decision is identical.
+//!    decision is identical. Only the mask's source differs between
+//!    entry points: evaluated privately, or gathered from a shard's
+//!    shared predicate cache, which holds the same `matches()` outcomes.
 //! 2. **Hoisted per-position bookkeeping.** The `N_p` clear walks only
 //!    the states touched at the previous position (not all of `Q`), the
-//!    gather scratch and the bitmask are reused per-batch allocations,
-//!    and the window-policy dispatch is lifted out of the inner loop
-//!    (count windows compute `lo = i − w` inline; time windows still
-//!    advance the [`WindowClock`] ring per tuple, because the bound
-//!    depends on each tuple's timestamp). The bound `lo` fed to firing
-//!    and enumeration is computed *exactly* per position — it must be,
+//!    gather scratch and the bitmask are reused across calls, and the
+//!    window-policy dispatch is lifted out of the inner loop (count
+//!    windows compute `lo = i − w` inline; time windows still advance
+//!    the [`WindowClock`] ring per tuple, because the bound depends on
+//!    each tuple's timestamp). The bound `lo` fed to firing and
+//!    enumeration is computed *exactly* per position — it must be,
 //!    since enumeration still happens at each position.
 //! 3. **Amortized GC.** The garbage-collection cadence check runs once
-//!    per batch (at the batch boundary) instead of once per tuple.
+//!    per slice (at the slice boundary) instead of once per tuple.
 //!    Collection is fully transparent to outputs (it only drops expired
-//!    or unreachable nodes), so deferring it within a batch cannot
+//!    or unreachable nodes), so deferring it within a slice cannot
 //!    change any enumeration; it only lets the arena grow by at most
-//!    one batch's worth of nodes past the configured cadence.
+//!    one slice's worth of nodes past the configured cadence. A slice
+//!    of one checks after every tuple, as the paper's loop does.
 //!
-//! Hence the outputs of a `push_slice_*` call are **bit-identical** —
-//! same valuations, same positions, same per-position grouping — to
-//! pushing the same tuples one at a time: enumeration still runs at
-//! every position, over the same `N_p` lists, with the same bound.
-//! `tests/batch_vectorized.rs` checks this differentially across
-//! engines, baselines, batch sizes and window policies.
+//! Hence the outputs of a push are **bit-identical** — same valuations,
+//! same positions, same per-position grouping — however the stream is
+//! cut into slices: enumeration still runs at every position, over the
+//! same `N_p` lists, with the same bound. `tests/batch_vectorized.rs`
+//! checks this differentially across engines, baselines, slice sizes
+//! (1, coprime with the GC cadence, whole stream) and window policies.
 //!
 //! For hosting *many* queries over one stream — with relation-based
 //! routing and key-partitioned sharding across worker threads — see
@@ -147,6 +153,7 @@ impl EngineStats {
 /// use cer_common::gen::sigma0_prefix;
 /// use cer_common::Schema;
 /// use cer_core::evaluator::StreamingEvaluator;
+/// use cer_core::Evaluator;
 ///
 /// let (_, r, s, t) = Schema::sigma0();
 /// let mut engine = StreamingEvaluator::new(paper_p0(r, s, t), 100);
@@ -265,43 +272,13 @@ impl StreamingEvaluator {
         self.stage.index_keys()
     }
 
-    /// Update phase of Algorithm 1 for one tuple. Returns the position it
-    /// occupied. Call an output method afterwards — or use the combined
-    /// [`push_for_each`](Self::push_for_each) /
-    /// [`push_collect`](Self::push_collect) / [`push_count`](Self::push_count).
+    /// Update phase of Algorithm 1 for one tuple: a slice of one with no
+    /// enumeration. Returns the position it occupied. Call
+    /// [`for_each_output`](Self::for_each_output) afterwards, or use the
+    /// combined [`Evaluator`] methods.
     pub fn push(&mut self, t: &Tuple) -> u64 {
-        self.push_at(t, self.next_pos)
-    }
-
-    /// Update phase for a tuple occupying an *explicit* stream position.
-    ///
-    /// Positions must be pushed in strictly increasing order but may
-    /// have gaps: a sharded evaluator inside the multi-query
-    /// [`Runtime`](crate::runtime::Runtime) only sees the tuples routed
-    /// to it, yet output valuations must carry global stream positions.
-    /// Count windows keep their *global* meaning (`lo = i − w`), so
-    /// outputs match an evaluator that saw every position.
-    ///
-    /// Panics if `i` is behind a position already pushed.
-    pub fn push_at(&mut self, t: &Tuple, i: u64) -> u64 {
-        assert!(
-            i >= self.next_pos,
-            "positions must increase: got {i}, expected at least {}",
-            self.next_pos
-        );
-        self.next_pos = i + 1;
-        self.stats.positions += 1;
-        let lo = self.clock.observe(i, t);
-        self.current_lo = lo;
-
-        self.stage.begin_position();
-        self.stage
-            .fire_transitions(&self.pcea, &mut self.ds, t, i, lo, &mut self.stats);
-        self.stage
-            .update_indices(&self.pcea, &mut self.ds, t, lo, &mut self.stats);
-
-        self.since_gc += 1;
-        self.maybe_collect();
+        let i = self.next_pos;
+        self.push_private(std::slice::from_ref(t), None, |_, _| {});
         i
     }
 
@@ -321,49 +298,36 @@ impl StreamingEvaluator {
         }
     }
 
-    /// The shared core of the batch entry points: evaluate `len` stamped
-    /// tuples, provided by `get` in strictly increasing position order,
-    /// with the fire stage vectorized across the slice (see the module
-    /// docs for the restructuring and its exactness argument).
+    /// The one per-position core every push runs (see the module docs
+    /// for its exactness argument): evaluate `len` stamped tuples,
+    /// provided by `get` in strictly increasing position order, after
+    /// `prefilter` has filled the unary mask over them and returned its
+    /// stride. Per position: fire, index and, when `labels` is
+    /// `Some(n)`, enumerate the new outputs with `n` labels into
+    /// `f(position, valuation)` (`n = 0` yields placeholder valuations,
+    /// enough to count); `None` skips enumeration. Then one GC cadence
+    /// check at the slice boundary.
     ///
-    /// When `labels` is `Some(n)`, each position's new outputs are
-    /// enumerated with `n` labels and passed to `f(position, valuation)`
-    /// (`n = 0` yields placeholder valuations — enough to *count*
-    /// without materializing); `None` skips enumeration entirely.
-    fn push_slice_impl<'t, G, F>(&mut self, len: usize, get: G, labels: Option<usize>, mut f: F)
-    where
+    /// Positions may have gaps: a shard evaluator inside the multi-query
+    /// [`Runtime`](crate::runtime::Runtime) only sees the tuples routed
+    /// to it, yet valuations carry global stream positions, and count
+    /// windows keep their global meaning (`lo = i − w`). Panics if a
+    /// position is behind one already pushed.
+    fn push_positions<'t, G, F>(
+        &mut self,
+        len: usize,
+        get: G,
+        prefilter: impl FnOnce(&mut FireStage, &Pcea) -> usize,
+        labels: Option<usize>,
+        mut f: F,
+    ) where
         G: Fn(usize) -> (u64, &'t Tuple),
         F: FnMut(u64, &Valuation),
     {
         if len == 0 {
             return;
         }
-        let stride = {
-            let g = &get;
-            self.stage
-                .prefilter_slice(&self.pcea, (0..len).map(move |j| g(j).1), len)
-        };
-        self.push_slice_tail(stride, len, get, labels, &mut f);
-    }
-
-    /// The per-position back half of the batch path, shared by the
-    /// private prefilter ([`push_slice_impl`](Self::push_slice_impl))
-    /// and the runtime's shared prefilter
-    /// ([`push_slice_selected_shared`](Self::push_slice_selected_shared)):
-    /// fire, index, enumerate per position, then the amortized GC check
-    /// at the batch boundary. Identical machinery regardless of how the
-    /// mask was filled.
-    fn push_slice_tail<'t, G, F>(
-        &mut self,
-        stride: usize,
-        len: usize,
-        get: G,
-        labels: Option<usize>,
-        f: &mut F,
-    ) where
-        G: Fn(usize) -> (u64, &'t Tuple),
-        F: FnMut(u64, &Valuation),
-    {
+        let stride = prefilter(&mut self.stage, &self.pcea);
         // Hoist the window-policy dispatch: count windows are a pure
         // function of the position; time windows must consult each
         // tuple's timestamp, so they keep the per-tuple clock update.
@@ -385,7 +349,7 @@ impl StreamingEvaluator {
             };
             self.current_lo = lo;
             self.stage.begin_position();
-            self.stage.fire_transitions_masked(
+            self.stage.fire_transitions(
                 &self.pcea,
                 &mut self.ds,
                 t,
@@ -402,10 +366,27 @@ impl StreamingEvaluator {
                 self.enumerate_position(lo, scratch, |v| f(i, v));
             }
         }
-        // Amortized GC: the cadence check runs once per batch. Collection
-        // is transparent to outputs, so deferring it within the batch
-        // only lets the arena overshoot by at most one batch.
+        // Amortized GC: the cadence check runs once per slice. Collection
+        // is transparent to outputs, so deferring it within the slice
+        // only lets the arena overshoot by at most one slice.
         self.maybe_collect();
+    }
+
+    /// [`push_positions`](Self::push_positions) over `batch` at
+    /// consecutive positions from [`next_position`](Self::next_position),
+    /// with the unary mask evaluated privately.
+    fn push_private<F>(&mut self, batch: &[Tuple], labels: Option<usize>, f: F)
+    where
+        F: FnMut(u64, &Valuation),
+    {
+        let start = self.next_pos;
+        self.push_positions(
+            batch.len(),
+            |j| (start + j as u64, &batch[j]),
+            |stage, pcea| stage.prefilter_slice(pcea, batch.iter(), batch.len()),
+            labels,
+            f,
+        );
     }
 
     /// Batch update: push a whole slice at consecutive positions,
@@ -418,51 +399,34 @@ impl StreamingEvaluator {
     /// scratch, and the GC cadence check is amortized to the batch
     /// boundary. See the module docs for the exactness argument.
     pub fn push_slice_for_each<F: FnMut(u64, &Valuation)>(&mut self, batch: &[Tuple], f: F) {
-        let start = self.next_pos;
         let labels = Some(self.pcea.num_labels());
-        self.push_slice_impl(batch.len(), |j| (start + j as u64, &batch[j]), labels, f);
-    }
-
-    /// Push a whole slice and collect the new outputs as
-    /// `(position, valuation)` pairs.
-    pub fn push_slice_collect(&mut self, batch: &[Tuple]) -> Vec<(u64, Valuation)> {
-        let mut out = Vec::new();
-        self.push_slice_for_each(batch, |i, v| out.push((i, v.clone())));
-        out
+        self.push_private(batch, labels, f);
     }
 
     /// Push a whole slice and count the new outputs without
     /// materializing them.
     pub fn push_slice_count(&mut self, batch: &[Tuple]) -> usize {
-        let start = self.next_pos;
         let mut n = 0usize;
-        self.push_slice_impl(
-            batch.len(),
-            |j| (start + j as u64, &batch[j]),
-            Some(0),
-            |_, _| n += 1,
-        );
+        self.push_private(batch, Some(0), |_, _| n += 1);
         n
     }
 
-    /// Batched [`push_at`](Self::push_at) for the runtime shard workers:
-    /// evaluate the stamped tuples selected by `sel` (indices into
-    /// `tuples`, in increasing position order), with the unary
-    /// prefilter served by the shard's shared [`PredicateCache`]
-    /// instead of evaluated privately: `slots` maps each transition of
-    /// this query's automaton to its interned predicate slot, and the
-    /// mask is gathered from the cache's pool
+    /// The runtime shard workers' push: evaluate the stamped tuples
+    /// selected by `sel` (indices into `tuples`, in increasing position
+    /// order), with the unary mask gathered from the shard's shared
+    /// [`PredicateCache`](crate::shared::PredicateCache) instead of
+    /// evaluated privately: `slots` maps each transition of this
+    /// query's automaton to its interned predicate slot
     /// ([`FireStage::prefilter_shared`](crate::fire)). `enumerate`
     /// gates output enumeration — a shard skips it when no subscriber
-    /// listens. Everything after the mask — firing, indexing,
-    /// enumeration, GC — is the *same* code as the private
-    /// single-query path, and the mask bits are the same `matches()`
-    /// outcomes, so outputs are bit-identical.
+    /// listens. Everything after the mask runs the same core as every
+    /// other push, and the mask bits are the same `matches()` outcomes,
+    /// so outputs are bit-identical.
     ///
     /// `timers`, when given, splits the call's wall time into the
-    /// shared-prefilter phase and the fire/index/enumerate tail — the
-    /// shard worker passes its stage histograms; timing is two `Instant`
-    /// reads per *batch*, not per tuple.
+    /// shared-prefilter phase and the fire/index/enumerate rest — the
+    /// shard worker passes its stage histograms; timing is three
+    /// `Instant` reads per *batch*, not per tuple.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn push_slice_selected_shared<F: FnMut(u64, &Valuation)>(
         &mut self,
@@ -472,36 +436,28 @@ impl StreamingEvaluator {
         cache: &mut crate::shared::PredicateCache,
         enumerate: bool,
         timers: Option<(&cer_obs::Histogram, &cer_obs::Histogram)>,
-        mut f: F,
+        f: F,
     ) {
-        if sel.is_empty() {
-            return;
-        }
-        let prefilter_at = timers.map(|_| std::time::Instant::now());
-        let stride = self
-            .stage
-            .prefilter_shared(&self.pcea, cache, slots, sel, tuples);
-        let tail_at = std::time::Instant::now();
-        if let (Some((prefilter, _)), Some(at)) = (timers, prefilter_at) {
-            prefilter.record_duration(tail_at.saturating_duration_since(at));
-        }
-        let labels = if enumerate {
-            Some(self.pcea.num_labels())
-        } else {
-            None
-        };
-        self.push_slice_tail(
-            stride,
+        let started = timers.map(|_| std::time::Instant::now());
+        let mut prefiltered = None;
+        let labels = enumerate.then(|| self.pcea.num_labels());
+        self.push_positions(
             sel.len(),
             |k| {
                 let (i, t) = &tuples[sel[k] as usize];
                 (*i, t)
             },
+            |stage, pcea| {
+                let stride = stage.prefilter_shared(pcea, cache, slots, sel, tuples);
+                prefiltered = started.map(|_| std::time::Instant::now());
+                stride
+            },
             labels,
-            &mut f,
+            f,
         );
-        if let Some((_, tail)) = timers {
-            tail.record_duration(tail_at.elapsed());
+        if let (Some((prefilter, tail)), Some(at), Some(mid)) = (timers, started, prefiltered) {
+            prefilter.record_duration(mid.saturating_duration_since(at));
+            tail.record_duration(mid.elapsed());
         }
     }
 
@@ -676,46 +632,21 @@ impl StreamingEvaluator {
             }
         }
     }
-
-    /// Push a tuple and collect the new outputs.
-    pub fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
-        self.push(t);
-        let mut out = Vec::new();
-        self.for_each_output(|v| out.push(v.clone()));
-        out
-    }
-
-    /// Push a tuple and count the new outputs without materializing them.
-    pub fn push_count(&mut self, t: &Tuple) -> usize {
-        self.push(t);
-        self.count_outputs()
-    }
-
-    /// Count this position's new outputs without materializing them.
-    fn count_outputs(&self) -> usize {
-        let mut n = 0usize;
-        self.enumerate_position(self.current_lo, &mut Valuation::default(), |_| n += 1);
-        n
-    }
-
-    /// Push a tuple, calling `f` for each new output.
-    pub fn push_for_each<F: FnMut(&Valuation)>(&mut self, t: &Tuple, f: F) {
-        self.push(t);
-        self.for_each_output(f);
-    }
 }
 
 impl Evaluator for StreamingEvaluator {
     fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
-        StreamingEvaluator::push_collect(self, t)
+        let mut out = Vec::new();
+        self.push_for_each(t, &mut |v| out.push(v.clone()));
+        out
     }
 
     fn push_count(&mut self, t: &Tuple) -> usize {
-        StreamingEvaluator::push_count(self, t)
+        self.push_slice_count(std::slice::from_ref(t))
     }
 
     fn push_for_each(&mut self, t: &Tuple, f: &mut dyn FnMut(&Valuation)) {
-        StreamingEvaluator::push_for_each(self, t, f);
+        self.push_slice_for_each(std::slice::from_ref(t), |_, v| f(v));
     }
 
     fn push_slice(&mut self, batch: &[Tuple], f: &mut dyn FnMut(usize, &Valuation)) {
@@ -746,6 +677,18 @@ mod tests {
     use cer_automata::reference::ReferenceEval;
     use cer_common::gen::sigma0_prefix;
     use cer_common::Schema;
+
+    /// Drive the core with one tuple at the explicit position `i`, as a
+    /// shard worker does with the tuples routed to it.
+    fn push_at(engine: &mut StreamingEvaluator, t: &Tuple, i: u64) {
+        engine.push_positions(
+            1,
+            |_| (i, t),
+            |stage, pcea| stage.prefilter_slice(pcea, std::iter::once(t), 1),
+            None,
+            |_, _| {},
+        );
+    }
 
     /// Differential harness: engine output == reference oracle at every
     /// position and for several window sizes.
@@ -878,7 +821,7 @@ mod tests {
         let dense_out: Vec<_> = stream.iter().map(|tu| dense.push_collect(tu)).collect();
         let mut gapped = StreamingEvaluator::new(paper_p0(r, s, t), 5);
         for (n, tu) in stream.iter().enumerate() {
-            gapped.push_at(tu, n as u64);
+            push_at(&mut gapped, tu, n as u64);
             let mut got = Vec::new();
             gapped.for_each_output(|v| got.push(v.clone()));
             assert_eq!(got, dense_out[n], "position {n}");
@@ -889,7 +832,7 @@ mod tests {
         let picks = [0usize, 1, 3, 5];
         let mut total = 0usize;
         for &n in &picks {
-            sparse.push_at(&stream[n], n as u64);
+            push_at(&mut sparse, &stream[n], n as u64);
             sparse.for_each_output(|_| total += 1);
         }
         assert_eq!(total, 2, "both matches complete at global position 5");
@@ -921,7 +864,7 @@ mod tests {
             batched.set_gc_every(5);
             let mut got = Vec::new();
             for slice in stream.chunks(chunk) {
-                got.extend(batched.push_slice_collect(slice));
+                batched.push_slice_for_each(slice, |i, v| got.push((i, v.clone())));
             }
             assert_eq!(got, want, "chunk={chunk}");
             assert_eq!(batched.next_position(), stream.len() as u64);
@@ -949,7 +892,8 @@ mod tests {
         for tu in &stream {
             want.extend(scalar.push_collect(tu));
         }
-        let got = batched.push_slice_collect(&stream);
+        let mut got = Vec::new();
+        batched.push_slice_for_each(&stream, |i, v| got.push((i, v.clone())));
         assert_eq!(got.len(), want.len());
         assert_eq!(got.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>(), want);
     }
@@ -960,7 +904,7 @@ mod tests {
         let (_, r, s, t) = Schema::sigma0();
         let stream = sigma0_prefix(r, s, t);
         let mut engine = StreamingEvaluator::new(paper_p0(r, s, t), 5);
-        engine.push_at(&stream[0], 3);
-        engine.push_at(&stream[1], 3);
+        push_at(&mut engine, &stream[0], 3);
+        push_at(&mut engine, &stream[1], 3);
     }
 }

@@ -2,31 +2,36 @@
 //!
 //! [`FireStage`] owns the per-evaluator mutable state the two update
 //! phases share — the look-up table `H`, the per-state node lists `N_p`
-//! rebuilt each position, and the gather scratch — and exposes them as
+//! rebuilt each position, the unary mask and the gather scratch — and
+//! exposes them as
 //! explicit steps:
 //!
-//! * [`FireStage::fire_transitions`] — for every transition
-//!   `(P, U, B, L, q)` whose unary predicate accepts the current tuple
-//!   and whose every source slot has a stored run matching the tuple's
-//!   join key, `extend` the gathered runs into a fresh `DS_w` node at
-//!   `q`;
+//! * [`FireStage::prefilter_slice`] / [`FireStage::prefilter_shared`]
+//!   — the unary front half of FireTransitions for a whole slice of
+//!   tuples at once: every transition's unary predicate `U` evaluated
+//!   (privately, transition-major) or gathered (from the shard's shared
+//!   [`PredicateCache`]) into a compact bitmask, one bit per
+//!   `(tuple, transition)` pair;
+//! * [`FireStage::fire_transitions`] — the one firing loop: for tuple
+//!   `j` of the slice, every transition `(P, U, B, L, q)` whose mask bit
+//!   is set and whose every source slot has a stored run matching the
+//!   tuple's join key `extend`s the gathered runs into a fresh `DS_w`
+//!   node at `q`;
 //! * [`FireStage::update_indices`] — index every node created this
 //!   position in `H` under `(transition, slot, ⃗B_p(t))`, melding with
 //!   previous entries via the persistent `union`;
 //! * [`FireStage::collect_garbage`] — drop dead `H` entries and compact
 //!   the arena around the live roots.
 //!
-//! For batch evaluation ([`StreamingEvaluator::push_slice_for_each`]),
-//! the stage also owns the *vectorized* front half of FireTransitions:
-//! [`FireStage::prefilter_slice`] evaluates every transition's unary
-//! predicate across a whole slice of tuples into a compact bitmask
-//! (one bit per `(tuple, transition)` pair), so the per-position loop
-//! ([`FireStage::fire_transitions_masked`]) only visits transitions
-//! whose unary predicate already accepted — a transition-major sweep
-//! with much better predicate/branch locality than re-dispatching every
-//! predicate at every position. The bitmask is a pure reordering of the
-//! same predicate evaluations the tuple-at-a-time path performs, so
-//! firing decisions are bit-identical.
+//! Every push into a
+//! [`StreamingEvaluator`](crate::evaluator::StreamingEvaluator) — a
+//! slice, a shard's selection, or one tuple as a slice of one — fills
+//! the mask once and then runs the firing loop per position. The mask is
+//! a pure reordering of the predicate evaluations Algorithm 1 performs
+//! tuple by tuple (unary predicates are pure), so firing decisions are
+//! those of the paper's loop, and the transition-major sweep has much
+//! better predicate/branch locality than re-dispatching every predicate
+//! at every position.
 //!
 //! `N_p` bookkeeping is also batch-friendly: instead of clearing every
 //! state's node list at every position, the stage records which states
@@ -58,14 +63,12 @@
 //! composes these with the ingest/window stage
 //! ([`WindowClock`](crate::window::WindowClock)) and the enumeration
 //! stage ([`crate::enumerate`]).
-//!
-//! [`StreamingEvaluator::push_slice_for_each`]: crate::evaluator::StreamingEvaluator::push_slice_for_each
 
 use crate::ds::{EnumStructure, NodeId};
 use crate::evaluator::EngineStats;
 use crate::htable::HTable;
 use crate::shared::PredicateCache;
-use cer_automata::pcea::{Pcea, Transition};
+use cer_automata::pcea::Pcea;
 use cer_automata::predicate::{Key, UnaryPredicate};
 use cer_common::Tuple;
 
@@ -124,59 +127,6 @@ impl FireStage {
         }
     }
 
-    /// The shared back half of FireTransitions for one transition whose
-    /// unary predicate already accepted `t`: gather matching stored runs
-    /// and `extend` them with the tuple at position `i`.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_one(
-        &mut self,
-        e_idx: usize,
-        tr: &Transition,
-        ds: &mut EnumStructure,
-        t: &Tuple,
-        i: u64,
-        lo: u64,
-        stats: &mut EngineStats,
-    ) {
-        self.gather.clear();
-        for (slot, b) in tr.binary.iter().enumerate() {
-            let Some(key) = b.right.project(t) else {
-                return;
-            };
-            let key = key.iter().map(|&p| t.get(p));
-            match self.h.get(e_idx as u32, slot as u32, key) {
-                Some(node) if ds.max_start(node) >= lo => self.gather.push(node),
-                _ => return,
-            }
-        }
-        let node = ds.extend(tr.labels, i, &self.gather);
-        stats.extends += 1;
-        let q = tr.target.index();
-        if self.n_state[q].is_empty() {
-            self.touched.push(q as u32);
-        }
-        self.n_state[q].push(node);
-    }
-
-    /// FireTransitions: gather matching stored runs per transition and
-    /// `extend` them with the current tuple at position `i`.
-    pub(crate) fn fire_transitions(
-        &mut self,
-        pcea: &Pcea,
-        ds: &mut EnumStructure,
-        t: &Tuple,
-        i: u64,
-        lo: u64,
-        stats: &mut EngineStats,
-    ) {
-        for (e_idx, tr) in pcea.transitions().iter().enumerate() {
-            if !tr.unary.matches(t) {
-                continue;
-            }
-            self.fire_one(e_idx, tr, ds, t, i, lo, stats);
-        }
-    }
-
     /// Vectorized front half of FireTransitions: evaluate every
     /// transition's unary predicate across the whole slice into the
     /// reusable [`unary_mask`](Self::unary_mask) bitmask, transition by
@@ -184,8 +134,8 @@ impl FireStage {
     ///
     /// The iterator must yield exactly `len` tuples — the same tuples,
     /// in the same order, that are later passed to
-    /// [`fire_transitions_masked`](Self::fire_transitions_masked) with
-    /// their slice index `j`.
+    /// [`fire_transitions`](Self::fire_transitions) with their slice
+    /// index `j`.
     pub(crate) fn prefilter_slice<'t>(
         &mut self,
         pcea: &Pcea,
@@ -248,8 +198,7 @@ impl FireStage {
     /// `sel` holds the query's tuple indices into the stamped batch
     /// `tuples` (increasing). The produced mask is laid out over `sel`
     /// exactly as [`prefilter_slice`](Self::prefilter_slice) lays it
-    /// over its slice, so
-    /// [`fire_transitions_masked`](Self::fire_transitions_masked)
+    /// over its slice, so [`fire_transitions`](Self::fire_transitions)
     /// consumes both identically — and the bits themselves are the same
     /// `matches()` outcomes, so firing decisions are bit-identical.
     pub(crate) fn prefilter_shared(
@@ -278,13 +227,15 @@ impl FireStage {
         stride
     }
 
-    /// FireTransitions for tuple `j` of a pre-filtered slice: identical
-    /// to [`fire_transitions`](Self::fire_transitions), but the unary
-    /// predicate outcomes are read from the bitmask filled by
-    /// [`prefilter_slice`](Self::prefilter_slice) instead of being
-    /// re-evaluated, and non-matching transitions are skipped in bulk.
+    /// FireTransitions for tuple `j` of a pre-filtered slice: for every
+    /// transition whose bit is set in the mask filled by
+    /// [`prefilter_slice`](Self::prefilter_slice) or
+    /// [`prefilter_shared`](Self::prefilter_shared) (non-matching
+    /// transitions are skipped a word at a time), gather the stored run
+    /// matching the tuple's join key in every source slot and `extend`
+    /// them with the tuple at position `i`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fire_transitions_masked(
+    pub(crate) fn fire_transitions(
         &mut self,
         pcea: &Pcea,
         ds: &mut EnumStructure,
@@ -298,10 +249,28 @@ impl FireStage {
         let trs = pcea.transitions();
         for k in 0..stride {
             let mut word = self.unary_mask[j * stride + k];
-            while word != 0 {
+            'fire: while word != 0 {
                 let e_idx = k * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                self.fire_one(e_idx, &trs[e_idx], ds, t, i, lo, stats);
+                let tr = &trs[e_idx];
+                self.gather.clear();
+                for (slot, b) in tr.binary.iter().enumerate() {
+                    let Some(key) = b.right.project(t) else {
+                        continue 'fire;
+                    };
+                    let key = key.iter().map(|&p| t.get(p));
+                    match self.h.get(e_idx as u32, slot as u32, key) {
+                        Some(node) if ds.max_start(node) >= lo => self.gather.push(node),
+                        _ => continue 'fire,
+                    }
+                }
+                let node = ds.extend(tr.labels, i, &self.gather);
+                stats.extends += 1;
+                let q = tr.target.index();
+                if self.n_state[q].is_empty() {
+                    self.touched.push(q as u32);
+                }
+                self.n_state[q].push(node);
             }
         }
     }

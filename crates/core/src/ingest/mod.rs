@@ -102,8 +102,9 @@
 //!    worker only ever sees batches *released* by the reorder stage — in
 //!    block-id order, which is position order. So every shard receives
 //!    exactly the subsequence routed to it, in strictly increasing
-//!    position order — the precondition of
-//!    [`StreamingEvaluator::push_at`](crate::evaluator::StreamingEvaluator::push_at).
+//!    position order — the precondition of the evaluator's
+//!    per-position core ([`crate::evaluator`]), which takes stamped
+//!    positions with gaps but never behind one already pushed.
 //! 2. **Window expiry is position-functional.** The
 //!    [`WindowClock`](crate::window::WindowClock) computes expiry
 //!    bounds from the stamped position (count windows) or from the

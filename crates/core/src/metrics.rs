@@ -172,6 +172,16 @@ pub enum PipelineEvent {
         /// code for a record that would not encode.
         code: ErrorCode,
     },
+    /// A checkpoint failed after the runtime's durability was checked
+    /// ([`Runtime::checkpoint`](crate::runtime::Runtime::checkpoint));
+    /// the previous checkpoint stays the recovery point.
+    CheckpointFailed {
+        /// The runtime's next stamping position when it failed.
+        position: u64,
+        /// Why: [`ErrorCode::WalIo`] for the disk, a wire code for a
+        /// state that would not encode.
+        code: ErrorCode,
+    },
     /// A checkpoint was written and committed to the manifest; WAL
     /// segments it covers were truncated.
     CheckpointWritten {
@@ -212,6 +222,7 @@ impl PipelineEvent {
             | PipelineEvent::WalTornTail { position, .. }
             | PipelineEvent::WalRolled { position }
             | PipelineEvent::WalFailed { position, .. }
+            | PipelineEvent::CheckpointFailed { position, .. }
             | PipelineEvent::CheckpointWritten { position, .. }
             | PipelineEvent::Recovered { position, .. } => *position,
             PipelineEvent::Rescale { fence_pos, .. } => *fence_pos,

@@ -531,15 +531,17 @@ impl Runtime {
         let evicted = fence.stage(homes.into_iter().map(|queue| (queue, evict)));
         let op = WalOp::Deregister { position, id };
         self.shared.wal_append(wal_seq, position, op);
+        // Stamped and logged, the op is committed: the registry follows
+        // the router and the WAL even when a dead worker fails the call.
+        let info = &mut self.queries[id.0 as usize];
+        info.alive = false;
+        info.spec = None;
         let finals = evicted?.collect()?;
         let journal = &self.shared.metrics.journal;
         journal.push(PipelineEvent::QueryDeregistered {
             query: id,
             position,
         });
-        let info = &mut self.queries[id.0 as usize];
-        info.alive = false;
-        info.spec = None;
         let mut total = EngineStats::default();
         for st in finals.iter().flatten() {
             sum_stats(&mut total, st);
@@ -609,6 +611,11 @@ impl Runtime {
             spec: logged,
         };
         self.shared.wal_append(wal_seq, position, op);
+        // Committed, as in `deregister`: the registry takes the new spec
+        // before a dead worker's failure propagates.
+        let info = &mut self.queries[id.0 as usize];
+        info.name = new.name.clone();
+        info.spec = Some(new);
         let swapped = swapped?.collect()?;
         assert!(
             swapped.iter().all(|&hosted| hosted),
@@ -619,9 +626,6 @@ impl Runtime {
             query: id,
             position,
         });
-        let info = &mut self.queries[id.0 as usize];
-        info.name = new.name.clone();
-        info.spec = Some(new);
         Ok(())
     }
 
@@ -803,6 +807,7 @@ fn sum_stats(acc: &mut EngineStats, st: &EngineStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Evaluator;
     use cer_automata::pcea::paper_p0;
     use cer_common::gen::sigma0_prefix;
     use cer_common::Schema;
@@ -901,6 +906,64 @@ mod tests {
         let message = message.expect_err("push_batch returned past a dead shard worker");
         assert!(message.contains("a runtime shard worker died"), "{message}");
         assert_eq!(produced, Err(Error::RuntimeClosed));
+    }
+
+    /// A `deregister` or `replace` that a dead shard worker fails is
+    /// still committed — stamped, routed and logged — so the registry
+    /// records it too: a second `deregister` of the same id answers
+    /// `unknown_query` instead of fencing again, and a failed `replace`
+    /// leaves the new name. The worker dies as above, and the calls run
+    /// on a helper thread behind a timeout.
+    #[test]
+    fn a_dead_shard_worker_leaves_the_registry_in_step_with_the_log() {
+        use cer_automata::pcea::{Pcea, PceaBuilder};
+        use cer_automata::predicate::UnaryPredicate;
+        use cer_automata::valuation::{Label, LabelSet};
+        use cer_common::tuple::tup;
+        use cer_common::Value;
+        let (_, _, _, t) = Schema::sigma0();
+        let boom = || -> Pcea {
+            let mut b = PceaBuilder::new(1);
+            let q = b.add_state();
+            let boom = |t: &Tuple| {
+                assert_ne!(t.get(0), &Value::Int(13), "the predicate panics on 13");
+                true
+            };
+            b.add_initial_transition(
+                UnaryPredicate::Custom(std::sync::Arc::new(boom)),
+                LabelSet::singleton(Label(0)),
+                q,
+            );
+            b.mark_final(q);
+            b.build()
+        };
+        let mut rt = Runtime::new(1);
+        let gone = rt
+            .register(QuerySpec::new("gone", boom(), WindowPolicy::Count(10)))
+            .unwrap();
+        let swapped = rt
+            .register(QuerySpec::new("old", boom(), WindowPolicy::Count(10)))
+            .unwrap();
+        let stream: Vec<Tuple> = (10..16).map(|k| tup(t, [k])).collect();
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let call = std::panic::AssertUnwindSafe(|| rt.push_batch(&stream));
+            assert!(std::panic::catch_unwind(call).is_err(), "the worker died");
+            let first = rt.deregister(gone).map(drop);
+            let second = rt.deregister(gone).map(drop);
+            let new = QuerySpec::new("new", boom(), WindowPolicy::Count(10));
+            let replaced = rt.replace(swapped, new);
+            let name = rt.query_name(swapped).map(str::to_owned);
+            done.send((first, second, replaced, name)).unwrap();
+        });
+        let (first, second, replaced, name) = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a structural call parked on a dead shard worker");
+        helper.join().unwrap();
+        assert_eq!(first, Err(Error::ShardWorkerDied));
+        assert_eq!(second, Err(Error::UnknownQuery { id: gone }));
+        assert_eq!(replaced, Err(Error::ShardWorkerDied));
+        assert_eq!(name.as_deref(), Some("new"));
     }
 
     #[test]

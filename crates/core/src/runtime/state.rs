@@ -529,18 +529,25 @@ impl Runtime {
     ///
     /// Errors leave the *previous* checkpoint intact — the manifest is
     /// replaced atomically, so a torn checkpoint write is swept as an
-    /// orphan on the next open, never half-restored.
+    /// orphan on the next open, never half-restored — and each one past
+    /// the durability check is journaled as
+    /// [`PipelineEvent::CheckpointFailed`] with its code.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, Error> {
         if self.durability.is_none() {
             return Err(Error::NotDurable);
         }
-        let snap = self.snapshot()?;
-        let stats = {
+        let written = self.snapshot().and_then(|snap| {
             let handle = self.durability.as_mut().expect("durable checked above");
             let mut stats = handle.store.write(&snap)?;
             stats.wal_segments_removed = handle.wal.truncate_below(snap.wal_seq);
-            stats
-        };
+            Ok(stats)
+        });
+        let stats = written.inspect_err(|e| {
+            let position = self.next_position();
+            let code = e.code();
+            let failed = PipelineEvent::CheckpointFailed { position, code };
+            self.shared.metrics.journal.push(failed);
+        })?;
         self.shared
             .metrics
             .ckpt_delta_ratio_bp
@@ -670,6 +677,7 @@ fn check_position(op: &str, at: u64, logged: u64) -> Result<(), Error> {
 mod tests {
     use super::*;
     use crate::window::WindowPolicy;
+    use crate::Evaluator;
     use cer_automata::pcea::paper_p0;
     use cer_automata::predicate::Key;
     use cer_automata::valuation::Valuation;

@@ -739,6 +739,7 @@ mod tests {
 
     #[test]
     fn engine_agrees_with_reference_on_patterns() {
+        use cer_core::Evaluator;
         use cer_core::StreamingEvaluator;
         let (schema, c) = compile("T(x) && S(x, y) ; R(x, y)");
         let r = schema.relation("R").unwrap();

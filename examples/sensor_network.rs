@@ -89,7 +89,7 @@ fn main() {
     for _ in 0..events {
         let t = net.next_tuple().expect("infinite feed");
         fires_any_order += any_order.push_count(&t);
-        sequenced.push_for_each(&t, |v| {
+        sequenced.push_for_each(&t, &mut |v| {
             fires_sequenced += 1;
             if example.is_none() {
                 example = Some(v.clone());

@@ -43,7 +43,7 @@ fn main() {
     for _ in 0..events {
         let tuple = feed.next_tuple().expect("infinite feed");
         let pos = engine.next_position();
-        engine.push_for_each(&tuple, |v| {
+        engine.push_for_each(&tuple, &mut |v| {
             matches += 1;
             if sample.is_none() {
                 sample = Some((pos, v.clone()));

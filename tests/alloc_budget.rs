@@ -232,12 +232,33 @@ fn unique_key_triples(triples: usize) -> (Pcea, Vec<Tuple>) {
     (paper_p0(r, s, t), stream)
 }
 
-/// Blocks a phase of one slice may allocate whatever its length: the
-/// collection that ends it takes four (the two arena vectors, the
+/// Blocks a phase may allocate whatever its length, pushed as one slice
+/// or one tuple at a time: the collection that ends it takes four (the two arena vectors, the
 /// forwarding table, the root list), and the arena, sized by that
 /// collection for the slice before, doubles a few times under a longer
-/// one. Measured: 5 over `M` tuples, 9 over `4M`, on both streams.
+/// one. Measured: 5 over `M` tuples, 9 over `4M`, on both streams and
+/// by every drive.
 const PHASE_BUDGET: u64 = 12;
+
+/// How a phase's tuples reach the evaluator: one slice, or one tuple
+/// at a time — each a slice of one, which must reuse the mask and
+/// gather scratch — with and without counting the outputs (`None`).
+type Drive = fn(&mut StreamingEvaluator, &[Tuple]) -> Option<usize>;
+
+const DRIVES: [(&str, Drive); 3] = [
+    ("push_slice_count", |eval, phase| {
+        Some(eval.push_slice_count(phase))
+    }),
+    ("push", |eval, phase| {
+        for t in phase {
+            eval.push(t);
+        }
+        None
+    }),
+    ("push_count", |eval, phase| {
+        Some(phase.iter().map(|t| eval.push_count(t)).sum())
+    }),
+];
 
 #[test]
 fn the_update_step_allocates_nothing_per_tuple() {
@@ -246,21 +267,32 @@ fn the_update_step_allocates_nothing_per_tuple() {
     let (star, star_stream) = star3(warm_up + 5 * M);
     let (q0, q0_stream) = unique_key_triples((warm_up + 5 * M) / 3);
     for (name, pcea, stream) in [("star-3", star, star_stream), ("σ0", q0, q0_stream)] {
-        let mut eval = StreamingEvaluator::new(pcea, WINDOW);
-        // Warm: every vector at its high-water mark, one collection.
-        let (warm, rest) = stream.split_at(warm_up);
-        eval.push_slice_count(warm);
-        assert_eq!(eval.stats().collections, 1, "{name}: warm-up collects");
-        let (short, long) = rest.split_at(M);
-        for (slice, collections) in [(short, 2), (long, 3)] {
-            let (outputs, n) = allocs_in(|| eval.push_slice_count(slice));
-            assert!(outputs > slice.len() / 4, "{name}: {outputs} matches");
-            assert_eq!(eval.stats().collections, collections);
-            assert!(
-                n <= PHASE_BUDGET,
-                "{name}: {n} allocations over {} tuples",
-                slice.len()
-            );
+        for (how, drive) in DRIVES {
+            let name = format!("{name} by {how}");
+            let mut eval = StreamingEvaluator::new(pcea.clone(), WINDOW);
+            // Each phase ends in the one collection it is budgeted for,
+            // whether the cadence is checked per slice or per tuple.
+            let phase = |eval: &mut StreamingEvaluator, tuples: &[Tuple]| {
+                eval.set_gc_every(tuples.len() as u64);
+                drive(eval, tuples)
+            };
+            // Warm: every vector at its high-water mark, one collection.
+            let (warm, rest) = stream.split_at(warm_up);
+            phase(&mut eval, warm);
+            assert_eq!(eval.stats().collections, 1, "{name}: warm-up collects");
+            let (short, long) = rest.split_at(M);
+            for (slice, collections) in [(short, 2), (long, 3)] {
+                let (outputs, n) = allocs_in(|| phase(&mut eval, slice));
+                if let Some(outputs) = outputs {
+                    assert!(outputs > slice.len() / 4, "{name}: {outputs} matches");
+                }
+                assert_eq!(eval.stats().collections, collections, "{name}");
+                assert!(
+                    n <= PHASE_BUDGET,
+                    "{name}: {n} allocations over {} tuples",
+                    slice.len()
+                );
+            }
         }
     }
 

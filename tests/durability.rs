@@ -585,6 +585,19 @@ fn live_wal_failure_fails_open() {
         .expect_err("checkpoint into a vanished directory");
     assert_eq!(err.code(), ErrorCode::WalIo, "{err}");
     assert_eq!((err.code().as_u16(), err.code().name()), (71, "wal_io"));
+    let failed: Vec<(u64, ErrorCode)> = rt
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.item {
+            PipelineEvent::CheckpointFailed { position, code } => Some((position, code)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        failed,
+        [(rt.next_position(), ErrorCode::WalIo)],
+        "journaled once"
+    );
 
     got.extend(rt.push_batch(&stream[200..]));
     assert_eq!(sorted(got), want, "matches survive the dead log");

@@ -166,7 +166,7 @@ fn stock_pattern_end_to_end() {
     for _ in 0..20_000 {
         let t = feed.next_tuple().unwrap();
         let pos = engine.next_position();
-        engine.push_for_each(&t, |v| {
+        engine.push_for_each(&t, &mut |v| {
             matches += 1;
             // The ALERT (label 2) is always the completing tuple.
             assert_eq!(v.get(Label(2)), [pos]);

@@ -59,7 +59,7 @@ fn output_wellformedness_under_density() {
     for _ in 0..3_000 {
         let tu = gen.next_tuple().unwrap();
         let i = engine.next_position();
-        engine.push_for_each(&tu, |v| {
+        engine.push_for_each(&tu, &mut |v| {
             checked += 1;
             assert_eq!(v.max_pos(), Some(i));
             assert!(i - v.min_pos().unwrap() <= w);

@@ -72,7 +72,7 @@ fn output_spans_respect_window() {
         let mut engine = StreamingEvaluator::new(pcea.clone(), w);
         for tu in &stream {
             let i = engine.next_position();
-            engine.push_for_each(tu, |v| {
+            engine.push_for_each(tu, &mut |v| {
                 let min = v.min_pos().unwrap();
                 let max = v.max_pos().unwrap();
                 assert_eq!(max, i, "outputs complete at the current position");
