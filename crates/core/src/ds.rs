@@ -94,12 +94,28 @@ pub struct Node {
     pub uright: NodeId,
 }
 
+/// Steps the collector's walk makes room for up front: one block
+/// covers every union tree a few dozen nodes deep, and deeper ones
+/// double it a few times per collection.
+const WALK_STACK: usize = 64;
+
+/// Scratch of [`EnumStructure::count_reachable`], kept across
+/// collections so that a steady stream reuses it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Reach {
+    /// The variants that reached each node.
+    reached: Vec<u64>,
+    stack: Vec<(NodeId, u64)>,
+}
+
 /// The arena of `DS_w` nodes.
 #[derive(Clone, Debug, Default)]
 pub struct EnumStructure {
     nodes: Vec<Node>,
     /// Every node's product list, in creation order.
     pool: Vec<NodeId>,
+    /// Nodes `union` has copied over this structure's lifetime.
+    copies: u64,
 }
 
 impl EnumStructure {
@@ -116,6 +132,14 @@ impl EnumStructure {
     /// Whether the arena is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Nodes copied by [`union`](Self::union) so far (collections keep
+    /// the count). The leftist meld copies at most
+    /// `⌊log₂(|a|+1)⌋ + ⌊log₂(|b|+1)⌋` per call, `|·|` a union tree's
+    /// size; `tests/ds_properties.rs` gates that bound.
+    pub fn copies(&self) -> u64 {
+        self.copies
     }
 
     /// Node accessor.
@@ -237,6 +261,7 @@ impl EnumStructure {
             (new_right, old_left)
         };
         // The copy shares its original's product list.
+        self.copies += 1;
         self.push(Node {
             rank: self.rank(uright) + 1,
             uleft,
@@ -294,7 +319,7 @@ impl EnumStructure {
         }
         let mut ds = EnumStructure {
             nodes: Vec::with_capacity(n.min(1 << 16)),
-            pool: Vec::new(),
+            ..EnumStructure::default()
         };
         for i in 0..n {
             let labels = LabelSet::decode(r)?;
@@ -419,46 +444,157 @@ impl EnumStructure {
         // Sized for what the arena held: on a steady stream that is the
         // live set plus one collection cadence of garbage, which is what
         // the fresh arena grows back to before the next collection.
+        *self = self.copied(roots, window_lo, (self.nodes.len(), self.pool.len()));
+    }
+
+    /// What [`compact`](Self::compact) keeps, as a new arena with room
+    /// for `capacity` nodes and pool words; this one is untouched.
+    pub(crate) fn copied(
+        &self,
+        roots: &mut [&mut NodeId],
+        window_lo: u64,
+        capacity: (usize, usize),
+    ) -> EnumStructure {
         let mut fresh = EnumStructure {
-            nodes: Vec::with_capacity(self.nodes.len()),
-            pool: Vec::with_capacity(self.pool.len()),
+            nodes: Vec::with_capacity(capacity.0),
+            pool: Vec::with_capacity(capacity.1),
+            copies: self.copies,
         };
         // Old id → new id, `⊥` until copied.
         let mut forward = vec![BOTTOM; self.nodes.len()];
+        let mut stack = Vec::with_capacity(WALK_STACK);
         for r in roots.iter_mut() {
-            **r = self.copy_live(**r, window_lo, &mut fresh, &mut forward);
+            **r = self.copy_live(**r, window_lo, &mut fresh, &mut forward, &mut stack);
         }
-        *self = fresh;
+        fresh
     }
 
+    /// Add to `counts[v]` the nodes reachable from the roots whose mask
+    /// has bit `v`, through union links and product lists: for each
+    /// variant of a family, the nodes its private arena would hold after
+    /// the same collection. Run on a freshly compacted arena, where
+    /// every link reaches a live node. One traversal visits each node
+    /// once per variant reaching it.
+    pub(crate) fn count_reachable(
+        &self,
+        roots: impl Iterator<Item = (NodeId, u64)>,
+        scratch: &mut Reach,
+        counts: &mut [usize],
+    ) {
+        let Reach { reached, stack } = scratch;
+        reached.clear();
+        reached.resize(self.nodes.len(), 0);
+        for root in roots {
+            stack.push(root);
+            while let Some((id, mask)) = stack.pop() {
+                if id.is_bottom() {
+                    continue;
+                }
+                let new = mask & !reached[id.index()];
+                if new == 0 {
+                    continue;
+                }
+                reached[id.index()] |= new;
+                let n = &self.nodes[id.index()];
+                stack.push((n.uleft, new));
+                stack.push((n.uright, new));
+                stack.extend(self.prod(id).iter().map(|&c| (c, new)));
+            }
+        }
+        for &mask in reached.iter() {
+            let mut mask = mask;
+            while mask != 0 {
+                counts[mask.trailing_zeros() as usize] += 1;
+                mask &= mask - 1;
+            }
+        }
+    }
+
+    /// Copy `root`'s live nodes into `fresh` in the order a recursive
+    /// post-order walk would — product children, the product list, the
+    /// left then the right union subtree, then the node — with an
+    /// explicit stack, because a leftist tree's left spine may be as
+    /// long as the tree; returns the copy of `root`.
     fn copy_live(
         &self,
-        id: NodeId,
+        root: NodeId,
         lo: u64,
         fresh: &mut EnumStructure,
         forward: &mut [NodeId],
+        stack: &mut Vec<Copying>,
     ) -> NodeId {
-        if id.is_bottom() || self.max_start(id) < lo {
-            return BOTTOM;
+        stack.push(Copying::Enter(root));
+        while let Some(step) = stack.pop() {
+            let id = match step {
+                Copying::Enter(id) => {
+                    if id.is_bottom() || self.max_start(id) < lo || !forward[id.index()].is_bottom()
+                    {
+                        continue;
+                    }
+                    let prod = self.prod(id);
+                    if !prod.is_empty() {
+                        // Children first (they precede their parent in
+                        // the arena), then their new ids as one list.
+                        stack.push(Copying::Listed(id));
+                        stack.extend(prod.iter().rev().map(|&c| Copying::Enter(c)));
+                        continue;
+                    }
+                    id
+                }
+                Copying::Listed(id) => id,
+                Copying::Linked(id, prod) => {
+                    self.copy_node(id, prod, fresh, forward);
+                    continue;
+                }
+            };
+            debug_assert!(
+                self.prod(id)
+                    .iter()
+                    .all(|c| !forward[c.index()].is_bottom()),
+                "live product child"
+            );
+            let prod = fresh.push_prod(self.prod(id).iter().map(|c| forward[c.index()]));
+            let n = &self.nodes[id.index()];
+            if n.uleft.is_bottom() && n.uright.is_bottom() {
+                self.copy_node(id, prod, fresh, forward);
+                continue;
+            }
+            stack.push(Copying::Linked(id, prod));
+            stack.push(Copying::Enter(n.uright));
+            stack.push(Copying::Enter(n.uleft));
         }
-        if !forward[id.index()].is_bottom() {
-            return forward[id.index()];
+        if root.is_bottom() {
+            BOTTOM
+        } else {
+            forward[root.index()]
         }
-        let n = *self.node(id);
-        // Children first (they precede their parent in the arena), then
-        // their new ids as one contiguous list.
-        for &c in self.prod(id) {
-            let copied = self.copy_live(c, lo, fresh, forward);
-            debug_assert!(!copied.is_bottom(), "live product child");
-        }
-        let (prod_start, prod_len) =
-            fresh.push_prod(self.prod(id).iter().map(|c| forward[c.index()]));
-        let mut uleft = self.copy_live(n.uleft, lo, fresh, forward);
-        let mut uright = self.copy_live(n.uright, lo, fresh, forward);
+    }
+
+    /// The last step of [`copy_live`](Self::copy_live) for node `id`,
+    /// whose product list is `prod` in `fresh` and whose union subtrees
+    /// are walked: copy it with its links forwarded — a node is copied
+    /// iff it is live, so an unforwarded link was expired — and ranks
+    /// recomputed.
+    fn copy_node(
+        &self,
+        id: NodeId,
+        (prod_start, prod_len): (u32, u32),
+        fresh: &mut EnumStructure,
+        forward: &mut [NodeId],
+    ) {
+        let n = self.nodes[id.index()];
+        let copy_of = |link: NodeId| {
+            if link.is_bottom() {
+                BOTTOM
+            } else {
+                forward[link.index()]
+            }
+        };
+        let (mut uleft, mut uright) = (copy_of(n.uleft), copy_of(n.uright));
         if fresh.rank(uleft) < fresh.rank(uright) {
             std::mem::swap(&mut uleft, &mut uright);
         }
-        let new = fresh.push(Node {
+        forward[id.index()] = fresh.push(Node {
             rank: fresh.rank(uright) + 1,
             prod_start,
             prod_len,
@@ -466,9 +602,19 @@ impl EnumStructure {
             uright,
             ..n
         });
-        forward[id.index()] = new;
-        new
     }
+}
+
+/// One step of [`EnumStructure::copy_live`]'s walk over a node.
+enum Copying {
+    /// Copy the node unless it has expired or is copied already.
+    Enter(NodeId),
+    /// Its product children are copied: list them, then copy its union
+    /// subtrees.
+    Listed(NodeId),
+    /// Everything below it is copied: copy the node, its list at this
+    /// pool range.
+    Linked(NodeId, (u32, u32)),
 }
 
 #[cfg(test)]

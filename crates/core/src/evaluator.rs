@@ -77,7 +77,7 @@
 use crate::api::Evaluator;
 use crate::ds::EnumStructure;
 use crate::enumerate;
-use crate::fire::FireStage;
+use crate::fire::{FireStage, VariantCounts, MAX_VARIANTS};
 use crate::metrics::MetricRead::{Counter, Gauge};
 use crate::metrics::MetricRow;
 use crate::window::WindowClock;
@@ -91,9 +91,11 @@ use cer_common::Tuple;
 pub struct EngineStats {
     /// Positions processed so far.
     pub positions: u64,
-    /// Nodes currently allocated in the arena.
+    /// Nodes currently allocated in the arena (for a query sharing a
+    /// family's evaluator: in its private evaluator's arena).
     pub arena_nodes: usize,
-    /// Entries in the look-up table `H`.
+    /// Entries in the look-up table `H` (for a query sharing a family's
+    /// evaluator: its own roots).
     pub index_entries: usize,
     /// `extend` calls performed.
     pub extends: u64,
@@ -163,9 +165,18 @@ impl EngineStats {
 /// }
 /// assert_eq!(total, 2); // ντ0 and ντ1 of Example 3.3
 /// ```
+///
+/// Inside the runtime one evaluator may serve a *family* of up to 64
+/// automata, its *variants*, that differ only in unary predicates
+/// (`runtime::worker`'s module docs); every public constructor builds a
+/// family of one.
 #[derive(Clone, Debug)]
 pub struct StreamingEvaluator {
-    pcea: Pcea,
+    /// One automaton per variant, all with variant 0's skeleton and join
+    /// predicates.
+    pceas: Vec<Pcea>,
+    /// Per-variant counters, aligned with `pceas`.
+    counts: Vec<VariantCounts>,
     clock: WindowClock,
     ds: EnumStructure,
     stage: FireStage,
@@ -176,7 +187,10 @@ pub struct StreamingEvaluator {
     gc_every: u64,
     /// Positions processed since the last collection.
     since_gc: u64,
-    stats: EngineStats,
+    /// Positions processed so far (every variant's).
+    positions: u64,
+    /// Garbage collections run (every variant's).
+    collections: u64,
 }
 
 impl StreamingEvaluator {
@@ -203,7 +217,8 @@ impl StreamingEvaluator {
     pub fn with_window(pcea: Pcea, window: WindowPolicy) -> Self {
         let n_states = pcea.num_states();
         StreamingEvaluator {
-            pcea,
+            pceas: vec![pcea],
+            counts: vec![VariantCounts::default()],
             clock: WindowClock::new(window),
             ds: EnumStructure::new(),
             stage: FireStage::new(n_states),
@@ -211,7 +226,8 @@ impl StreamingEvaluator {
             current_lo: 0,
             gc_every: 0,
             since_gc: 0,
-            stats: EngineStats::default(),
+            positions: 0,
+            collections: 0,
         }
     }
 
@@ -222,9 +238,9 @@ impl StreamingEvaluator {
         self
     }
 
-    /// The automaton being evaluated.
+    /// The automaton being evaluated (a family's first variant's).
     pub fn pcea(&self) -> &Pcea {
-        &self.pcea
+        &self.pceas[0]
     }
 
     /// The window policy.
@@ -238,32 +254,98 @@ impl StreamingEvaluator {
         self.next_pos
     }
 
-    /// Engine counters.
+    /// Engine counters (a family's first variant's).
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            arena_nodes: self.ds.len(),
-            index_entries: self.stage.index_entries(),
-            ts_regressions: self.clock.ts_regressions(),
-            ..self.stats
-        }
+        self.variant_stats().swap_remove(0)
     }
 
-    /// Whether `other` provably evaluates every stream exactly as this
-    /// evaluator does, given that the two automata share a skeleton and
-    /// equal unary predicates (the runtime's shard host checks those):
-    /// equal join predicates, window policy and GC cadence, and both
-    /// still in their initial state — no position seen, the same next
-    /// position, the same counters.
-    pub(crate) fn is_twin(&self, other: &Self) -> bool {
-        let (mine, theirs) = (self.pcea.transitions(), other.pcea.transitions());
+    /// Every variant's counters, in variant order: exactly what its
+    /// private evaluator would count.
+    pub(crate) fn variant_stats(&self) -> Vec<EngineStats> {
+        let entries = self.stage.index_entries();
+        let stats = |(c, index_entries): (&VariantCounts, usize)| EngineStats {
+            positions: self.positions,
+            arena_nodes: c.arena(),
+            index_entries,
+            extends: c.extends,
+            unions: c.unions,
+            collections: self.collections,
+            ts_regressions: self.clock.ts_regressions(),
+        };
+        self.counts.iter().zip(entries).map(stats).collect()
+    }
+
+    /// Out-of-order timestamps the window clock clamped (every
+    /// variant's).
+    pub(crate) fn ts_regressions(&self) -> u64 {
+        self.clock.ts_regressions()
+    }
+
+    /// The variants this evaluator serves.
+    pub(crate) fn variants(&self) -> usize {
+        self.pceas.len()
+    }
+
+    /// Whether `other`, a family of one, may join this family as a new
+    /// variant (or, when its unary predicates equal an existing one's,
+    /// as another member of that variant), given that the two automata share a
+    /// skeleton (the runtime's shard host checks that): equal join
+    /// predicates, window policy and GC cadence, and both still in their
+    /// initial state — no position seen, the same next position, the
+    /// same counters.
+    pub(crate) fn accepts(&self, other: &Self) -> bool {
+        let (mine, theirs) = (self.pcea().transitions(), other.pcea().transitions());
         let joins = mine.len() == theirs.len()
             && mine.iter().zip(theirs).all(|(a, b)| a.binary == b.binary);
         joins
+            && other.variants() == 1
             && self.window() == other.window()
             && self.gc_every == other.gc_every
-            && self.stats.positions == 0
+            && self.positions == 0
             && self.next_pos == other.next_pos
             && self.stats() == other.stats()
+    }
+
+    /// Add `other` (which [`accepts`](Self::accepts)) as a new variant;
+    /// returns its index. Panics past [`MAX_VARIANTS`].
+    pub(crate) fn add_variant(&mut self, other: Self) -> usize {
+        debug_assert!(self.accepts(&other));
+        assert!(self.variants() < MAX_VARIANTS, "a family is full");
+        self.stage.add_variant();
+        self.pceas.extend(other.pceas);
+        self.counts.extend(other.counts);
+        self.variants() - 1
+    }
+
+    /// Drop variant `v` of a family of more than one; the variants above
+    /// it move down one index. Its nodes become garbage.
+    pub(crate) fn remove_variant(&mut self, v: usize) {
+        assert!(self.variants() > 1, "a family keeps one variant");
+        self.pceas.remove(v);
+        self.counts.remove(v);
+        self.stage.remove_variant(v);
+    }
+
+    /// Variant `v` as a private evaluator: its automaton and counters,
+    /// the shared clock and cursors, its `H` column and an arena copied
+    /// from its roots. It evaluates every stream exactly as the variant
+    /// would. A family of one is simply cloned.
+    pub(crate) fn variant(&self, v: usize) -> Self {
+        if self.variants() == 1 {
+            return self.clone();
+        }
+        let mut stage = self.stage.variant(v);
+        // `lo = 0` keeps every root non-`⊥`, as `H` entries must be;
+        // the next collection prunes what has expired.
+        let ds = self.ds.copied(&mut stage.roots_mut(), 0, (0, 0));
+        StreamingEvaluator {
+            pceas: vec![self.pceas[v].clone()],
+            counts: vec![self.counts[v]],
+            clock: self.clock.clone(),
+            ds,
+            stage,
+            ..*self
+        }
     }
 
     /// The keys of the look-up table `H`.
@@ -292,10 +374,16 @@ impl StreamingEvaluator {
             self.gc_every
         };
         if self.since_gc >= gc_every {
-            self.since_gc = 0;
-            self.stats.collections += 1;
-            self.stage.collect_garbage(&mut self.ds, self.current_lo);
+            self.collect();
         }
+    }
+
+    /// Run the copying collector now.
+    fn collect(&mut self) {
+        self.since_gc = 0;
+        self.collections += 1;
+        self.stage
+            .collect_garbage(&mut self.ds, self.current_lo, &mut self.counts);
     }
 
     /// The one per-position core every push runs (see the module docs
@@ -303,10 +391,12 @@ impl StreamingEvaluator {
     /// provided by `get` in strictly increasing position order, after
     /// `prefilter` has filled the unary mask over them and returned its
     /// stride. Per position: fire, index and, when `labels` is
-    /// `Some(n)`, enumerate the new outputs with `n` labels into
-    /// `f(position, valuation)` (`n = 0` yields placeholder valuations,
-    /// enough to count); `None` skips enumeration. Then one GC cadence
-    /// check at the slice boundary.
+    /// `Some(n)`, enumerate the new outputs of the variants in `listen`
+    /// with `n` labels into `f(position, variants, valuation)`, where
+    /// `variants` is the mask of variants the valuation is an output of
+    /// (`n = 0` yields placeholder valuations, enough to count); `None`
+    /// skips enumeration. Then one GC cadence check at the slice
+    /// boundary.
     ///
     /// Positions may have gaps: a shard evaluator inside the multi-query
     /// [`Runtime`](crate::runtime::Runtime) only sees the tuples routed
@@ -319,15 +409,17 @@ impl StreamingEvaluator {
         get: G,
         prefilter: impl FnOnce(&mut FireStage, &Pcea) -> usize,
         labels: Option<usize>,
+        listen: u64,
         mut f: F,
     ) where
         G: Fn(usize) -> (u64, &'t Tuple),
-        F: FnMut(u64, &Valuation),
+        F: FnMut(u64, u64, &Valuation),
     {
         if len == 0 {
             return;
         }
-        let stride = prefilter(&mut self.stage, &self.pcea);
+        let pcea = &self.pceas[0];
+        let stride = prefilter(&mut self.stage, pcea);
         // Hoist the window-policy dispatch: count windows are a pure
         // function of the position; time windows must consult each
         // tuple's timestamp, so they keep the per-tuple clock update.
@@ -342,28 +434,22 @@ impl StreamingEvaluator {
                 self.next_pos
             );
             self.next_pos = i + 1;
-            self.stats.positions += 1;
+            self.positions += 1;
             let lo = match count_w {
                 Some(w) => i.saturating_sub(w),
                 None => self.clock.observe(i, t),
             };
             self.current_lo = lo;
             self.stage.begin_position();
-            self.stage.fire_transitions(
-                &self.pcea,
-                &mut self.ds,
-                t,
-                i,
-                lo,
-                &mut self.stats,
-                j,
-                stride,
-            );
             self.stage
-                .update_indices(&self.pcea, &mut self.ds, t, lo, &mut self.stats);
+                .fire_transitions(pcea, &mut self.ds, t, i, lo, &mut self.counts, j, stride);
+            self.stage
+                .update_indices(pcea, &mut self.ds, t, lo, &mut self.counts);
             self.since_gc += 1;
             if let Some(scratch) = &mut scratch {
-                self.enumerate_position(lo, scratch, |v| f(i, v));
+                enumerate_position(pcea, &self.stage, &self.ds, lo, listen, scratch, |m, v| {
+                    f(i, m, v)
+                });
             }
         }
         // Amortized GC: the cadence check runs once per slice. Collection
@@ -375,7 +461,7 @@ impl StreamingEvaluator {
     /// [`push_positions`](Self::push_positions) over `batch` at
     /// consecutive positions from [`next_position`](Self::next_position),
     /// with the unary mask evaluated privately.
-    fn push_private<F>(&mut self, batch: &[Tuple], labels: Option<usize>, f: F)
+    fn push_private<F>(&mut self, batch: &[Tuple], labels: Option<usize>, mut f: F)
     where
         F: FnMut(u64, &Valuation),
     {
@@ -385,7 +471,8 @@ impl StreamingEvaluator {
             |j| (start + j as u64, &batch[j]),
             |stage, pcea| stage.prefilter_slice(pcea, batch.iter(), batch.len()),
             labels,
-            f,
+            1,
+            |i, _, v| f(i, v),
         );
     }
 
@@ -399,7 +486,7 @@ impl StreamingEvaluator {
     /// scratch, and the GC cadence check is amortized to the batch
     /// boundary. See the module docs for the exactness argument.
     pub fn push_slice_for_each<F: FnMut(u64, &Valuation)>(&mut self, batch: &[Tuple], f: F) {
-        let labels = Some(self.pcea.num_labels());
+        let labels = Some(self.pcea().num_labels());
         self.push_private(batch, labels, f);
     }
 
@@ -415,32 +502,33 @@ impl StreamingEvaluator {
     /// selected by `sel` (indices into `tuples`, in increasing position
     /// order), with the unary mask gathered from the shard's shared
     /// [`PredicateCache`](crate::shared::PredicateCache) instead of
-    /// evaluated privately: `slots` maps each transition of this
-    /// query's automaton to its interned predicate slot
-    /// ([`FireStage::prefilter_shared`](crate::fire)). `enumerate`
-    /// gates output enumeration — a shard skips it when no subscriber
-    /// listens. Everything after the mask runs the same core as every
-    /// other push, and the mask bits are the same `matches()` outcomes,
-    /// so outputs are bit-identical.
+    /// evaluated privately: `slots` maps each transition of each
+    /// variant's automaton to its interned predicate slot, variant-major
+    /// ([`FireStage::prefilter_shared`](crate::fire)). Outputs of the
+    /// variants in `listen` are enumerated into `f(position, variants,
+    /// valuation)` — a shard skips the rest, and all of it when no
+    /// subscriber listens. Everything after the mask runs the same core
+    /// as every other push, and the mask bits are the same `matches()`
+    /// outcomes, so outputs are bit-identical.
     ///
     /// `timers`, when given, splits the call's wall time into the
     /// shared-prefilter phase and the fire/index/enumerate rest — the
     /// shard worker passes its stage histograms; timing is three
     /// `Instant` reads per *batch*, not per tuple.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_slice_selected_shared<F: FnMut(u64, &Valuation)>(
+    pub(crate) fn push_slice_selected_shared<F: FnMut(u64, u64, &Valuation)>(
         &mut self,
         tuples: &[(u64, Tuple)],
         sel: &[u32],
         slots: &[u32],
         cache: &mut crate::shared::PredicateCache,
-        enumerate: bool,
+        listen: u64,
         timers: Option<(&cer_obs::Histogram, &cer_obs::Histogram)>,
         f: F,
     ) {
         let started = timers.map(|_| std::time::Instant::now());
         let mut prefiltered = None;
-        let labels = enumerate.then(|| self.pcea.num_labels());
+        let labels = (listen != 0).then(|| self.pcea().num_labels());
         self.push_positions(
             sel.len(),
             |k| {
@@ -453,6 +541,7 @@ impl StreamingEvaluator {
                 stride
             },
             labels,
+            listen,
             f,
         );
         if let (Some((prefilter, tail)), Some(at), Some(mid)) = (timers, started, prefiltered) {
@@ -462,28 +551,27 @@ impl StreamingEvaluator {
     }
 
     /// Checkpoint encoding of every cross-position piece of this
-    /// evaluator: the window clock, position cursors, engine counters,
-    /// the `DS_w` arena and the look-up table `H`. The per-position
-    /// `N_p` lists and all scratch are excluded — they are only
-    /// meaningful *within* a position, and a snapshot is always taken
-    /// at a position boundary (see [`crate::checkpoint`]).
+    /// evaluator (a family of one): the window clock, position cursors,
+    /// engine counters, the `DS_w` arena and the look-up table `H`. The
+    /// per-position `N_p` lists and all scratch are excluded — they are
+    /// only meaningful *within* a position, and a snapshot is always
+    /// taken at a position boundary (see [`crate::checkpoint`]).
     ///
     /// Runs the copying collector first so the snapshot carries only
     /// state reachable from live `H` entries.
     pub(crate) fn snapshot_bytes(&mut self) -> Result<Vec<u8>, cer_common::wire::WireError> {
-        self.stats.collections += 1;
-        self.since_gc = 0;
-        self.stage.collect_garbage(&mut self.ds, self.current_lo);
+        debug_assert_eq!(self.variants(), 1, "a snapshot holds one query");
+        self.collect();
         let mut w = cer_common::wire::WireWriter::new();
         self.clock.encode(&mut w)?;
         w.put_u64(self.next_pos);
         w.put_u64(self.current_lo);
         w.put_u64(self.gc_every);
         w.put_u64(self.since_gc);
-        w.put_u64(self.stats.positions);
-        w.put_u64(self.stats.extends);
-        w.put_u64(self.stats.unions);
-        w.put_u64(self.stats.collections);
+        w.put_u64(self.positions);
+        w.put_u64(self.counts[0].extends);
+        w.put_u64(self.counts[0].unions);
+        w.put_u64(self.collections);
         self.ds.encode(&mut w)?;
         self.stage.encode(&mut w)?;
         Ok(w.into_bytes())
@@ -501,13 +589,10 @@ impl StreamingEvaluator {
         let current_lo = r.get_u64()?;
         let gc_every = r.get_u64()?;
         let since_gc = r.get_u64()?;
-        let mut stats = EngineStats {
-            positions: r.get_u64()?,
-            extends: r.get_u64()?,
-            unions: r.get_u64()?,
-            ..EngineStats::default()
-        };
-        stats.collections = r.get_u64()?;
+        let positions = r.get_u64()?;
+        let extends = r.get_u64()?;
+        let unions = r.get_u64()?;
+        let collections = r.get_u64()?;
         let ds = crate::ds::EnumStructure::decode(&mut r, pcea.num_labels(), next_pos)?;
         let stage = FireStage::decode(&mut r, &pcea, ds.len())?;
         if !r.is_exhausted() {
@@ -515,8 +600,12 @@ impl StreamingEvaluator {
                 "trailing bytes after evaluator state",
             ));
         }
+        let mut counts = VariantCounts::default();
+        (counts.extends, counts.unions) = (extends, unions);
+        counts.collected(ds.len());
         Ok(StreamingEvaluator {
-            pcea,
+            pceas: vec![pcea],
+            counts: vec![counts],
             clock,
             ds,
             stage,
@@ -524,7 +613,8 @@ impl StreamingEvaluator {
             current_lo,
             gc_every,
             since_gc,
-            stats,
+            positions,
+            collections,
         })
     }
 
@@ -534,17 +624,19 @@ impl StreamingEvaluator {
     /// `H` tables union (replica key sets are disjoint under sound key
     /// partitioning), window clocks interleave, and counters sum.
     pub(crate) fn absorb_replica(&mut self, other: StreamingEvaluator) {
+        debug_assert!(self.variants() == 1 && other.variants() == 1);
         let offset = self.ds.absorb(other.ds);
-        self.stage
-            .absorb(other.stage, offset, &mut self.ds, &mut self.stats);
+        let mine = &mut self.counts[0];
+        self.stage.absorb(other.stage, offset, &mut self.ds, mine);
         self.clock.absorb(other.clock);
         self.next_pos = self.next_pos.max(other.next_pos);
         self.current_lo = self.current_lo.max(other.current_lo);
         self.since_gc = self.since_gc.max(other.since_gc);
-        self.stats.positions += other.stats.positions;
-        self.stats.extends += other.stats.extends;
-        self.stats.unions += other.stats.unions;
-        self.stats.collections += other.stats.collections;
+        self.positions += other.positions;
+        self.collections += other.collections;
+        mine.extends += other.counts[0].extends;
+        mine.unions += other.counts[0].unions;
+        mine.collected(self.ds.len());
     }
 
     /// Restrict this evaluator to the key slice shard `shard` owns
@@ -560,23 +652,33 @@ impl StreamingEvaluator {
     /// un-pruned full copies would duplicate every in-window run on the
     /// next rescale or snapshot.
     pub(crate) fn retain_key_shard(&mut self, pos: usize, shard: usize, n_shards: usize) {
-        self.stats.collections += 1;
+        debug_assert_eq!(self.variants(), 1);
+        let hasher = cer_common::hash::FxBuildHasher::default();
+        self.stage
+            .retain_key_shard(&self.pceas[0], pos, shard, n_shards, &hasher);
+        // Compact with `lo = 0`: after a merge, `current_lo` is the max
+        // across replicas, which may overshoot a slice that saw older
+        // in-window tuples — expiry is re-applied lazily from the
+        // merged clock at the next position, exactly as after
+        // [`absorb_replica`](Self::absorb_replica).
+        self.collections += 1;
         self.since_gc = 0;
-        self.stage.retain_key_shard(
-            &self.pcea,
-            pos,
-            shard,
-            n_shards,
-            &cer_common::hash::FxBuildHasher::default(),
-            &mut self.ds,
-        );
+        self.stage
+            .collect_garbage(&mut self.ds, 0, &mut self.counts);
     }
 
     /// Zero the counters of a restore-time replica clone so per-query
     /// stats (summed across shards) are not multiplied by the shard
-    /// count when merged state is replicated.
+    /// count when merged state is replicated. The gauges — `H` entries
+    /// and arena nodes — stay: they describe what the clone holds.
     pub(crate) fn clear_replica_stats(&mut self) {
-        self.stats = EngineStats::default();
+        self.positions = 0;
+        self.collections = 0;
+        for c in &mut self.counts {
+            let live = c.arena();
+            *c = VariantCounts::default();
+            c.collected(live);
+        }
         self.clock.reset_regressions();
     }
 
@@ -587,25 +689,26 @@ impl StreamingEvaluator {
         self.next_pos = pos;
     }
 
-    /// Hand this evaluator's accumulated state to a recompiled query
-    /// (`Runtime::replace` hot-swap). The caller must have verified
-    /// [`Pcea::skeleton_compatible`]; the window handoff goes through
-    /// [`WindowClock::migrate`], which returns `None` — surfaced here —
-    /// when the window *kind* changes (count vs. time, or a moved
-    /// timestamp attribute). Within a kind, any resize is accepted:
-    /// widening cannot resurrect runs already pruned under the old
-    /// bound (it converges within one old window), narrowing re-prunes
-    /// lazily at the next position.
+    /// Hand this evaluator's accumulated state (a family of one) to a
+    /// recompiled query (`Runtime::replace` hot-swap). The caller must
+    /// have verified [`Pcea::skeleton_compatible`]; the window handoff
+    /// goes through [`WindowClock::migrate`], which returns `None` —
+    /// surfaced here — when the window *kind* changes (count vs. time,
+    /// or a moved timestamp attribute). Within a kind, any resize is
+    /// accepted: widening cannot resurrect runs already pruned under the
+    /// old bound (it converges within one old window), narrowing
+    /// re-prunes lazily at the next position.
     pub(crate) fn replace_automaton(
         self,
         pcea: Pcea,
         window: WindowPolicy,
         gc_every: u64,
     ) -> Option<Self> {
-        debug_assert!(self.pcea.skeleton_compatible(&pcea));
+        debug_assert_eq!(self.variants(), 1);
+        debug_assert!(self.pcea().skeleton_compatible(&pcea));
         let clock = self.clock.migrate(window)?;
         Some(StreamingEvaluator {
-            pcea,
+            pceas: vec![pcea],
             clock,
             gc_every,
             ..self
@@ -615,20 +718,37 @@ impl StreamingEvaluator {
     /// Enumerate this position's new outputs (`⟦P⟧^w_i(S)`), calling `f`
     /// once per valuation. Must follow [`push`](Self::push) for the same
     /// position.
-    pub fn for_each_output<F: FnMut(&Valuation)>(&self, f: F) {
-        let mut scratch = Valuation::empty(self.pcea.num_labels());
-        self.enumerate_position(self.current_lo, &mut scratch, f);
+    pub fn for_each_output<F: FnMut(&Valuation)>(&self, mut f: F) {
+        let mut scratch = Valuation::empty(self.pcea().num_labels());
+        let (pcea, lo) = (self.pcea(), self.current_lo);
+        enumerate_position(pcea, &self.stage, &self.ds, lo, 1, &mut scratch, |_, v| {
+            f(v)
+        });
     }
+}
 
-    /// The enumeration phase at the position just updated: every node
-    /// that reached a final state holds exactly this position's new
-    /// outputs with `min(ν) ≥ lo`. `scratch` is the (empty) running
-    /// valuation shared by every root; one over no labels yields
-    /// placeholder valuations — enough to count without materializing.
-    fn enumerate_position<F: FnMut(&Valuation)>(&self, lo: u64, scratch: &mut Valuation, mut f: F) {
-        for q in self.pcea.finals() {
-            for &n in self.stage.nodes_at(q.index()) {
-                enumerate::for_each_valuation_into(&self.ds, n, lo, scratch, &mut f);
+/// The enumeration phase at the position just updated: every node that
+/// reached a final state holds exactly this position's new outputs with
+/// `min(ν) ≥ lo` of the variants in its mask. Each node built for some
+/// variant in `listen` is enumerated once into `f(mask, valuation)`.
+/// `scratch` is the (empty) running valuation shared by every root; one
+/// over no labels yields placeholder valuations — enough to count
+/// without materializing.
+fn enumerate_position<F: FnMut(u64, &Valuation)>(
+    pcea: &Pcea,
+    stage: &FireStage,
+    ds: &EnumStructure,
+    lo: u64,
+    listen: u64,
+    scratch: &mut Valuation,
+    mut f: F,
+) {
+    for q in pcea.finals() {
+        for &(n, mask) in stage.nodes_at(q.index()) {
+            if mask & listen != 0 {
+                enumerate::for_each_valuation_into(ds, n, lo, scratch, &mut |v: &Valuation| {
+                    f(mask, v)
+                });
             }
         }
     }
@@ -686,7 +806,8 @@ mod tests {
             |_| (i, t),
             |stage, pcea| stage.prefilter_slice(pcea, std::iter::once(t), 1),
             None,
-            |_, _| {},
+            1,
+            |_, _, _| {},
         );
     }
 

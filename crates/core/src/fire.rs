@@ -57,6 +57,21 @@
 //! and key store compacted in place, index re-seated), then the arena is
 //! copied around the surviving roots.
 //!
+//! # Families
+//!
+//! One stage serves every variant of a family (`runtime::worker`'s
+//! module docs) — a private evaluator is a family of one. `H` keeps one
+//! root per variant in each entry, every `N_p` node carries the mask of
+//! variants it was built for, and the prefilter yields per tuple and
+//! transition the variants whose predicate accepted. The probes above
+//! then happen once per family, an `extend` once per distinct tuple of
+//! gathered roots, and a `union` once per distinct `(root, node)` pair
+//! at an entry; [`VariantCounts`] keeps what each variant's private
+//! evaluator would count. Where only one variant is in play — a family
+//! of one, or a tuple only one variant's predicate accepted — firing
+//! and melding take the private evaluator's straight path, without the
+//! grouping.
+//!
 //! [`KeyExtractor::project`]: cer_automata::predicate::KeyExtractor::project
 //!
 //! The [`StreamingEvaluator`](crate::evaluator::StreamingEvaluator)
@@ -64,30 +79,125 @@
 //! ([`WindowClock`](crate::window::WindowClock)) and the enumeration
 //! stage ([`crate::enumerate`]).
 
-use crate::ds::{EnumStructure, NodeId};
-use crate::evaluator::EngineStats;
+use crate::ds::{EnumStructure, NodeId, Reach, BOTTOM};
 use crate::htable::HTable;
 use crate::shared::PredicateCache;
-use cer_automata::pcea::Pcea;
-use cer_automata::predicate::{Key, UnaryPredicate};
+use cer_automata::pcea::{Pcea, Transition};
+use cer_automata::predicate::{EqPredicate, Key, UnaryPredicate};
 use cer_common::Tuple;
+
+/// The most variants one family holds: a variant mask is one `u64`.
+pub(crate) const MAX_VARIANTS: usize = 64;
+
+/// `split` marker of a transition every variant prefilters alike.
+const SHARED: u32 = u32::MAX;
+
+/// The mask of a family's first `width` variants.
+#[inline]
+fn all_variants(width: usize) -> u64 {
+    u64::MAX >> (MAX_VARIANTS - width)
+}
+
+/// The variants in `mask`, lowest first.
+#[inline]
+fn variants(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let v = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            v
+        })
+    })
+}
+
+/// Meld `node` into `root` as a private evaluator's UpdateIndices does,
+/// counting into `c`: a `⊥` root becomes the node, any other is
+/// `union`ed with it. Returns `(root, melded, copies)` of a `union`.
+fn meld(
+    root: &mut NodeId,
+    node: NodeId,
+    ds: &mut EnumStructure,
+    lo: u64,
+    c: &mut VariantCounts,
+) -> Option<(NodeId, NodeId, u64)> {
+    if root.is_bottom() {
+        *root = node;
+        return None;
+    }
+    let before = ds.copies();
+    let melded = ds.union(*root, node, lo);
+    let copies = ds.copies() - before;
+    let done = (*root, melded, copies);
+    *root = melded;
+    c.unions += 1;
+    c.copies += copies;
+    Some(done)
+}
+
+/// One variant's counters, as its private evaluator would keep them:
+/// every `extend` and `union` the variant's runs went through (shared
+/// calls counted once per variant) and the nodes those unions copied.
+/// Its arena is the nodes its roots reached at the last collection plus
+/// every node its extends and copies added since ([`arena`](Self::arena));
+/// its `H` entries are its non-`⊥` roots ([`FireStage::index_entries`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct VariantCounts {
+    pub extends: u64,
+    pub unions: u64,
+    pub copies: u64,
+    /// The live nodes at the last collection, and `extends` and
+    /// `copies` then.
+    collected: (usize, u64, u64),
+}
+
+impl VariantCounts {
+    /// The nodes the variant's private arena holds.
+    pub(crate) fn arena(&self) -> usize {
+        let (live, extends, copies) = self.collected;
+        live + (self.extends - extends + self.copies - copies) as usize
+    }
+
+    /// Restart the arena count from `live` nodes.
+    pub(crate) fn collected(&mut self, live: usize) {
+        self.collected = (live, self.extends, self.copies);
+    }
+}
 
 /// The mutable state of the firing and indexing stages.
 #[derive(Clone, Debug)]
 pub(crate) struct FireStage {
-    /// The look-up table `H`.
+    /// The look-up table `H`, one root column per variant.
     h: HTable,
-    /// `N_p` per state, rebuilt each position.
-    n_state: Vec<Vec<NodeId>>,
+    /// `N_p` per state, rebuilt each position: each node with the
+    /// variants it was built for.
+    n_state: Vec<Vec<(NodeId, u64)>>,
     /// States whose `N_p` list is currently non-empty; lets
     /// [`begin_position`](Self::begin_position) clear only those.
     touched: Vec<u32>,
     /// Scratch for gathered source nodes.
     gather: Vec<NodeId>,
+    /// Scratch: the `H` entry each source slot of a firing transition
+    /// probed.
+    probed: Vec<usize>,
+    /// Scratch: `(root, melded, copies)` of the unions one created node
+    /// went through at one entry, reused by variants holding the same
+    /// root.
+    melds: Vec<(NodeId, NodeId, u64)>,
     /// Per-batch unary pre-filter: bit `e % 64` of word
     /// `j * stride + e / 64` is set iff transition `e`'s unary predicate
-    /// accepts tuple `j` of the current slice. Reused across batches.
+    /// accepts tuple `j` of the current slice in some variant. Reused
+    /// across batches.
     unary_mask: Vec<u64>,
+    /// Per transition of the current batch: [`SHARED`] when every
+    /// variant reads the same predicate slot, else its row in
+    /// `variant_mask`. Empty after a private prefilter.
+    split: Vec<u32>,
+    /// The variants whose predicate accepts, per tuple and split
+    /// transition: word `j * split_rows + split[e]`.
+    variant_mask: Vec<u64>,
+    split_rows: usize,
+    /// Collection scratch for the per-variant live counts.
+    reach: Reach,
 }
 
 impl FireStage {
@@ -97,13 +207,30 @@ impl FireStage {
             n_state: vec![Vec::new(); num_states],
             touched: Vec::new(),
             gather: Vec::new(),
+            probed: Vec::new(),
+            melds: Vec::new(),
             unary_mask: Vec::new(),
+            split: Vec::new(),
+            variant_mask: Vec::new(),
+            split_rows: 0,
+            reach: Reach::default(),
         }
     }
 
-    /// Entries currently in `H`.
-    pub(crate) fn index_entries(&self) -> usize {
-        self.h.len()
+    /// Each variant's entries in `H`: its non-`⊥` roots (all of them,
+    /// in a family of one).
+    pub(crate) fn index_entries(&self) -> Vec<usize> {
+        let width = self.h.width();
+        if width == 1 {
+            return vec![self.h.len()];
+        }
+        let mut held = vec![0; width];
+        for (_, _, _, at) in self.h.iter() {
+            for (v, n) in held.iter_mut().enumerate() {
+                *n += usize::from(!self.h.root(at, v).is_bottom());
+            }
+        }
+        held
     }
 
     /// The keys of `H` as `(transition, slot, join key)` (tests check
@@ -113,8 +240,9 @@ impl FireStage {
         self.h.iter().map(|(e, s, k, _)| (e, s, k.into())).collect()
     }
 
-    /// Nodes created at the current position targeting state `q`.
-    pub(crate) fn nodes_at(&self, q: usize) -> &[NodeId] {
+    /// Nodes created at the current position targeting state `q`, each
+    /// with its variant mask.
+    pub(crate) fn nodes_at(&self, q: usize) -> &[(NodeId, u64)] {
         &self.n_state[q]
     }
 
@@ -127,10 +255,57 @@ impl FireStage {
         }
     }
 
+    /// Make room for one more variant: only a stage that has indexed
+    /// nothing yet is widened.
+    pub(crate) fn add_variant(&mut self) {
+        let width = self.h.width() + 1;
+        self.h.set_width(width);
+    }
+
+    /// Drop variant `v`: its root column leaves `H` and the variants
+    /// above it move down one bit.
+    pub(crate) fn remove_variant(&mut self, v: usize) {
+        self.h.remove_column(v);
+        let below = (1u64 << v) - 1;
+        for (_, mask) in self.n_state.iter_mut().flatten() {
+            *mask = *mask & below | (*mask >> 1) & !below;
+        }
+    }
+
+    /// Variant `v` alone, as a private stage: its roots and `N_p` nodes,
+    /// still ids into the family's arena.
+    pub(crate) fn variant(&self, v: usize) -> FireStage {
+        let mut stage = FireStage::new(self.n_state.len());
+        for (e_idx, slot, key, at) in self.h.iter() {
+            let root = self.h.root(at, v);
+            if !root.is_bottom() {
+                let mine = stage.h.entry(e_idx, slot, key.iter());
+                *stage.h.root_mut(mine, 0) = root;
+            }
+        }
+        for (q, nodes) in self.n_state.iter().enumerate() {
+            let mine = nodes.iter().filter(|(_, mask)| mask >> v & 1 == 1);
+            stage.n_state[q].extend(mine.map(|&(node, _)| (node, 1)));
+            if !stage.n_state[q].is_empty() {
+                stage.touched.push(q as u32);
+            }
+        }
+        stage
+    }
+
+    /// Every root the stage holds — `H`'s and the current `N_p` nodes —
+    /// for the collector to remap.
+    pub(crate) fn roots_mut(&mut self) -> Vec<&mut NodeId> {
+        let pending = self.n_state.iter_mut().flatten().map(|(n, _)| n);
+        self.h.roots_mut().chain(pending).collect()
+    }
+
     /// Vectorized front half of FireTransitions: evaluate every
     /// transition's unary predicate across the whole slice into the
     /// reusable [`unary_mask`](Self::unary_mask) bitmask, transition by
-    /// transition. Returns the per-tuple stride in 64-bit words.
+    /// transition. Returns the per-tuple stride in 64-bit words. This is
+    /// a private evaluator's prefilter: a family of one, no transition
+    /// split.
     ///
     /// The iterator must yield exactly `len` tuples — the same tuples,
     /// in the same order, that are later passed to
@@ -142,8 +317,10 @@ impl FireStage {
         tuples: impl Iterator<Item = &'t Tuple> + Clone,
         len: usize,
     ) -> usize {
+        debug_assert_eq!(self.h.width(), 1);
         let n_trans = pcea.transitions().len();
         let stride = n_trans.div_ceil(64).max(1);
+        self.split.clear();
         self.unary_mask.clear();
         self.unary_mask.resize(len * stride, 0);
         // Is the whole slice one relation? One cheap pass lets relation
@@ -189,13 +366,16 @@ impl FireStage {
 
     /// Shared-prefilter variant for the multi-query runtime: instead of
     /// evaluating `tr.unary` per transition, gather each transition's
-    /// bits from the shard's [`PredicateCache`] through the query's
-    /// indirection table `slots` (transition index → shared predicate
-    /// slot). The cache evaluates each *distinct* predicate at most
-    /// once per tuple per batch, no matter how many queries reference
-    /// it; this fan-out is pure bit movement.
+    /// bits from the shard's [`PredicateCache`] through the family's
+    /// indirection tables `slots` (variant `v`'s transition `e` reads
+    /// shared predicate slot `slots[v * |∆| + e]`). The cache evaluates
+    /// each *distinct* predicate at most once per tuple per batch, no
+    /// matter how many queries reference it; this fan-out is pure bit
+    /// movement. A transition every variant reads from one slot gathers
+    /// once; a split one gathers per variant and also records, per
+    /// tuple, the variants whose predicate accepted.
     ///
-    /// `sel` holds the query's tuple indices into the stamped batch
+    /// `sel` holds the family's tuple indices into the stamped batch
     /// `tuples` (increasing). The produced mask is laid out over `sel`
     /// exactly as [`prefilter_slice`](Self::prefilter_slice) lays it
     /// over its slice, so [`fire_transitions`](Self::fire_transitions)
@@ -210,17 +390,38 @@ impl FireStage {
         tuples: &[(u64, Tuple)],
     ) -> usize {
         let n_trans = pcea.transitions().len();
-        debug_assert_eq!(slots.len(), n_trans);
+        let width = self.h.width();
+        debug_assert_eq!(slots.len(), n_trans * width);
         let stride = n_trans.div_ceil(64).max(1);
+        self.split.clear();
+        self.split_rows = 0;
+        for e_idx in 0..n_trans {
+            let first = slots[e_idx];
+            if (1..width).all(|v| slots[v * n_trans + e_idx] == first) {
+                self.split.push(SHARED);
+            } else {
+                self.split.push(self.split_rows as u32);
+                self.split_rows += 1;
+            }
+        }
         self.unary_mask.clear();
         self.unary_mask.resize(sel.len() * stride, 0);
-        for (e_idx, &slot) in slots.iter().enumerate() {
+        self.variant_mask.clear();
+        self.variant_mask.resize(sel.len() * self.split_rows, 0);
+        for e_idx in 0..n_trans {
             let (word, bit) = (e_idx / 64, 1u64 << (e_idx % 64));
-            let pool = cache.ensure(slot, tuples);
-            for (jj, &j) in sel.iter().enumerate() {
-                let j = j as usize;
-                if pool[j / 64] >> (j % 64) & 1 == 1 {
-                    self.unary_mask[jj * stride + word] |= bit;
+            let row = self.split[e_idx];
+            let readers = if row == SHARED { 1 } else { width };
+            for v in 0..readers {
+                let pool = cache.ensure(slots[v * n_trans + e_idx], tuples);
+                for (jj, &j) in sel.iter().enumerate() {
+                    let j = j as usize;
+                    if pool[j / 64] >> (j % 64) & 1 == 1 {
+                        self.unary_mask[jj * stride + word] |= bit;
+                        if row != SHARED {
+                            self.variant_mask[jj * self.split_rows + row as usize] |= 1 << v;
+                        }
+                    }
                 }
             }
         }
@@ -231,9 +432,11 @@ impl FireStage {
     /// transition whose bit is set in the mask filled by
     /// [`prefilter_slice`](Self::prefilter_slice) or
     /// [`prefilter_shared`](Self::prefilter_shared) (non-matching
-    /// transitions are skipped a word at a time), gather the stored run
-    /// matching the tuple's join key in every source slot and `extend`
-    /// them with the tuple at position `i`.
+    /// transitions are skipped a word at a time), probe each source slot
+    /// once for the stored runs matching the tuple's join key and
+    /// `extend` them with the tuple at position `i` — once per distinct
+    /// tuple of gathered roots among the variants whose predicate
+    /// accepted and whose every root is live.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fire_transitions(
         &mut self,
@@ -242,10 +445,11 @@ impl FireStage {
         t: &Tuple,
         i: u64,
         lo: u64,
-        stats: &mut EngineStats,
+        counts: &mut [VariantCounts],
         j: usize,
         stride: usize,
     ) {
+        let all = all_variants(counts.len());
         let trs = pcea.transitions();
         for k in 0..stride {
             let mut word = self.unary_mask[j * stride + k];
@@ -253,37 +457,105 @@ impl FireStage {
                 let e_idx = k * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let tr = &trs[e_idx];
-                self.gather.clear();
+                let mut alive = match self.split.get(e_idx) {
+                    Some(&row) if row != SHARED => {
+                        self.variant_mask[j * self.split_rows + row as usize]
+                    }
+                    _ => all,
+                };
+                if alive & alive.wrapping_sub(1) == 0 {
+                    // One variant — a family of one, or the only variant
+                    // whose predicate accepted: gather while probing, as
+                    // its private evaluator does.
+                    let v = alive.trailing_zeros() as usize;
+                    self.gather.clear();
+                    for (slot, b) in tr.binary.iter().enumerate() {
+                        let root = self.probe(e_idx, slot, b, t).map(|at| self.h.root(at, v));
+                        match root {
+                            Some(root) if !root.is_bottom() && ds.max_start(root) >= lo => {
+                                self.gather.push(root)
+                            }
+                            _ => continue 'fire,
+                        }
+                    }
+                    self.extend_for(tr, ds, i, alive, counts);
+                    continue;
+                }
+                self.probed.clear();
                 for (slot, b) in tr.binary.iter().enumerate() {
-                    let Some(key) = b.right.project(t) else {
+                    let Some(at) = self.probe(e_idx, slot, b, t) else {
                         continue 'fire;
                     };
-                    let key = key.iter().map(|&p| t.get(p));
-                    match self.h.get(e_idx as u32, slot as u32, key) {
-                        Some(node) if ds.max_start(node) >= lo => self.gather.push(node),
-                        _ => continue 'fire,
+                    for v in variants(alive) {
+                        let root = self.h.root(at, v);
+                        if root.is_bottom() || ds.max_start(root) < lo {
+                            alive &= !(1 << v);
+                        }
                     }
+                    self.probed.push(at);
                 }
-                let node = ds.extend(tr.labels, i, &self.gather);
-                stats.extends += 1;
-                let q = tr.target.index();
-                if self.n_state[q].is_empty() {
-                    self.touched.push(q as u32);
+                // One extend per distinct tuple of gathered roots.
+                while alive != 0 {
+                    let first = alive.trailing_zeros() as usize;
+                    let h = &self.h;
+                    self.gather.clear();
+                    self.gather
+                        .extend(self.probed.iter().map(|&at| h.root(at, first)));
+                    let mut group = 0;
+                    for v in variants(alive) {
+                        let mut same = self.probed.iter().zip(&self.gather);
+                        if same.all(|(&at, &g)| h.root(at, v) == g) {
+                            group |= 1 << v;
+                        }
+                    }
+                    alive &= !group;
+                    self.extend_for(tr, ds, i, group, counts);
                 }
-                self.n_state[q].push(node);
             }
         }
     }
 
+    /// The `H` entry of transition `e_idx`'s source slot `slot` under
+    /// the tuple's join key for it, if any.
+    fn probe(&self, e_idx: usize, slot: usize, b: &EqPredicate, t: &Tuple) -> Option<usize> {
+        let key = b.right.project(t)?;
+        let key = key.iter().map(|&p| t.get(p));
+        self.h.find(e_idx as u32, slot as u32, key)
+    }
+
+    /// `extend` the gathered runs with the tuple at `i` into a node at
+    /// `tr`'s target, built for the variants in `group`.
+    fn extend_for(
+        &mut self,
+        tr: &Transition,
+        ds: &mut EnumStructure,
+        i: u64,
+        group: u64,
+        counts: &mut [VariantCounts],
+    ) {
+        let node = ds.extend(tr.labels, i, &self.gather);
+        for v in variants(group) {
+            counts[v].extends += 1;
+        }
+        let q = tr.target.index();
+        if self.n_state[q].is_empty() {
+            self.touched.push(q as u32);
+        }
+        self.n_state[q].push((node, group));
+    }
+
     /// UpdateIndices: make this position's runs visible to future tuples
-    /// under their left join keys.
+    /// under their left join keys. Each `(transition, slot, key)` is
+    /// probed once; each variant melds the nodes built for it into its
+    /// own root, and a variant holding the root another one just melded
+    /// the same node into takes that result.
     pub(crate) fn update_indices(
         &mut self,
         pcea: &Pcea,
         ds: &mut EnumStructure,
         t: &Tuple,
         lo: u64,
-        stats: &mut EngineStats,
+        counts: &mut [VariantCounts],
     ) {
         for (e_idx, tr) in pcea.transitions().iter().enumerate() {
             for (slot, (p, b)) in tr.sources.iter().zip(tr.binary.iter()).enumerate() {
@@ -295,24 +567,40 @@ impl FireStage {
                     continue;
                 };
                 let key = key.iter().map(|&p| t.get(p));
-                // One probe for the whole list: the melded root is
+                // One probe for the whole list: the melded roots are
                 // written back into the entry found (or just interned).
-                let root = self.h.entry(e_idx as u32, slot as u32, key);
-                for &node in created {
-                    *root = if root.is_bottom() {
-                        node
-                    } else {
-                        stats.unions += 1;
-                        ds.union(*root, node, lo)
-                    };
+                let at = self.h.entry(e_idx as u32, slot as u32, key);
+                for &(node, mask) in created {
+                    if mask & (mask - 1) == 0 {
+                        // One variant: meld as its private evaluator does.
+                        let v = mask.trailing_zeros() as usize;
+                        meld(self.h.root_mut(at, v), node, ds, lo, &mut counts[v]);
+                        continue;
+                    }
+                    self.melds.clear();
+                    for v in variants(mask) {
+                        let root = self.h.root_mut(at, v);
+                        let done = self
+                            .melds
+                            .iter()
+                            .find(|m| !root.is_bottom() && m.0 == *root);
+                        match done {
+                            Some(&(_, melded, copies)) => {
+                                *root = melded;
+                                counts[v].unions += 1;
+                                counts[v].copies += copies;
+                            }
+                            None => self.melds.extend(meld(root, node, ds, lo, &mut counts[v])),
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Checkpoint encoding of the look-up table `H` (the only
-    /// cross-position state this stage owns — the `N_p` lists and all
-    /// scratch are per-position and deliberately excluded; see
+    /// Checkpoint encoding of the look-up table `H` of a family of one
+    /// (the only cross-position state this stage owns — the `N_p` lists
+    /// and all scratch are per-position and deliberately excluded; see
     /// [`crate::checkpoint`]). Entries are sorted so identical tables
     /// encode to identical bytes.
     pub(crate) fn encode(
@@ -320,10 +608,11 @@ impl FireStage {
         w: &mut cer_common::wire::WireWriter,
     ) -> Result<(), cer_common::wire::WireError> {
         use cer_common::wire::Wire;
+        debug_assert_eq!(self.h.width(), 1, "a snapshot holds one query");
         let mut entries: Vec<_> = self.h.iter().collect();
         entries.sort_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
         w.put_len(entries.len());
-        for (e_idx, slot, key, node) in entries {
+        for (e_idx, slot, key, at) in entries {
             w.put_u32(e_idx);
             w.put_u32(slot);
             // As `Key` encodes: a length, then the values.
@@ -331,7 +620,7 @@ impl FireStage {
             for v in key {
                 v.encode(w)?;
             }
-            w.put_u32(node.0);
+            w.put_u32(self.h.root(at, 0).0);
         }
         Ok(())
     }
@@ -363,7 +652,8 @@ impl FireStage {
             if node as usize >= arena_len {
                 return Err(WireError::Corrupt("H entry past the arena"));
             }
-            let stored = stage.h.entry(e_idx, slot, key.iter());
+            let at = stage.h.entry(e_idx, slot, key.iter());
+            let stored = stage.h.root_mut(at, 0);
             if !stored.is_bottom() {
                 return Err(WireError::Corrupt("duplicate H entry"));
             }
@@ -372,8 +662,8 @@ impl FireStage {
         Ok(stage)
     }
 
-    /// Merge another replica's `H` entries into this stage, with
-    /// `offset` the arena id shift returned by
+    /// Merge another replica's `H` entries into this stage (both
+    /// families of one), with `offset` the arena id shift returned by
     /// [`EnumStructure::absorb`]. Replicas of a soundly key-partitioned
     /// query hold disjoint key sets (the join key determines the
     /// partition value, which determines the shard), so collisions are
@@ -384,14 +674,14 @@ impl FireStage {
         other: FireStage,
         offset: u32,
         ds: &mut EnumStructure,
-        stats: &mut EngineStats,
+        counts: &mut VariantCounts,
     ) {
         self.h.absorb(&other.h, |mine, theirs| {
             let theirs = NodeId(theirs.0 + offset);
             if mine.is_bottom() {
                 return theirs;
             }
-            stats.unions += 1;
+            counts.unions += 1;
             // `lo = 0` keeps every subtree: expiry is re-applied
             // lazily at the next position anyway.
             ds.union(mine, theirs, 0)
@@ -399,8 +689,8 @@ impl FireStage {
     }
 
     /// Drop every `H` entry whose join key belongs to a different shard
-    /// of a `(pos, n_shards)` key partition, then compact the arena
-    /// around the survivors.
+    /// of a `(pos, n_shards)` key partition; the caller then compacts
+    /// the arena around the survivors.
     ///
     /// Soundness of [`Partition::ByKey`](crate::runtime::Partition)
     /// guarantees ([`Pcea::supports_key_partition`]) that every join
@@ -423,7 +713,6 @@ impl FireStage {
         shard: usize,
         n_shards: usize,
         hasher: &cer_common::hash::FxBuildHasher,
-        ds: &mut EnumStructure,
     ) {
         use std::hash::BuildHasher;
         // Per (transition, slot): the key index carrying the partition
@@ -456,26 +745,42 @@ impl FireStage {
                 None => true,
             }
         });
-        // Compact with `lo = 0`: after a merge, `current_lo` is the max
-        // across replicas, which may overshoot a slice that saw older
-        // in-window tuples — expiry is re-applied lazily from the
-        // merged clock at the next position, exactly as in
-        // [`absorb`](Self::absorb).
-        self.collect_garbage(ds, 0);
     }
 
     /// Copying garbage collection: keep only nodes reachable from live
-    /// `H` entries (and the current position's pending nodes), dropping
-    /// expired subtrees. Fully transparent to outputs.
-    pub(crate) fn collect_garbage(&mut self, ds: &mut EnumStructure, lo: u64) {
-        // Drop dead index entries first.
-        self.h.retain(|_, _, _, node| ds.max_start(node) >= lo);
-        let mut roots: Vec<&mut NodeId> = self
-            .h
-            .nodes_mut()
-            .chain(self.n_state.iter_mut().flatten())
-            .collect();
-        ds.compact(&mut roots, lo);
+    /// `H` roots (and the current position's pending nodes), dropping
+    /// expired subtrees. Fully transparent to outputs. A dead root
+    /// becomes `⊥`, as a private evaluator's collection drops its entry,
+    /// and an entry left with no root leaves `H`; then every variant's
+    /// arena count restarts from the nodes its roots reach.
+    pub(crate) fn collect_garbage(
+        &mut self,
+        ds: &mut EnumStructure,
+        lo: u64,
+        counts: &mut [VariantCounts],
+    ) {
+        self.h.retain(|_, _, _, mut roots| {
+            roots.each(|_, root| {
+                if !root.is_bottom() && ds.max_start(*root) < lo {
+                    *root = BOTTOM;
+                }
+            })
+        });
+        ds.compact(&mut self.roots_mut(), lo);
+        if counts.len() == 1 {
+            counts[0].collected(ds.len());
+            return;
+        }
+        let mut live = [0usize; MAX_VARIANTS];
+        let (h, width) = (&self.h, counts.len());
+        let stored = h
+            .iter()
+            .flat_map(|(_, _, _, at)| (0..width).map(move |v| (h.root(at, v), 1 << v)));
+        let pending = self.n_state.iter().flatten().copied();
+        ds.count_reachable(stored.chain(pending), &mut self.reach, &mut live);
+        for (c, live) in counts.iter_mut().zip(live) {
+            c.collected(live);
+        }
     }
 }
 
@@ -522,7 +827,7 @@ mod tests {
     #[test]
     fn decode_checks_every_entry_against_the_automaton() {
         let stage = decode(&table_bytes(&GOOD)).expect("a well-formed table");
-        assert_eq!(stage.index_entries(), GOOD.len());
+        assert_eq!(stage.index_entries(), [GOOD.len()]);
         let mut w = WireWriter::new();
         stage.encode(&mut w).unwrap();
         let mut sorted = GOOD;
@@ -547,7 +852,7 @@ mod tests {
         ] {
             let mut entries = GOOD.to_vec();
             entries.push(bad);
-            let got = decode(&table_bytes(&entries)).map(|stage| stage.index_entries());
+            let got = decode(&table_bytes(&entries)).map(|stage| stage.index_entries()[0]);
             assert_eq!(got, Err(WireError::Corrupt(why)), "{bad:?}");
         }
     }
@@ -562,7 +867,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for mutated in cer_common::wire::hostile_mutations(&bytes) {
             match decode(&mutated) {
-                Ok(stage) => assert!(stage.index_entries() <= GOOD.len()),
+                Ok(stage) => assert!(stage.index_entries()[0] <= GOOD.len()),
                 Err(WireError::Corrupt(why)) => {
                     seen.insert(why);
                 }

@@ -3,8 +3,8 @@
 //! Shard workers publish the matches they complete to the registry in
 //! **chunks** — a [`MatchChunk`]: a header per match (position, query
 //! id, a range of words) and one word vector holding every valuation's
-//! flat buffer, copied there from the enumerator's scratch, with twin
-//! queries sharing one copy. Each subscriber owns its *own* bounded
+//! flat buffer, copied there from the enumerator's scratch, with the
+//! queries one output goes to sharing one copy. Each subscriber owns its *own* bounded
 //! queue of chunks with its own [`BackpressurePolicy`], so a slow or
 //! stalled consumer lags or drops on its private channel without ever
 //! stalling ingestion (use [`BackpressurePolicy::DropNewest`] for that
@@ -76,8 +76,9 @@ impl SubscriptionFilter {
 
 /// Completed matches in one buffer: a header per match and one word
 /// vector holding each match's valuation in [`Valuation`]'s own layout
-/// (end offsets, then positions). Matches of twin queries — one output
-/// pushed for several query ids — share one copy of the words. Word
+/// (end offsets, then positions). Matches of one output pushed for
+/// several query ids — the members of a family — share one copy of the
+/// words. Word
 /// ranges never decrease from one match to the next.
 ///
 /// Iterating borrows each valuation as a [`ValuationRef`];

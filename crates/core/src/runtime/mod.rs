@@ -256,7 +256,7 @@ pub struct RuntimeStats {
     /// Shared-evaluation effectiveness, summed across shards: predicate
     /// dedup (distinct vs referenced predicates, prefilter `matches()`
     /// calls performed vs avoided), skeleton grouping (group count
-    /// and sizes, concatenated across shards) and twin classes (distinct
+    /// and sizes, concatenated across shards) and families (distinct
     /// evaluators hosted).
     pub shared: SharedEvalStats,
 }
@@ -284,10 +284,12 @@ pub struct SharedEvalStats {
     pub groups: usize,
     /// Member count of every live group, concatenated across shards.
     pub group_sizes: Vec<usize>,
-    /// Distinct evaluators hosted (summed across shards): one per twin
-    /// class — queries registered as exact duplicates of each other
-    /// before either saw a tuple share one. The gap to the summed
-    /// `group_sizes` is the evaluation work sharing saved.
+    /// Distinct evaluators hosted (summed across shards): one per
+    /// family — queries of one skeleton group with equal join
+    /// predicates, window and collection cadence, registered before the
+    /// family saw a tuple, share one, up to 64 distinct sets of unary
+    /// predicates to an evaluator. The gap to the summed `group_sizes`
+    /// is the evaluation work sharing saved.
     pub evaluators: usize,
 }
 

@@ -634,8 +634,8 @@ fn place(
 /// across its homes and stage one [`ShardHost::adopt`] job per shard
 /// that received anything, under the next block of `fence`. `queues` is
 /// the worker set the placements were computed for. A registration
-/// installs one `fresh` evaluator, which may join a twin class; restore
-/// and rescale install every live query at once, each as a class of one.
+/// installs one `fresh` evaluator, which may join a family; restore and
+/// rescale install every live query at once, each as a family of one.
 pub(super) fn install(
     fence: &mut Fence<'_>,
     queues: &[Arc<ShardQueue>],

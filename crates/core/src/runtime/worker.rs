@@ -2,44 +2,64 @@
 //! evaluators behind a [`ShardHost`] and draining its
 //! [`ShardQueue`] in released (position) order.
 //!
-//! # Twin classes
+//! # Families
 //!
-//! Inside a skeleton group the host keeps one evaluator per *twin
-//! class*: the hosted query ids whose evaluators are provably identical.
-//! The evaluator runs once per batch, and each output becomes one match
-//! per member id that has a subscriber, all sharing one copy of the
-//! valuation's words in the worker's [`MatchChunk`]. A query without a
-//! twin is a class of one and runs through the same loop.
+//! Inside a skeleton group the host keeps one evaluator per *family*:
+//! up to [`MAX_VARIANTS`] *variants*, automata that differ only in
+//! their unary predicates, evaluated over one look-up table `H`, one
+//! `DS_w` arena and one collection. A variant is a distinct
+//! predicate-slot table, and the hosted query ids with that table are
+//! its members. The evaluator runs once per batch; each output carries
+//! the mask of variants it belongs to and becomes one match per
+//! listening member of those variants, all sharing one copy of the
+//! valuation's words in the worker's [`MatchChunk`]. A query sharing
+//! with no one is a family of one and runs through the same loop.
 //!
-//! A fresh registration joins a class when a cheap sufficient check
+//! A fresh registration joins a family when a cheap sufficient check
 //! holds, decided on the worker in position order:
 //!
 //! * the same group — skeleton, routing interests, partition;
-//! * equal predicate-slot tables, which fixes the unary predicates
-//!   because the [`PredicateCache`] interns them structurally;
 //! * equal join extractors, window policy and GC cadence;
-//! * the class's evaluator has seen no position, and both evaluators
+//! * the family's evaluator has seen no position, and both evaluators
 //!   report the same next position and the same counters
-//!   ([`StreamingEvaluator::is_twin`]).
+//!   ([`StreamingEvaluator::accepts`]).
 //!
-//! Then the two automata are equal and both evaluators are in their
-//! initial state. Evaluation is a deterministic function of automaton,
-//! state and routed subsequence, and members of one group share the
-//! subsequence by construction, so each member's outputs and counters
-//! are exactly those of a private evaluator. A query registered after
-//! its twin has seen tuples starts its own class.
+//! It becomes a member of the variant with its predicate-slot table
+//! (equal tables mean equal unary predicates, because the
+//! [`PredicateCache`] interns them structurally), or a new variant while
+//! the family has fewer than [`MAX_VARIANTS`]; a 65th variant starts a
+//! new family, and a query registered after the family has seen tuples
+//! starts its own.
 //!
-//! A class only ever loses members: [`evict`](ShardHost::evict) drops
-//! the evaluator with its last member, [`swap`](ShardHost::swap) first
-//! splits the id off with a clone, and [`capture`](ShardHost::capture)
-//! hands every id its own clone, so snapshot bytes and per-query
-//! counters are what private evaluators produce. Restored and rescaled
-//! state is adopted as classes of one: exact but unshared, because a
-//! restored replica's zeroed counters no longer prove that it is in its
-//! initial state.
+//! Sharing is exact. Members of one group see the same routed
+//! subsequence, and evaluation is a deterministic function of automaton,
+//! state and subsequence. Variants share the window clock and the
+//! positions; per (transition, tuple) the prefilter yields the variants
+//! whose predicate accepts. Each source slot is probed once (the join
+//! extractors are equal, so is the key) and variants gathering the same
+//! roots share one `extend`; each `(transition, slot, key)` is probed
+//! once and a variant melding the same node into the same root as
+//! another takes its `union`'s result. Reuse only happens between
+//! variants at one (transition, position) or (entry, position), and
+//! `extend` and `union` are deterministic over immutable nodes
+//! (Proposition 5.3), so every variant reaches exactly the structure,
+//! the outputs and the counters of its private evaluator — Theorem 5.1's
+//! update bound is paid once per family where it is shared.
+//!
+//! A family only ever loses members: [`evict`](ShardHost::evict) drops
+//! a variant with its last member (the evaluator with its last variant),
+//! and [`swap`](ShardHost::swap) and [`capture`](ShardHost::capture)
+//! split a variant into a private evaluator — its `H` column, an arena
+//! copied from its roots, its counters — so a snapshot holds one private
+//! evaluator per query in the unchanged format, and per-query counters
+//! are what private evaluators produce. Restored and
+//! rescaled state is adopted as families of one: exact but unshared,
+//! because a restored replica's zeroed counters no longer prove that it
+//! is in its initial state.
 
 use super::{Partition, QueryId, SharedEvalStats};
 use crate::evaluator::{EngineStats, StreamingEvaluator};
+use crate::fire::MAX_VARIANTS;
 use crate::ingest::{key_shard, IngestShared, MatchChunk, ShardMsg, ShardQueue, TupleBatch};
 use crate::metrics::{PipelineEvent, ShardStageMetrics};
 use crate::shared::PredicateCache;
@@ -51,18 +71,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One evaluator and the hosted query ids it serves (module docs).
-struct TwinClass {
-    /// Member ids in hosting order; never empty.
-    members: Vec<QueryId>,
+/// One evaluator and the hosted query ids its variants serve (module
+/// docs).
+struct Family {
+    /// Hosted ids in hosting order, each with its variant; never empty,
+    /// and every variant has a member.
+    members: Vec<(QueryId, usize)>,
     eval: StreamingEvaluator,
-    /// Indirection table: transition index → shared predicate slot in
-    /// the shard's [`PredicateCache`]. Every member holds its own
-    /// reference to each slot.
+    /// Indirection tables, variant-major: variant `v`'s transition `e`
+    /// reads shared predicate slot `slots[v * |∆| + e]` of the shard's
+    /// [`PredicateCache`]. Every member holds its own reference to each
+    /// slot of its variant.
     slots: Vec<u32>,
-    /// Index of this class's [`QueryGroup`].
+    /// Index of this family's [`QueryGroup`].
     group: usize,
-    /// Where this class's members start in the host's per-member
+    /// Where this family's members start in the host's per-member
     /// `listening` scratch.
     first: usize,
     /// Formed by a fresh registration, so later ones may join it;
@@ -73,18 +96,60 @@ struct TwinClass {
     last_regressions: u64,
 }
 
+impl Family {
+    /// Variant `v`'s predicate-slot table.
+    fn slots_of(&self, v: usize) -> &[u32] {
+        let n = self.slots.len() / self.eval.variants();
+        &self.slots[v * n..][..n]
+    }
+
+    /// Drop variant `v` once no member is left in it (the evaluator's
+    /// last variant goes with the family, which the caller drops).
+    fn forget_if_unused(&mut self, v: usize) {
+        if self.members.iter().any(|&(_, m)| m == v) || self.eval.variants() == 1 {
+            return;
+        }
+        let n = self.slots_of(v).len();
+        self.slots.drain(v * n..(v + 1) * n);
+        self.eval.remove_variant(v);
+        for (_, m) in &mut self.members {
+            *m -= usize::from(*m > v);
+        }
+    }
+}
+
+/// Hand each member the private evaluator of its variant, `privates[v]`
+/// for variant `v`: the variant's last member takes it, the others
+/// clones.
+fn hand_out(
+    members: &[(QueryId, usize)],
+    privates: Vec<StreamingEvaluator>,
+    out: &mut Vec<(QueryId, StreamingEvaluator)>,
+) {
+    let mut privates: Vec<Option<StreamingEvaluator>> = privates.into_iter().map(Some).collect();
+    for (k, &(id, v)) in members.iter().enumerate() {
+        let last = members[k + 1..].iter().all(|&(_, m)| m != v);
+        let eval = if last {
+            privates[v].take()
+        } else {
+            privates[v].clone()
+        };
+        out.push((id, eval.expect("a variant's last member takes it")));
+    }
+}
+
 /// A shard-local bucket of skeleton-compatible queries: same automaton
 /// skeleton ([`Pcea::skeleton_compatible`]), same routing interests and
 /// same partition mode, so the whole group shares one routed tuple
-/// selection per batch and its twin classes differ only in per-query
+/// selection per batch and its families differ only in per-query
 /// residuals (predicates, join state, windows).
 struct QueryGroup {
     /// Routing interests shared by every member (equal by construction).
     listens: Option<Vec<RelationId>>,
     /// Partition mode shared by every member.
     partition: Partition,
-    /// Indices into the worker's `classes`.
-    classes: Vec<usize>,
+    /// Indices into the worker's `families`.
+    families: Vec<usize>,
     /// Reusable per-batch selection scratch (indices into the drained
     /// slice), computed once per group instead of once per query.
     sel: Vec<u32>,
@@ -107,8 +172,8 @@ pub(crate) struct Adopt {
 /// plane ([`crate::checkpoint`]) and that `Runtime::rescale` moves
 /// between worker sets with **zero** encode/decode.
 pub(crate) struct ShardState {
-    /// `(query, evaluator)` per hosted query, in hosting order; twins
-    /// each carry their own copy.
+    /// `(query, evaluator)` per hosted query, in hosting order, each a
+    /// private evaluator of its own.
     pub queries: Vec<(QueryId, StreamingEvaluator)>,
     /// How long the capture stalled this shard's worker, in nanoseconds
     /// (surfaced as a `RuntimeStats` counter by both snapshot and
@@ -121,7 +186,7 @@ pub(crate) struct ShardState {
 /// the registry and queue locks are paid once per hundreds of matches,
 /// small enough that a tuple completing millions of matches streams to
 /// its consumers while it is still being enumerated. A staged match is a
-/// 32-byte header plus, shared with its twins, a copy of the
+/// 32-byte header plus, shared by every member it goes to, a copy of the
 /// enumerator's `|Ω| + |ν|` words (the flat
 /// [`Valuation`](cer_automata::valuation::Valuation)), so a full chunk is
 /// two blocks — 8 KiB of headers and a few tens of KiB of words for the
@@ -130,7 +195,7 @@ pub(crate) struct ShardState {
 /// it.
 const MATCH_CHUNK: usize = 256;
 
-/// Everything one shard worker owns: the twin classes and their
+/// Everything one shard worker owns: the families and their
 /// skeleton groups, the shared predicate cache and the local routing
 /// tables. Tuple batches go through [`eval_batch`](Self::eval_batch);
 /// every structural change arrives as a control job of a
@@ -148,8 +213,8 @@ pub(crate) struct ShardHost {
     shard_idx: usize,
     n_shards: usize,
     hasher: FxBuildHasher,
-    /// One evaluator per twin class (module docs).
-    classes: Vec<TwinClass>,
+    /// One evaluator per family (module docs).
+    families: Vec<Family>,
     /// Skeleton-compatible query groups: selection (and, through the
     /// predicate cache, unary prefiltering) is computed once per group
     /// per batch, not once per query.
@@ -162,7 +227,7 @@ pub(crate) struct ShardHost {
     routes: FxHashMap<RelationId, Vec<usize>>,
     wildcards: Vec<usize>,
     /// Reusable per-batch scratch: which members have a subscriber, in
-    /// class order ([`TwinClass::first`]).
+    /// family order ([`Family::first`]).
     listening: Vec<bool>,
     /// Completed matches on their way to the subscriber channels; see
     /// [`MATCH_CHUNK`].
@@ -182,7 +247,7 @@ impl ShardHost {
             shard_idx,
             n_shards,
             hasher: FxBuildHasher::default(),
-            classes: Vec::new(),
+            families: Vec::new(),
             groups: Vec::new(),
             cache: PredicateCache::default(),
             routes: FxHashMap::default(),
@@ -194,9 +259,10 @@ impl ShardHost {
 
     /// Host `q`: intern its predicate slots, place it in a skeleton
     /// group — same skeleton, listens and partition — creating the group
-    /// if none fits, and, when `fresh`, add it to a twin class of that
-    /// group if one passes the module docs' check; otherwise it starts a
-    /// class of its own. The caller finishes with
+    /// if none fits, and, when `fresh`, add it to a family of that group
+    /// that passes the module docs' check, as a member of the variant
+    /// with its slot table or as a new variant; otherwise it starts a
+    /// family of its own. The caller finishes with
     /// [`reindex`](Self::reindex).
     fn host(&mut self, q: Adopt, fresh: bool) {
         let transitions = q.eval.pcea().transitions();
@@ -207,8 +273,8 @@ impl ShardHost {
         let fits = |g: &QueryGroup| {
             g.partition == q.partition
                 && g.listens == q.listens
-                && g.classes.first().is_some_and(|&c| {
-                    let representative = self.classes[c].eval.pcea();
+                && g.families.first().is_some_and(|&f| {
+                    let representative = self.families[f].eval.pcea();
                     representative.skeleton_compatible(q.eval.pcea())
                 })
         };
@@ -216,24 +282,43 @@ impl ShardHost {
             self.groups.push(QueryGroup {
                 listens: q.listens.clone(),
                 partition: q.partition,
-                classes: Vec::new(),
+                families: Vec::new(),
                 sel: Vec::new(),
             });
             self.groups.len() - 1
         });
         if fresh {
-            let twin = self.groups[group].classes.iter().find(|&&c| {
-                let class = &self.classes[c];
-                class.fresh && class.slots == slots && class.eval.is_twin(&q.eval)
-            });
-            if let Some(&c) = twin {
-                self.classes[c].members.push(q.id);
+            let open = |f: &&usize| {
+                let family = &self.families[**f];
+                family.fresh && family.eval.accepts(&q.eval)
+            };
+            let open: Vec<usize> = self.groups[group]
+                .families
+                .iter()
+                .filter(open)
+                .copied()
+                .collect();
+            // The family holding the variant, else the first with room.
+            let variant_in = |f: usize| {
+                let family = &self.families[f];
+                (0..family.eval.variants()).find(|&v| family.slots_of(v) == slots)
+            };
+            if let Some((f, v)) = open.iter().find_map(|&f| Some((f, variant_in(f)?))) {
+                self.families[f].members.push((q.id, v));
+                return;
+            }
+            let room = |f: &&usize| self.families[**f].eval.variants() < MAX_VARIANTS;
+            if let Some(&f) = open.iter().find(room) {
+                let family = &mut self.families[f];
+                let v = family.eval.add_variant(q.eval);
+                family.slots.extend(slots);
+                family.members.push((q.id, v));
                 return;
             }
         }
-        let last_regressions = q.eval.stats().ts_regressions;
-        self.classes.push(TwinClass {
-            members: vec![q.id],
+        let last_regressions = q.eval.ts_regressions();
+        self.families.push(Family {
+            members: vec![(q.id, 0)],
             eval: q.eval,
             slots,
             group,
@@ -241,48 +326,53 @@ impl ShardHost {
             fresh,
             last_regressions,
         });
-        self.groups[group].classes.push(self.classes.len() - 1);
+        self.groups[group].families.push(self.families.len() - 1);
     }
 
-    /// Take `id` out of its twin class, releasing its predicate-slot
-    /// references; returns the class's index (the class is left empty
-    /// when `id` was its last member).
-    fn leave(&mut self, id: QueryId) -> Option<usize> {
-        let c = self.classes.iter().position(|c| c.members.contains(&id))?;
-        let class = &mut self.classes[c];
-        class.members.retain(|&m| m != id);
-        for &s in &class.slots {
+    /// Take `id` out of its family, releasing its predicate-slot
+    /// references; returns the family's index and the variant `id` was
+    /// (the caller decides what happens to a variant or family left
+    /// without members).
+    fn leave(&mut self, id: QueryId) -> Option<(usize, usize)> {
+        let f = self
+            .families
+            .iter()
+            .position(|f| f.members.iter().any(|&(m, _)| m == id))?;
+        let family = &mut self.families[f];
+        let k = family.members.iter().position(|&(m, _)| m == id)?;
+        let (_, v) = family.members.remove(k);
+        for &s in family.slots_of(v) {
             self.cache.release(s);
         }
-        Some(c)
+        Some((f, v))
     }
 
-    /// Recompute every group's classes from the classes' `group` fields
-    /// (indices into `classes` shift on removal) and every class's
-    /// `first`, drop groups left empty, and rebuild the local routing
-    /// tables.
+    /// Recompute every group's families from the families' `group`
+    /// fields (indices into `families` shift on removal) and every
+    /// family's `first`, drop groups left empty, and rebuild the local
+    /// routing tables.
     fn reindex(&mut self) {
         for g in &mut self.groups {
-            g.classes.clear();
+            g.families.clear();
         }
         let mut first = 0;
-        for (c, class) in self.classes.iter_mut().enumerate() {
-            self.groups[class.group].classes.push(c);
-            class.first = first;
-            first += class.members.len();
+        for (f, family) in self.families.iter_mut().enumerate() {
+            self.groups[family.group].families.push(f);
+            family.first = first;
+            first += family.members.len();
         }
         let mut remap = vec![usize::MAX; self.groups.len()];
         let mut live = 0usize;
         for (gi, slot) in remap.iter_mut().enumerate() {
-            if !self.groups[gi].classes.is_empty() {
+            if !self.groups[gi].families.is_empty() {
                 *slot = live;
                 self.groups.swap(gi, live);
                 live += 1;
             }
         }
         self.groups.truncate(live);
-        for class in &mut self.classes {
-            class.group = remap[class.group];
+        for family in &mut self.families {
+            family.group = remap[family.group];
         }
         self.routes.clear();
         self.wildcards.clear();
@@ -299,8 +389,8 @@ impl ShardHost {
     }
 
     /// Start hosting `batch`. `fresh` says it holds fresh registrations,
-    /// which may join twin classes; restored state and a rescale
-    /// hand-off are adopted as classes of one.
+    /// which may join families; restored state and a rescale hand-off
+    /// are adopted as families of one.
     pub fn adopt(&mut self, batch: Vec<Adopt>, fresh: bool) {
         for q in batch {
             self.host(q, fresh);
@@ -309,24 +399,26 @@ impl ShardHost {
     }
 
     /// Drop a hosted query; returns its final engine counters (`None`
-    /// if this shard never hosted it). Its evaluator goes with its last
-    /// twin.
+    /// if this shard never hosted it). Its variant goes with the
+    /// variant's last member, the evaluator with its last variant.
     pub fn evict(&mut self, id: QueryId) -> Option<EngineStats> {
-        let c = self.leave(id)?;
-        let stats = self.classes[c].eval.stats();
-        if self.classes[c].members.is_empty() {
-            self.classes.remove(c);
+        let (f, v) = self.leave(id)?;
+        let stats = self.families[f].eval.variant_stats()[v];
+        if self.families[f].members.is_empty() {
+            self.families.remove(f);
+        } else {
+            self.families[f].forget_if_unused(v);
         }
         self.reindex();
         Some(stats)
     }
 
     /// Hot-swap a hosted query's automaton (`Runtime::replace`): split
-    /// the query off its twin class (with a clone while twins remain),
-    /// hand the accumulated state to the recompiled automaton and host
-    /// the result as a class of one. Returns whether this shard hosted
-    /// (and swapped) the query; compatibility was validated by the
-    /// control plane.
+    /// the query's variant off its family (the evaluator itself when
+    /// nothing else shares it), hand the accumulated state to the
+    /// recompiled automaton and host the result as a family of one.
+    /// Returns whether this shard hosted (and swapped) the query;
+    /// compatibility was validated by the control plane.
     pub fn swap(
         &mut self,
         id: QueryId,
@@ -335,14 +427,17 @@ impl ShardHost {
         gc_every: u64,
         listens: Option<Vec<RelationId>>,
     ) -> bool {
-        let Some(c) = self.leave(id) else {
+        let Some((f, v)) = self.leave(id) else {
             return false;
         };
-        let partition = self.groups[self.classes[c].group].partition;
-        let old = if self.classes[c].members.is_empty() {
-            self.classes.remove(c).eval
+        let family = &mut self.families[f];
+        let partition = self.groups[family.group].partition;
+        let old = if family.members.is_empty() {
+            self.families.remove(f).eval
         } else {
-            self.classes[c].eval.clone()
+            let old = family.eval.variant(v);
+            family.forget_if_unused(v);
+            old
         };
         self.reindex();
         let eval = old
@@ -359,29 +454,37 @@ impl ShardHost {
     }
 
     /// Copy-on-fence: capture every hosted query at this exact point of
-    /// the released position order, each id with its own evaluator.
-    /// Shards hit their fences concurrently; producers keep staging
-    /// later blocks meanwhile. No bytes here — a snapshot encodes the
-    /// capture on the control plane, a rescale never encodes at all.
+    /// the released position order, each id with its own private
+    /// evaluator. Shards hit their fences concurrently; producers keep
+    /// staging later blocks meanwhile. No bytes here — a snapshot
+    /// encodes the capture on the control plane, a rescale never
+    /// encodes at all.
     ///
-    /// `detach: false` (snapshot) clones the evaluators and keeps
-    /// serving; `detach: true` (rescale hand-off) moves them out — to the
-    /// last member of each class, clones to its twins — and leaves the
-    /// host empty: its queue is retired, and the reply doubles as proof
-    /// the entire pre-fence backlog was evaluated.
+    /// `detach: false` (snapshot) splits each variant off as a copy and
+    /// keeps serving; `detach: true` (rescale hand-off) moves the
+    /// evaluators out — a family of one to the last member of its
+    /// variant, clones to its other members — and leaves the host empty: its
+    /// queue is retired, and the reply doubles as proof the entire
+    /// pre-fence backlog was evaluated.
     pub fn capture(&mut self, detach: bool) -> ShardState {
         let started = Instant::now();
         let mut queries = Vec::new();
+        let split = |eval: &StreamingEvaluator| -> Vec<StreamingEvaluator> {
+            (0..eval.variants()).map(|v| eval.variant(v)).collect()
+        };
         if detach {
-            for class in std::mem::take(&mut self.classes) {
-                let (&last, twins) = class.members.split_last().expect("a class has a member");
-                queries.extend(twins.iter().map(|&id| (id, class.eval.clone())));
-                queries.push((last, class.eval));
+            for family in std::mem::take(&mut self.families) {
+                let privates = if family.eval.variants() == 1 {
+                    vec![family.eval]
+                } else {
+                    split(&family.eval)
+                };
+                hand_out(&family.members, privates, &mut queries);
             }
             self.reindex();
         } else {
-            for class in &self.classes {
-                queries.extend(class.members.iter().map(|&id| (id, class.eval.clone())));
+            for family in &self.families {
+                hand_out(&family.members, split(&family.eval), &mut queries);
             }
         }
         ShardState {
@@ -391,15 +494,15 @@ impl ShardHost {
     }
 
     /// Per-query engine counters plus the shared-evaluation counters of
-    /// this shard. Twins report their class's counters, which are
-    /// exactly what each one's private evaluator would count.
+    /// this shard. Each member reports its variant's counters, which are
+    /// exactly what its private evaluator would count.
     pub fn stats(&self) -> (Vec<(QueryId, EngineStats)>, SharedEvalStats) {
-        let per_query = self.classes.iter().flat_map(|c| {
-            let st = c.eval.stats();
-            c.members.iter().map(move |&id| (id, st))
+        let per_query = self.families.iter().flat_map(|f| {
+            let stats = f.eval.variant_stats();
+            f.members.iter().map(move |&(id, v)| (id, stats[v]))
         });
         let group_size = |g: &QueryGroup| {
-            let members = g.classes.iter().map(|&c| self.classes[c].members.len());
+            let members = g.families.iter().map(|&f| self.families[f].members.len());
             members.sum()
         };
         let shared = SharedEvalStats {
@@ -409,17 +512,18 @@ impl ShardHost {
             prefilter_evals_saved: self.cache.evals_saved(),
             groups: self.groups.len(),
             group_sizes: self.groups.iter().map(group_size).collect(),
-            evaluators: self.classes.len(),
+            evaluators: self.families.len(),
         };
         (per_query.collect(), shared)
     }
 
-    /// Evaluate one drained (coalesced) tuple batch: each twin class's
+    /// Evaluate one drained (coalesced) tuple batch: each family's
     /// subsequence of the slice goes through the vectorized batch path
-    /// once, its outputs fan out to the class's listening members, and
-    /// completed matches are published to the subscription registry in
-    /// chunks of [`MATCH_CHUNK`] matches (a few more when twins share
-    /// the output that fills one), the last one when the batch ends.
+    /// once, its outputs fan out to the listening members of the
+    /// variants they belong to, and completed matches are published to
+    /// the subscription registry in chunks of [`MATCH_CHUNK`] matches (a
+    /// few more when members share the output that fills one), the last
+    /// one when the batch ends.
     fn eval_batch(&mut self, batch: TupleBatch) {
         let ingest_at = batch.ingest_at;
         let tuples = batch.tuples;
@@ -427,12 +531,13 @@ impl ShardHost {
         // Enumerating outputs only pays off if someone is listening for
         // the query's events; gate once per batch rather than per tuple
         // (subscriber churn mid-batch is already racy by construction).
-        let hosted = self.classes.iter().flat_map(|c| c.members.iter().copied());
+        let hosted = self.families.iter().flat_map(|f| f.members.iter());
+        let hosted = hosted.map(|&(id, _)| id);
         self.shared.subs.listening(hosted, &mut self.listening);
         self.cache.begin_batch(&tuples);
         // Select each *group's* subsequence of the slice (every member
         // shares listens and partition, so the group selection is
-        // exactly each member's), then evaluate class-major so the
+        // exactly each member's), then evaluate family-major so the
         // batch path sees the whole run at once. Per-query event order
         // (by position) is unchanged; only the interleaving *across*
         // queries differs from tuple-major, and that was never ordered.
@@ -461,38 +566,45 @@ impl ShardHost {
             if g.sel.is_empty() {
                 continue;
             }
-            for &c in &g.classes {
-                let class = &mut self.classes[c];
-                let members = &class.members;
-                let listening = &self.listening[class.first..][..members.len()];
-                class.eval.push_slice_selected_shared(
+            for &f in &g.families {
+                let family = &mut self.families[f];
+                let members = &family.members;
+                let listening = &self.listening[family.first..][..members.len()];
+                let on = members.iter().zip(listening).filter(|(_, &on)| on);
+                let listen = on.fold(0, |mask, (&(_, v), _)| mask | 1 << v);
+                family.eval.push_slice_selected_shared(
                     &tuples,
                     &g.sel,
-                    &class.slots,
+                    &family.slots,
                     &mut self.cache,
-                    listening.contains(&true),
+                    listen,
                     Some((&self.stage.prefilter, &self.stage.eval_tail)),
-                    |position, v| {
+                    |position, variants, v| {
                         // `v` is the enumerator's scratch; keeping the
                         // match is one copy of its words into the chunk,
-                        // shared by every listening member.
-                        let on = members.iter().zip(listening).filter(|(_, &on)| on);
-                        self.chunk.push(position, v.view(), on.map(|(&q, _)| q));
+                        // shared by every listening member of the
+                        // variants it is an output of.
+                        let to = members
+                            .iter()
+                            .zip(listening)
+                            .filter(|(&(_, var), &on)| on && variants >> var & 1 == 1);
+                        self.chunk
+                            .push(position, v.view(), to.map(|(&(q, _), _)| q));
                         if self.chunk.len() >= MATCH_CHUNK {
                             deliver(&self.shared, &mut self.chunk, ingest_at);
                         }
                     },
                 );
                 // Journal new time-window clamps as a per-batch delta —
-                // one cheap counter read per class per batch, an event
+                // one cheap counter read per family per batch, an event
                 // per member only when the stream actually violated the
                 // timestamp contract.
-                let regs = class.eval.stats().ts_regressions;
-                if regs > class.last_regressions {
-                    let count = regs - class.last_regressions;
-                    class.last_regressions = regs;
+                let regs = family.eval.ts_regressions();
+                if regs > family.last_regressions {
+                    let count = regs - family.last_regressions;
+                    family.last_regressions = regs;
                     let journal = &self.shared.metrics.journal;
-                    for &query in &class.members {
+                    for &(query, _) in &family.members {
                         journal.push(PipelineEvent::TsRegressions {
                             shard: self.shard_idx,
                             query,

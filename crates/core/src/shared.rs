@@ -28,12 +28,14 @@
 //! predicates are pure), and the fan-out reads the same bits the
 //! private path would have computed.
 //!
-//! Interning is also what lets the shard worker share whole evaluators:
-//! two queries whose transitions intern to the same slot table have
-//! equal unary predicates, which is the first half of the *twin* check
-//! (`runtime::worker`'s module docs). Twins registered before either
-//! saw a tuple are evaluated once and their matches fan out per query
-//! id. Every member keeps its own slot references, so
+//! Interning is also how the shard worker shares whole evaluators
+//! (`runtime::worker`'s module docs): queries of one skeleton group with
+//! equal join predicates, registered before their *family* saw a tuple,
+//! share one evaluator, and two of them whose transitions intern to the
+//! same slot table have equal unary predicates and are one *variant* of
+//! it. A family gathers its masks variant by variant only for the
+//! transitions whose slot differs between variants, and its matches fan
+//! out per query id. Every member keeps its own slot references, so
 //! `referenced_predicates` still counts one reference per transition
 //! per hosted query.
 

@@ -16,6 +16,9 @@
 //!
 //! A test binary of its own, and both the switch and the counter are
 //! per-thread: nothing the harness or the other test does is counted.
+//! The one input driven through a [`Runtime`] counts, while it runs,
+//! what the runtime's shard worker threads allocate instead (they are
+//! told apart by name, and no other test starts a runtime).
 
 use pcea::automata::pcea::paper_p0;
 use pcea::common::tuple::tup;
@@ -23,6 +26,7 @@ use pcea::prelude::*;
 use pcea::serve::protocol::{decode_message, encode_event_frame, encode_message, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 thread_local! {
     // `const` initializers and no destructors: touching these from
@@ -33,9 +37,20 @@ thread_local! {
 
 struct CountingAlloc;
 
+/// While set, allocations on shard worker threads count too.
+static WORKERS: AtomicBool = AtomicBool::new(false);
+static WORKER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
 fn note() {
     if COUNTING.get() {
         ALLOCS.set(ALLOCS.get() + 1);
+    } else if WORKERS.load(Relaxed) {
+        // Every thread here was started by `std`, so its handle exists
+        // and asking for it allocates nothing.
+        let current = std::thread::current();
+        if current.name().is_some_and(|n| n.starts_with("cer-shard-")) {
+            WORKER_ALLOCS.fetch_add(1, Relaxed);
+        }
     }
 }
 
@@ -77,6 +92,15 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let r = f();
     COUNTING.set(false);
     (r, ALLOCS.get())
+}
+
+/// What the shard workers allocate while `f` runs.
+fn worker_allocs_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    WORKER_ALLOCS.store(0, Relaxed);
+    WORKERS.store(true, Relaxed);
+    let r = f();
+    WORKERS.store(false, Relaxed);
+    (r, WORKER_ALLOCS.load(Relaxed))
 }
 
 const WINDOW: u64 = 256;
@@ -232,12 +256,34 @@ fn unique_key_triples(triples: usize) -> (Pcea, Vec<Tuple>) {
     (paper_p0(r, s, t), stream)
 }
 
+/// The benchmark's `many_queries` family in small: eight σ0 patterns
+/// `T(x) && S(x, y) [1 >= c] ; R(x, y)`, `c` in `0..8`, and a stream of
+/// `triples` T, S, R triples with a join key of their own each and `y`
+/// cycling through `0..8`, so each variant keeps a different share of
+/// the S runs and completes a different share of the matches.
+fn family_of_eight(triples: usize) -> (Vec<Pcea>, Vec<Tuple>) {
+    let (mut schema, r, s, t) = Schema::sigma0();
+    let pceas = (0..8)
+        .map(|c| {
+            let text = format!("T(x) && S(x, y) [1 >= {c}] ; R(x, y)");
+            pattern_to_pcea(&mut schema, &text)
+                .expect("a σ0 pattern")
+                .pcea
+        })
+        .collect();
+    let stream = (0..triples as i64)
+        .flat_map(|k| [tup(t, [k]), tup(s, [k, k % 8]), tup(r, [k, k % 8])])
+        .collect();
+    (pceas, stream)
+}
+
 /// Blocks a phase may allocate whatever its length, pushed as one slice
-/// or one tuple at a time: the collection that ends it takes four (the two arena vectors, the
-/// forwarding table, the root list), and the arena, sized by that
-/// collection for the slice before, doubles a few times under a longer
-/// one. Measured: 5 over `M` tuples, 9 over `4M`, on both streams and
-/// by every drive.
+/// or one tuple at a time: the collection that ends it takes five (the
+/// two arena vectors, the forwarding table, the root list, the walk's
+/// stack), and the arena, sized by that collection for the slice
+/// before, doubles a few times under a longer one. Measured: 6 over `M`
+/// tuples, 10 over `4M`, on both streams and by every drive; 7 and 11
+/// for the family of eight, one of them its fence's reply.
 const PHASE_BUDGET: u64 = 12;
 
 /// How a phase's tuples reach the evaluator: one slice, or one tuple
@@ -294,6 +340,41 @@ fn the_update_step_allocates_nothing_per_tuple() {
                 );
             }
         }
+    }
+
+    // The family: registered before any tuple on a one-shard runtime,
+    // the eight queries are one evaluator with eight variants, and each
+    // phase is one pushed batch — one slice, ending in one collection.
+    // Counted on the shard worker, where the update step runs (the
+    // fence that waits for the batch sends one reply from there); what
+    // the caller's thread allocates to stage the batch is the ingest
+    // path's, not the update step's.
+    let (family, family_stream) = family_of_eight((warm_up + 5 * M) / 3);
+    let mut rt = Runtime::new(1);
+    for (c, pcea) in family.into_iter().enumerate() {
+        let spec = QuerySpec::new(format!("c{c}"), pcea, WindowPolicy::Count(WINDOW));
+        rt.register(spec.with_gc_every(M as u64))
+            .expect("registers");
+    }
+    assert_eq!(rt.stats().shared.evaluators, 1, "one family");
+    let handle = rt.ingest_handle();
+    let phase = |tuples: &[Tuple]| {
+        handle.push_batch(tuples).expect("ingests");
+        rt.drain();
+    };
+    let collections = || rt.stats().per_query[0].1.collections;
+    let (warm, rest) = family_stream.split_at(warm_up);
+    phase(warm);
+    assert_eq!(collections(), 1, "family: warm-up collects");
+    let (short, long) = rest.split_at(M);
+    for (slice, want) in [(short, 2), (long, 3)] {
+        let ((), n) = worker_allocs_in(|| phase(slice));
+        assert_eq!(collections(), want, "family");
+        assert!(
+            n <= PHASE_BUDGET,
+            "family: {n} allocations over {} tuples",
+            slice.len()
+        );
     }
 
     // `Str` join keys: a key `H` has not seen costs the copy of its

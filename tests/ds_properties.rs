@@ -246,3 +246,359 @@ proptest! {
         prop_assert!(ds.union(BOTTOM, BOTTOM, lo).is_bottom());
     }
 }
+
+// ---------------------------------------------------------------------
+// The leftist bound on `union`
+// ---------------------------------------------------------------------
+
+/// A persistent meldable heap of `DS_w`-shaped nodes, as the union-bound
+/// checker drives it: the engine's arena, or [`NeverSwaps`].
+trait Meld {
+    type Id: Copy + Eq + std::hash::Hash;
+    const BOTTOM: Self::Id;
+    fn extend(&mut self, labels: LabelSet, pos: u64, prod: &[Self::Id]) -> Self::Id;
+    fn union(&mut self, a: Self::Id, b: Self::Id, lo: u64) -> Self::Id;
+    fn max_start(&self, n: Self::Id) -> u64;
+    /// `(uleft, uright)`.
+    fn union_links(&self, n: Self::Id) -> (Self::Id, Self::Id);
+    /// Nodes `union` has copied so far.
+    fn copies(&self) -> u64;
+    /// Run the copying collector around `roots`.
+    fn collect(&mut self, roots: &mut [&mut Self::Id], lo: u64);
+}
+
+impl Meld for EnumStructure {
+    type Id = NodeId;
+    const BOTTOM: NodeId = BOTTOM;
+    fn extend(&mut self, labels: LabelSet, pos: u64, prod: &[NodeId]) -> NodeId {
+        EnumStructure::extend(self, labels, pos, prod)
+    }
+    fn union(&mut self, a: NodeId, b: NodeId, lo: u64) -> NodeId {
+        EnumStructure::union(self, a, b, lo)
+    }
+    fn max_start(&self, n: NodeId) -> u64 {
+        EnumStructure::max_start(self, n)
+    }
+    fn union_links(&self, n: NodeId) -> (NodeId, NodeId) {
+        let node = self.node(n);
+        (node.uleft, node.uright)
+    }
+    fn copies(&self) -> u64 {
+        EnumStructure::copies(self)
+    }
+    fn collect(&mut self, roots: &mut [&mut NodeId], lo: u64) {
+        self.compact(roots, lo);
+    }
+}
+
+/// The flipped expectation: the engine's meld with the leftist swap
+/// taken out, so the merged path always stays on the right. Its right
+/// spines grow with the tree, and the checker must catch it.
+#[derive(Default)]
+struct NeverSwaps {
+    /// `(max_start, uleft, uright)` per node.
+    nodes: Vec<(u64, u32, u32)>,
+    copies: u64,
+}
+
+impl Meld for NeverSwaps {
+    type Id = u32;
+    const BOTTOM: u32 = u32::MAX;
+    fn extend(&mut self, _: LabelSet, pos: u64, prod: &[u32]) -> u32 {
+        let start = prod.iter().map(|&n| self.max_start(n)).fold(pos, u64::min);
+        self.nodes.push((start, u32::MAX, u32::MAX));
+        self.nodes.len() as u32 - 1
+    }
+    fn union(&mut self, a: u32, b: u32, lo: u64) -> u32 {
+        let live = |n: u32| n != u32::MAX && self.max_start(n) >= lo;
+        let (a, b) = (
+            if live(a) { a } else { u32::MAX },
+            if live(b) { b } else { u32::MAX },
+        );
+        if a == u32::MAX || b == u32::MAX {
+            return a.min(b);
+        }
+        let (top, other) = if self.max_start(a) >= self.max_start(b) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let (start, left, right) = self.nodes[top as usize];
+        let right = self.union(right, other, lo);
+        self.copies += 1;
+        self.nodes.push((start, left, right));
+        self.nodes.len() as u32 - 1
+    }
+    fn max_start(&self, n: u32) -> u64 {
+        if n == u32::MAX {
+            0
+        } else {
+            self.nodes[n as usize].0
+        }
+    }
+    fn union_links(&self, n: u32) -> (u32, u32) {
+        let (_, left, right) = self.nodes[n as usize];
+        (left, right)
+    }
+    fn copies(&self) -> u64 {
+        self.copies
+    }
+    fn collect(&mut self, _: &mut [&mut u32], _: u64) {}
+}
+
+/// Every `union` through this checker must copy at most
+/// `⌊log₂(|a|+1)⌋ + ⌊log₂(|b|+1)⌋` nodes, `|·|` the size of an
+/// operand's union tree (its nodes through union links, counted with
+/// multiplicity — an upper bound on distinct nodes, and still at least
+/// `2^rank − 1` in a leftist tree). Sizes are memoized per node: nodes
+/// are immutable until a collection renames them.
+struct Checker<H: Meld> {
+    heap: H,
+    sizes: std::collections::HashMap<H::Id, u64>,
+    unions: u64,
+}
+
+fn floor_log2_succ(n: u64) -> u64 {
+    u64::from(63 - (n + 1).leading_zeros())
+}
+
+impl<H: Meld> Checker<H> {
+    fn new(heap: H) -> Self {
+        Checker {
+            heap,
+            sizes: std::collections::HashMap::new(),
+            unions: 0,
+        }
+    }
+
+    fn size(&mut self, root: H::Id) -> u64 {
+        let mut stack = vec![root];
+        while let Some(&n) = stack.last() {
+            if n == H::BOTTOM || self.sizes.contains_key(&n) {
+                stack.pop();
+                continue;
+            }
+            let (l, r) = self.heap.union_links(n);
+            let pending: Vec<H::Id> = [l, r]
+                .into_iter()
+                .filter(|&c| c != H::BOTTOM && !self.sizes.contains_key(&c))
+                .collect();
+            if pending.is_empty() {
+                let size = |c: H::Id| if c == H::BOTTOM { 0 } else { self.sizes[&c] };
+                let total = 1 + size(l) + size(r);
+                self.sizes.insert(n, total);
+                stack.pop();
+            } else {
+                stack.extend(pending);
+            }
+        }
+        if root == H::BOTTOM {
+            0
+        } else {
+            self.sizes[&root]
+        }
+    }
+
+    fn union(&mut self, a: H::Id, b: H::Id, lo: u64) -> Result<H::Id, String> {
+        let (size_a, size_b) = (self.size(a), self.size(b));
+        let before = self.heap.copies();
+        let melded = self.heap.union(a, b, lo);
+        let copies = self.heap.copies() - before;
+        let bound = floor_log2_succ(size_a) + floor_log2_succ(size_b);
+        self.unions += 1;
+        if copies > bound {
+            return Err(format!(
+                "union {} copied {copies} nodes of trees of {size_a} and {size_b}, bound {bound}",
+                self.unions
+            ));
+        }
+        Ok(melded)
+    }
+
+    fn collect(&mut self, roots: &mut [&mut H::Id], lo: u64) {
+        self.heap.collect(roots, lo);
+        self.sizes.clear();
+    }
+}
+
+/// Run a random union program through the checker: each op makes a
+/// fresh leaf or melds two unconsumed roots (operands are consumed
+/// linearly, as in Algorithm 1); leaves gather an earlier root now and
+/// then, so max-starts arrive out of order.
+fn checked_program<H: Meld>(heap: H, ops: &[Op]) -> Result<u64, String> {
+    let mut checker = Checker::new(heap);
+    let mut roots: Vec<(H::Id, bool)> = Vec::new();
+    for (pos, op) in ops.iter().enumerate() {
+        let pos = pos as u64 + 1;
+        match op {
+            Op::Extend { labels, picks } => {
+                let prod: Vec<H::Id> = picks
+                    .first()
+                    .filter(|_| !roots.is_empty())
+                    .map(|&p| roots[p % roots.len()].0)
+                    .into_iter()
+                    .collect();
+                let ls = LabelSet::singleton(Label(u32::from(*labels) % 2));
+                roots.push((checker.heap.extend(ls, pos, &prod), false));
+            }
+            Op::Union { a, b } => {
+                let free: Vec<usize> = (0..roots.len()).filter(|&k| !roots[k].1).collect();
+                if free.len() < 2 {
+                    continue;
+                }
+                let (ka, kb) = (free[a % free.len()], free[b % free.len()]);
+                if ka == kb {
+                    continue;
+                }
+                let melded = checker.union(roots[ka].0, roots[kb].0, 0)?;
+                roots[ka].1 = true;
+                roots[kb].1 = true;
+                roots.push((melded, false));
+            }
+        }
+    }
+    Ok(checker.unions)
+}
+
+/// Algorithm 1's update step over `stream` under a count window `w`,
+/// with every `union` through the checker: fire each transition whose
+/// unary predicate accepts and whose every source slot holds a live run
+/// under the tuple's join key, then meld this position's runs into `H`.
+/// The copying collector runs every `w` positions. Returns the unions
+/// checked.
+fn checked_stream<H: Meld>(
+    heap: H,
+    pcea: &Pcea,
+    stream: impl Iterator<Item = Tuple>,
+    w: u64,
+) -> Result<u64, String> {
+    use pcea::automata::predicate::Key;
+    let mut checker = Checker::new(heap);
+    let mut h: std::collections::HashMap<(usize, usize, Key), H::Id> = Default::default();
+    let mut n_state: Vec<Vec<H::Id>> = vec![Vec::new(); pcea.num_states()];
+    for (i, t) in stream.enumerate() {
+        let (i, lo) = (i as u64, (i as u64).saturating_sub(w));
+        n_state.iter_mut().for_each(Vec::clear);
+        for (e, tr) in pcea.transitions().iter().enumerate() {
+            if !tr.unary.matches(&t) {
+                continue;
+            }
+            let gathered: Option<Vec<H::Id>> = (tr.binary.iter().enumerate())
+                .map(|(slot, b)| {
+                    let root = *h.get(&(e, slot, b.right.extract(&t)?))?;
+                    (checker.heap.max_start(root) >= lo).then_some(root)
+                })
+                .collect();
+            if let Some(gathered) = gathered {
+                let node = checker.heap.extend(tr.labels, i, &gathered);
+                n_state[tr.target.index()].push(node);
+            }
+        }
+        for (e, tr) in pcea.transitions().iter().enumerate() {
+            for (slot, (p, b)) in tr.sources.iter().zip(tr.binary.iter()).enumerate() {
+                let created = &n_state[p.index()];
+                let Some(key) = b.left.extract(&t).filter(|_| !created.is_empty()) else {
+                    continue;
+                };
+                let root = h.entry((e, slot, key)).or_insert(H::BOTTOM);
+                for &node in created {
+                    *root = checker.union(*root, node, lo)?;
+                }
+            }
+        }
+        if i > 0 && i % w.max(1024) == 0 {
+            h.retain(|_, root| checker.heap.max_start(*root) >= lo);
+            let mut roots: Vec<&mut H::Id> = h.values_mut().collect();
+            checker.collect(&mut roots, lo);
+        }
+    }
+    Ok(checker.unions)
+}
+
+/// The σ0 query P0 and the 3-satellite star HCQ, each with its stream
+/// of `len` tuples. Small join-key domains make union trees deep.
+fn sigma0_and_star(len: usize) -> Vec<(&'static str, Pcea, Vec<Tuple>)> {
+    let (_, r, s, t) = Schema::sigma0();
+    let mut sigma0 = Sigma0Gen::new(r, s, t, 5).with_domains(8, 4);
+    let sigma0_stream = (0..len).map(|_| sigma0.next_tuple().unwrap()).collect();
+    let mut schema = Schema::new();
+    let mut star = StarGen::build(&mut schema, 3, 7)
+        .unwrap()
+        .with_domains(8, 4);
+    let text = "Q(x, y1, y2, y3) <- A0(x), A1(x, y1), A2(x, y2), A3(x, y3)";
+    let query = parse_query(&mut schema, text).unwrap();
+    let star_pcea = compile_hcq(&schema, &query).unwrap().pcea;
+    let star_stream = (0..len).map(|_| star.next_tuple().unwrap()).collect();
+    vec![
+        (
+            "sigma0",
+            pcea::automata::pcea::paper_p0(r, s, t),
+            sigma0_stream,
+        ),
+        ("star", star_pcea, star_stream),
+    ]
+}
+
+/// The bound on σ0 and star streams under `Count(w)`, each a window and
+/// a quarter long, so that the window slides.
+fn leftist_bound_holds_on_streams(w: u64) {
+    let len = (w + w / 4) as usize;
+    for (name, pcea, stream) in sigma0_and_star(len) {
+        let unions = checked_stream(EnumStructure::new(), &pcea, stream.into_iter(), w)
+            .unwrap_or_else(|e| panic!("{name} at Count({w}): {e}"));
+        assert!(
+            unions as usize > len / 8,
+            "{name} at Count({w}): {unions} unions"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn union_copies_stay_within_the_leftist_bound(
+        ops in proptest::collection::vec(op_strategy(), 1..96),
+    ) {
+        let checked = checked_program(EnumStructure::new(), &ops);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
+    }
+}
+
+#[test]
+fn union_copies_stay_within_the_leftist_bound_on_streams() {
+    for w in [1 << 8, 1 << 12, 1 << 16] {
+        leftist_bound_holds_on_streams(w);
+    }
+}
+
+/// The `2^20` rung: release only (`--include-ignored`).
+#[test]
+#[ignore = "the 2^20 rung takes minutes in debug; run it with --release -- --include-ignored"]
+fn union_copies_stay_within_the_leftist_bound_at_a_million() {
+    leftist_bound_holds_on_streams(1 << 20);
+}
+
+/// The checker is not vacuous: a union program through a meld that
+/// never swaps children breaks the bound the engine's meld keeps.
+#[test]
+fn a_meld_that_never_swaps_fails_the_leftist_bound() {
+    // Leaves in ascending max-start build a right spine as long as the
+    // tree; a run gathering the first leaf starts below all of them and
+    // walks the whole spine.
+    let mut ops: Vec<Op> = (0..32)
+        .map(|_| Op::Extend {
+            labels: 1,
+            picks: Vec::new(),
+        })
+        .collect();
+    ops.extend((1..32).map(|k| Op::Union { a: 0, b: k }));
+    ops.push(Op::Extend {
+        labels: 1,
+        picks: vec![0],
+    });
+    ops.push(Op::Union { a: 0, b: 1 });
+    assert!(checked_program(EnumStructure::new(), &ops).is_ok());
+    let flipped = checked_program(NeverSwaps::default(), &ops);
+    assert!(flipped.is_err(), "{flipped:?}");
+}

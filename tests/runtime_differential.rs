@@ -234,6 +234,18 @@ fn sigma0_variant(
     t: pcea::common::RelationId,
     threshold: i64,
 ) -> Pcea {
+    sigma0_joined(r, s, t, threshold, &[0, 1])
+}
+
+/// [`sigma0_variant`] with S joined to R on the attribute positions
+/// `sr_key` of both.
+fn sigma0_joined(
+    r: pcea::common::RelationId,
+    s: pcea::common::RelationId,
+    t: pcea::common::RelationId,
+    threshold: i64,
+    sr_key: &[usize],
+) -> Pcea {
     let dot = LabelSet::singleton(Label(0));
     let mut b = PceaBuilder::new(1);
     let q0 = b.add_state();
@@ -252,10 +264,7 @@ fn sigma0_variant(
     b.add_transition(
         vec![
             (q0, EqPredicate::on_positions(t, [0usize], r, [0usize])),
-            (
-                q1,
-                EqPredicate::on_positions(s, [0usize, 1], r, [0usize, 1]),
-            ),
+            (q1, EqPredicate::on_positions(s, sr_key, r, sr_key)),
         ],
         UnaryPredicate::Relation(r),
         dot,
@@ -551,6 +560,8 @@ enum Step {
     Restore(usize),
     /// Rescale to this many shards.
     Rescale(usize),
+    /// Record every hosted query's `stats()` row.
+    Poll,
 }
 
 /// What one fleet query saw in a scenario.
@@ -560,6 +571,8 @@ struct QueryOutcome {
     outputs: Vec<(u64, Valuation)>,
     /// The counters `deregister` returned, or the final `stats()` row.
     stats: Option<pcea::engine::evaluator::EngineStats>,
+    /// Its `stats()` row at every [`Step::Poll`] it was hosted at.
+    polled: Vec<pcea::engine::evaluator::EngineStats>,
 }
 
 /// Run `steps` over `stream` on a runtime with `shards` shards. With
@@ -583,6 +596,7 @@ fn run_twin_script(
         .map(|_| QueryOutcome {
             outputs: Vec::new(),
             stats: None,
+            polled: Vec::new(),
         })
         .collect();
     let mut evaluators = Vec::new();
@@ -612,6 +626,15 @@ fn run_twin_script(
                 rt = Runtime::restore(&snap, *n).unwrap();
             }
             Step::Rescale(n) => rt.rescale(*n).unwrap(),
+            Step::Poll => {
+                let stats = rt.stats();
+                for (k, id) in ids.iter().enumerate() {
+                    if let Some(id) = id {
+                        let row = stats.per_query.iter().find(|(q, _)| q == id).unwrap();
+                        outcomes[k].polled.push(row.1);
+                    }
+                }
+            }
             _ => {}
         }
     }
@@ -629,14 +652,18 @@ fn run_twin_script(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Twin classes stay exact: a fleet of duplicate and near-duplicate
+    /// Families stay exact: a fleet of duplicate and near-duplicate
     /// queries registered in waves before and after tuples, with one
-    /// twin deregistered and one replaced mid-stream, a snapshot
+    /// member deregistered and one replaced mid-stream, a snapshot
     /// restored at another shard count and a rescale, under count and
-    /// time windows. Every query's outputs and engine counters equal
-    /// those of the same steps on a runtime hosting that query alone.
-    /// (Streams stay below the default collection cadence, so counters
-    /// do not depend on where batches were cut.)
+    /// time windows, with the default collection cadence (which the
+    /// streams stay below) or a small one (so families collect
+    /// mid-stream and each variant's live-node and `H` accounting is
+    /// compared). Every query's outputs and engine counters — polled
+    /// before and after the churn, at deregistration and at the end —
+    /// equal those of the same steps on a runtime hosting that query
+    /// alone; both runtimes cut batches at the same positions, one per
+    /// push.
     #[test]
     fn twin_classes_match_private_evaluators(
         shards in 1usize..4,
@@ -651,11 +678,13 @@ proptest! {
         early in proptest::collection::vec(0i64..3, 2..6),
         late in proptest::collection::vec(0i64..3, 1..4),
         replaced_threshold in 0i64..3,
+        gc_every in prop_oneof![Just(0u64), 1u64..12],
     ) {
         let (schema, r, s, t) = sigma0_schema();
         let stream = mixed_stream(&schema, 200);
         let spec = |name: &str, th: i64| {
-            let spec = QuerySpec::new(name, sigma0_variant(r, s, t, th), window.clone());
+            let spec = QuerySpec::new(name, sigma0_variant(r, s, t, th), window.clone())
+                .with_gc_every(gc_every);
             if keyed {
                 spec.with_partition(Partition::ByKey { pos: 0 })
             } else {
@@ -669,9 +698,11 @@ proptest! {
         steps.extend((n_early..n).map(Step::Register));
         steps.extend([
             Step::Push(40..90),
+            Step::Poll,
             Step::Deregister(0),
             Step::Replace(1, replaced_threshold),
             Step::Push(90..120),
+            Step::Poll,
             Step::Restore(restored_shards),
             Step::Push(120..160),
             Step::Rescale(shards),
@@ -682,20 +713,19 @@ proptest! {
             let (solo, _) = run_twin_script(&spec, &thresholds, &stream, &steps, shards, Some(k));
             prop_assert_eq!(got, &solo[k], "query v{}", k);
         }
-        // The early wave's twins visibly shared: one evaluator per
-        // distinct threshold per hosting shard (keyed queries are hosted
-        // on every shard; pinned twins share a shard when there is one).
+        // The early wave visibly shared: one family per hosting shard
+        // (keyed queries are hosted on every shard; pinned ones share a
+        // shard when there is one).
         if keyed || shards == 1 {
-            let distinct: std::collections::HashSet<i64> = early.iter().copied().collect();
-            prop_assert_eq!(evaluators[n_early - 1], shards * distinct.len());
+            prop_assert_eq!(evaluators[n_early - 1], shards);
         }
     }
 }
 
 /// `SharedEvalStats::evaluators` on the easiest-to-count configuration:
 /// six pinned queries over three thresholds registered before any tuple
-/// form three twin classes; a seventh twin registered after tuples have
-/// reached its class starts a fourth.
+/// form one family of three variants; a seventh registered after tuples
+/// have reached the family starts a second.
 #[test]
 fn evaluators_count_twin_classes() {
     let (schema, r, s, t) = sigma0_schema();
@@ -709,16 +739,56 @@ fn evaluators_count_twin_classes() {
         rt.register(spec(i, th)).unwrap();
     }
     let stats = rt.stats();
-    assert_eq!(stats.shared.evaluators, 3);
+    assert_eq!(stats.shared.evaluators, 1);
     assert_eq!(stats.shared.group_sizes, vec![6]);
     assert_eq!(stats.shared.referenced_predicates, 18);
     rt.push_batch(&stream);
     rt.register(spec(6, 0)).unwrap();
     let stats = rt.stats();
-    assert_eq!(stats.shared.evaluators, 4);
+    assert_eq!(stats.shared.evaluators, 2);
     assert_eq!(stats.shared.group_sizes, vec![7]);
     // The twins report the same counters, the late one only its own.
     let row = |q: u32| stats.per_query[q as usize].1;
     assert_eq!(row(0), row(3));
     assert_eq!(row(6).positions, 0);
+}
+
+/// Families share only where sharing is sound. 65 distinct thresholds
+/// are 64 variants in one family and a second family for the 65th;
+/// unequal join extractors and unequal windows never share. Every
+/// query still matches its private evaluator, through a deregistration
+/// that drops a variant mid-stream.
+#[test]
+fn families_split_where_sharing_is_unsound() {
+    let (schema, r, s, t) = sigma0_schema();
+    let stream = mixed_stream(&schema, 120);
+    let check = |spec: &dyn Fn(&str, i64) -> QuerySpec, thresholds: &[i64], families: usize| {
+        let mut steps: Vec<Step> = (0..thresholds.len()).map(Step::Register).collect();
+        steps.extend([Step::Push(0..60), Step::Poll, Step::Deregister(0)]);
+        steps.extend([Step::Push(60..120), Step::Poll]);
+        let (fleet, evaluators) = run_twin_script(spec, thresholds, &stream, &steps, 1, None);
+        assert_eq!(evaluators.last(), Some(&families), "{thresholds:?}");
+        for (k, got) in fleet.iter().enumerate() {
+            let (solo, _) = run_twin_script(spec, thresholds, &stream, &steps, 1, Some(k));
+            assert_eq!(got, &solo[k], "query v{k} of {thresholds:?}");
+        }
+    };
+    let window = WindowPolicy::Count(16);
+    let by_threshold = |name: &str, th: i64| {
+        QuerySpec::new(name, sigma0_variant(r, s, t, th), window.clone()).with_gc_every(5)
+    };
+    let thresholds: Vec<i64> = (-62..3).collect();
+    check(&by_threshold, &thresholds, 2);
+    // Odd "thresholds" join S to R on `x` alone: the same skeleton and
+    // group, another join key.
+    let by_join = |name: &str, th: i64| {
+        let sr_key: &[usize] = if th % 2 == 1 { &[0] } else { &[0, 1] };
+        QuerySpec::new(name, sigma0_joined(r, s, t, 0, sr_key), window.clone())
+    };
+    check(&by_join, &[0, 1, 0, 1], 2);
+    let by_window = |name: &str, th: i64| {
+        let window = WindowPolicy::Count(16 + th as u64);
+        QuerySpec::new(name, sigma0_variant(r, s, t, 0), window)
+    };
+    check(&by_window, &[0, 1, 0], 2);
 }
