@@ -224,7 +224,11 @@ impl EnumStructure {
     /// are dropped, so only live nodes are retained. `O(log(k·w))` copies
     /// per call.
     pub fn union(&mut self, n1: NodeId, n2: NodeId, window_lo: u64) -> NodeId {
-        self.meld(n1, n2, window_lo)
+        // Every node the meld pushes is a copy.
+        let before = self.nodes.len();
+        let melded = self.meld(n1, n2, window_lo);
+        self.copies += (self.nodes.len() - before) as u64;
+        melded
     }
 
     fn meld(&mut self, a: NodeId, b: NodeId, lo: u64) -> NodeId {
@@ -261,7 +265,6 @@ impl EnumStructure {
             (new_right, old_left)
         };
         // The copy shares its original's product list.
-        self.copies += 1;
         self.push(Node {
             rank: self.rank(uright) + 1,
             uleft,

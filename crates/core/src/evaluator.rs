@@ -256,23 +256,22 @@ impl StreamingEvaluator {
 
     /// Engine counters (a family's first variant's).
     pub fn stats(&self) -> EngineStats {
-        self.variant_stats().swap_remove(0)
+        self.variant_stat(0)
     }
 
-    /// Every variant's counters, in variant order: exactly what its
-    /// private evaluator would count.
-    pub(crate) fn variant_stats(&self) -> Vec<EngineStats> {
-        let entries = self.stage.index_entries();
-        let stats = |(c, index_entries): (&VariantCounts, usize)| EngineStats {
+    /// Variant `v`'s counters: exactly what its private evaluator would
+    /// count.
+    pub(crate) fn variant_stat(&self, v: usize) -> EngineStats {
+        let c = &self.counts[v];
+        EngineStats {
             positions: self.positions,
             arena_nodes: c.arena(),
-            index_entries,
+            index_entries: self.stage.index_entries(v),
             extends: c.extends,
             unions: c.unions,
             collections: self.collections,
             ts_regressions: self.clock.ts_regressions(),
-        };
-        self.counts.iter().zip(entries).map(stats).collect()
+        }
     }
 
     /// Out-of-order timestamps the window clock clamped (every

@@ -67,10 +67,8 @@
 //! then happen once per family, an `extend` once per distinct tuple of
 //! gathered roots, and a `union` once per distinct `(root, node)` pair
 //! at an entry; [`VariantCounts`] keeps what each variant's private
-//! evaluator would count. Where only one variant is in play — a family
-//! of one, or a tuple only one variant's predicate accepted — firing
-//! and melding take the private evaluator's straight path, without the
-//! grouping.
+//! evaluator would count. A family of one takes the same loops: one
+//! group, one `extend`, one `union` per entry.
 //!
 //! [`KeyExtractor::project`]: cer_automata::predicate::KeyExtractor::project
 //!
@@ -82,7 +80,7 @@
 use crate::ds::{EnumStructure, NodeId, Reach, BOTTOM};
 use crate::htable::HTable;
 use crate::shared::PredicateCache;
-use cer_automata::pcea::{Pcea, Transition};
+use cer_automata::pcea::Pcea;
 use cer_automata::predicate::{EqPredicate, Key, UnaryPredicate};
 use cer_common::Tuple;
 
@@ -217,20 +215,16 @@ impl FireStage {
         }
     }
 
-    /// Each variant's entries in `H`: its non-`⊥` roots (all of them,
-    /// in a family of one).
-    pub(crate) fn index_entries(&self) -> Vec<usize> {
-        let width = self.h.width();
-        if width == 1 {
-            return vec![self.h.len()];
+    /// Variant `v`'s entries in `H`: its non-`⊥` roots (every entry, in
+    /// a family of one).
+    pub(crate) fn index_entries(&self, v: usize) -> usize {
+        if self.h.width() == 1 {
+            return self.h.len();
         }
-        let mut held = vec![0; width];
-        for (_, _, _, at) in self.h.iter() {
-            for (v, n) in held.iter_mut().enumerate() {
-                *n += usize::from(!self.h.root(at, v).is_bottom());
-            }
-        }
-        held
+        let h = &self.h;
+        h.iter()
+            .filter(|&(.., at)| !h.root(at, v).is_bottom())
+            .count()
     }
 
     /// The keys of `H` as `(transition, slot, join key)` (tests check
@@ -463,25 +457,10 @@ impl FireStage {
                     }
                     _ => all,
                 };
-                if alive & alive.wrapping_sub(1) == 0 {
-                    // One variant — a family of one, or the only variant
-                    // whose predicate accepted: gather while probing, as
-                    // its private evaluator does.
-                    let v = alive.trailing_zeros() as usize;
-                    self.gather.clear();
-                    for (slot, b) in tr.binary.iter().enumerate() {
-                        let root = self.probe(e_idx, slot, b, t).map(|at| self.h.root(at, v));
-                        match root {
-                            Some(root) if !root.is_bottom() && ds.max_start(root) >= lo => {
-                                self.gather.push(root)
-                            }
-                            _ => continue 'fire,
-                        }
-                    }
-                    self.extend_for(tr, ds, i, alive, counts);
-                    continue;
-                }
                 self.probed.clear();
+                self.gather.clear();
+                // The lowest variant in play, whose roots `gather` holds.
+                let mut lead = alive.trailing_zeros() as usize;
                 for (slot, b) in tr.binary.iter().enumerate() {
                     let Some(at) = self.probe(e_idx, slot, b, t) else {
                         continue 'fire;
@@ -492,24 +471,44 @@ impl FireStage {
                             alive &= !(1 << v);
                         }
                     }
+                    if alive == 0 {
+                        continue 'fire;
+                    }
                     self.probed.push(at);
+                    self.gather.push(self.h.root(at, lead));
                 }
-                // One extend per distinct tuple of gathered roots.
-                while alive != 0 {
-                    let first = alive.trailing_zeros() as usize;
-                    let h = &self.h;
-                    self.gather.clear();
-                    self.gather
-                        .extend(self.probed.iter().map(|&at| h.root(at, first)));
-                    let mut group = 0;
-                    for v in variants(alive) {
+                // One extend per distinct tuple of gathered roots: the
+                // lowest variant left leads a group (re-gathering when
+                // the probe's lead has gone), and every other one
+                // holding the same roots joins it.
+                loop {
+                    if alive & 1 << lead == 0 {
+                        lead = alive.trailing_zeros() as usize;
+                        let h = &self.h;
+                        self.gather.clear();
+                        self.gather
+                            .extend(self.probed.iter().map(|&at| h.root(at, lead)));
+                    }
+                    let mut group = 1 << lead;
+                    for v in variants(alive & !group) {
                         let mut same = self.probed.iter().zip(&self.gather);
-                        if same.all(|(&at, &g)| h.root(at, v) == g) {
+                        if same.all(|(&at, &g)| self.h.root(at, v) == g) {
                             group |= 1 << v;
                         }
                     }
+                    let node = ds.extend(tr.labels, i, &self.gather);
+                    for v in variants(group) {
+                        counts[v].extends += 1;
+                    }
+                    let q = tr.target.index();
+                    if self.n_state[q].is_empty() {
+                        self.touched.push(q as u32);
+                    }
+                    self.n_state[q].push((node, group));
                     alive &= !group;
-                    self.extend_for(tr, ds, i, group, counts);
+                    if alive == 0 {
+                        break;
+                    }
                 }
             }
         }
@@ -521,27 +520,6 @@ impl FireStage {
         let key = b.right.project(t)?;
         let key = key.iter().map(|&p| t.get(p));
         self.h.find(e_idx as u32, slot as u32, key)
-    }
-
-    /// `extend` the gathered runs with the tuple at `i` into a node at
-    /// `tr`'s target, built for the variants in `group`.
-    fn extend_for(
-        &mut self,
-        tr: &Transition,
-        ds: &mut EnumStructure,
-        i: u64,
-        group: u64,
-        counts: &mut [VariantCounts],
-    ) {
-        let node = ds.extend(tr.labels, i, &self.gather);
-        for v in variants(group) {
-            counts[v].extends += 1;
-        }
-        let q = tr.target.index();
-        if self.n_state[q].is_empty() {
-            self.touched.push(q as u32);
-        }
-        self.n_state[q].push((node, group));
     }
 
     /// UpdateIndices: make this position's runs visible to future tuples
@@ -571,19 +549,11 @@ impl FireStage {
                 // written back into the entry found (or just interned).
                 let at = self.h.entry(e_idx as u32, slot as u32, key);
                 for &(node, mask) in created {
-                    if mask & (mask - 1) == 0 {
-                        // One variant: meld as its private evaluator does.
-                        let v = mask.trailing_zeros() as usize;
-                        meld(self.h.root_mut(at, v), node, ds, lo, &mut counts[v]);
-                        continue;
-                    }
                     self.melds.clear();
                     for v in variants(mask) {
                         let root = self.h.root_mut(at, v);
-                        let done = self
-                            .melds
-                            .iter()
-                            .find(|m| !root.is_bottom() && m.0 == *root);
+                        // A `⊥` root is never melded: it becomes the node.
+                        let done = self.melds.iter().find(|m| m.0 == *root);
                         match done {
                             Some(&(_, melded, copies)) => {
                                 *root = melded;
@@ -827,7 +797,7 @@ mod tests {
     #[test]
     fn decode_checks_every_entry_against_the_automaton() {
         let stage = decode(&table_bytes(&GOOD)).expect("a well-formed table");
-        assert_eq!(stage.index_entries(), [GOOD.len()]);
+        assert_eq!(stage.index_entries(0), GOOD.len());
         let mut w = WireWriter::new();
         stage.encode(&mut w).unwrap();
         let mut sorted = GOOD;
@@ -852,7 +822,7 @@ mod tests {
         ] {
             let mut entries = GOOD.to_vec();
             entries.push(bad);
-            let got = decode(&table_bytes(&entries)).map(|stage| stage.index_entries()[0]);
+            let got = decode(&table_bytes(&entries)).map(|stage| stage.index_entries(0));
             assert_eq!(got, Err(WireError::Corrupt(why)), "{bad:?}");
         }
     }
@@ -867,7 +837,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for mutated in cer_common::wire::hostile_mutations(&bytes) {
             match decode(&mutated) {
-                Ok(stage) => assert!(stage.index_entries()[0] <= GOOD.len()),
+                Ok(stage) => assert!(stage.index_entries(0) <= GOOD.len()),
                 Err(WireError::Corrupt(why)) => {
                     seen.insert(why);
                 }

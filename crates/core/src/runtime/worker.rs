@@ -403,7 +403,7 @@ impl ShardHost {
     /// variant's last member, the evaluator with its last variant.
     pub fn evict(&mut self, id: QueryId) -> Option<EngineStats> {
         let (f, v) = self.leave(id)?;
-        let stats = self.families[f].eval.variant_stats()[v];
+        let stats = self.families[f].eval.variant_stat(v);
         if self.families[f].members.is_empty() {
             self.families.remove(f);
         } else {
@@ -498,7 +498,9 @@ impl ShardHost {
     /// exactly what its private evaluator would count.
     pub fn stats(&self) -> (Vec<(QueryId, EngineStats)>, SharedEvalStats) {
         let per_query = self.families.iter().flat_map(|f| {
-            let stats = f.eval.variant_stats();
+            let stats: Vec<_> = (0..f.eval.variants())
+                .map(|v| f.eval.variant_stat(v))
+                .collect();
             f.members.iter().map(move |&(id, v)| (id, stats[v]))
         });
         let group_size = |g: &QueryGroup| {
