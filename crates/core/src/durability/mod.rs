@@ -58,7 +58,16 @@
 //!
 //! A record is durable once its segment has been `fsync`ed — the
 //! [`FsyncPolicy`] trades ingest latency against the tail of records
-//! a crash may lose. Matches delivered to subscribers are *not*
+//! a crash may lose. A clean stop checkpoints:
+//! [`Runtime::shutdown`](crate::runtime::Runtime::shutdown) writes a
+//! *shutdown checkpoint* when the stream moved past the last one and
+//! the WAL is healthy, so a restart after it restores that checkpoint
+//! and replays no record, whatever the uptime — live state is bounded
+//! by the window, not by the log. Registrations after the last moved
+//! position are left to the WAL, and dropping the runtime is a crash:
+//! recovery from it replays the suffix as always. The WAL segment a
+//! shutdown checkpoint seals stays on disk until the next checkpoint,
+//! and recovery skips such covered segments unread. Matches delivered to subscribers are *not*
 //! journaled: recovery reproduces the runtime's state (and re-derives
 //! any matches the replayed suffix completes), but push deliveries
 //! that happened before the crash are gone with their sockets.

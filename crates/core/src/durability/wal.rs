@@ -445,6 +445,9 @@ pub(crate) struct WalReplay {
 
 /// Scan `dir`'s segments in `wal_seq` order, truncating torn tails in
 /// place, and feed every intact record with `seq >= from_seq` to `f`.
+/// A segment whose successor starts at or below `from_seq` holds only
+/// records the checkpoint covers, and is skipped unread — the one a
+/// shutdown checkpoint sealed, say.
 ///
 /// Contiguity is enforced: record sequences must increase by exactly 1
 /// across frames *and* segment boundaries; a gap means a segment was
@@ -475,7 +478,16 @@ pub(crate) fn replay_dir(
     names.sort_by_key(|(seq, _)| *seq);
 
     let mut cursor: Option<u64> = None;
-    for (name_seq, path) in names {
+    let firsts: Vec<u64> = names.iter().map(|(seq, _)| *seq).collect();
+    for (i, (name_seq, path)) in names.into_iter().enumerate() {
+        if let Some(&end_seq) = firsts.get(i + 1).filter(|&&next| next <= from_seq) {
+            outcome.segments.push(SegmentInfo {
+                first_seq: name_seq,
+                end_seq,
+                path,
+            });
+            continue;
+        }
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -763,6 +775,37 @@ mod tests {
         drop(wal);
         let (seqs, _) = collect(&dir, 3);
         assert_eq!(seqs, vec![3, 4]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment the checkpoint covers whole — its successor starts at
+    /// or below the checkpoint's high-water — is not read: damage there
+    /// cannot fail recovery, and truncation still finds it afterwards.
+    #[test]
+    fn segments_below_the_checkpoint_are_skipped_unread() {
+        let dir = tmp("covered");
+        let wal = Wal::new(dir.clone(), &DurabilityConfig::new());
+        wal.resume(0, Vec::new()).unwrap();
+        for seq in 0..3u64 {
+            wal.append(&batch(seq, seq, &tuples(1))).unwrap();
+        }
+        wal.roll_at(3);
+        wal.append(&batch(3, 3, &tuples(1))).unwrap();
+        drop(wal);
+        let covered = segment_path(&dir, 0);
+        let mut bytes = std::fs::read(&covered).unwrap();
+        bytes[0] ^= 0xff;
+        std::fs::write(&covered, &bytes).unwrap();
+        let (seqs, outcome) = collect(&dir, 3);
+        assert_eq!(seqs, vec![3]);
+        assert_eq!(outcome.next_seq, 4);
+        assert_eq!(outcome.segments[0].path, covered);
+        assert_eq!(outcome.segments[0].end_seq, 3);
+        // Below the successor's start, the segment is read as before.
+        assert!(matches!(
+            replay_dir(&dir, 2, &mut |_| Ok(())),
+            Err(Error::WalCorrupt(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -41,6 +41,7 @@
 //! | A remote tuple of an unknown relation or the wrong arity | the server's `validate_tuple`, before stamping | `unknown_relation` (3), `arity_mismatch` (2) | — | everything; the batch is refused whole | the same |
 //! | Query text a front-end rejects | `cer_cq` / `cer_lang`, in the server | `parse` (50), `compile` (51) | — | everything | the same |
 //! | Protocol misuse (a second subscribe, an unsubscribe without one) | the server's request handler | `protocol` (60) | — | the connection | the same |
+//! | A subscriber that stops reading while the server stops | `Server::stop`, which shuts the socket of every live connection | — | — | nothing, by design: the pusher's blocked write fails and the stop completes | `net_serving::stop_returns_with_a_subscriber_that_never_reads` |
 //! | Hostile bytes in a protocol frame | `decode_message` | `wire_truncated` (11), `wire_corrupt` (12), `wire_unsupported` (10) | — | the connection; an over-cap length prefix closes it | `net_serving::garbage_frames_get_wire_errors_and_framing_violations_close`, `hostile_bytes::mutated_requests_are_rejected_or_reencode` |
 //! | A `ByKey` placement whose joins do not project the key | `register`, `replace`; `restore` | `key_partition_unsound` (20); `bad_definition` (43) | — | everything; nothing is registered | `crates/core/src/runtime/mod.rs::unsound_key_partition_rejected` |
 //! | An unknown or retired query id | `deregister`, `replace`, a subscribe over the wire | `unknown_query` (21) | — | everything | `checkpoint_restore::restore_preserves_ids_across_deregistration` |
@@ -54,6 +55,7 @@
 //! | A shard worker panics | its closed queue, or its dropped fence reply | `shard_worker_died` (42) to fences; `runtime_closed` (30) to producers | — | nothing: `Runtime::{push_batch, drain, stats}` panic in `alive()`; the runtime must be dropped. A `deregister` or `replace` it fails is still committed — stamped, routed, logged and in the registry — so a repeat `deregister` answers `unknown_query` | `crates/core/src/runtime/mod.rs::a_dead_shard_worker_fails_its_callers_instead_of_parking_them`, `crates/core/src/runtime/mod.rs::a_dead_shard_worker_leaves_the_registry_in_step_with_the_log` |
 //! | A WAL append fails under a live runtime (directory gone, disk full, I/O error) | `Wal::append`, on the pushing or registering thread | none to the producer: its block is already stamped | `WalFailed { code }`, `wal_io` (71) for the disk | everything, from memory: the log poisons itself, `durability_status().healthy` turns `false`, and nothing after the failure is durable | `durability::live_wal_failure_fails_open` |
 //! | A checkpoint write fails | `CheckpointStore::write` | `wal_io` (71) | `SnapshotTaken`, then `CheckpointFailed { code }` | everything; the previous manifest stays the recovery point | `durability::live_wal_failure_fails_open` |
+//! | The shutdown checkpoint fails | `CheckpointStore::write`, inside `Runtime::shutdown` | `wal_io` (71), journaled only: `shutdown` returns its stats | `CheckpointFailed { code }` | `shutdown` completes; the WAL stays the recovery point, seen as `replayed > 0` on the next open | `durability::a_failed_shutdown_checkpoint_leaves_the_wal_the_recovery_point` |
 //! | A record torn by a crash mid-write | `recover`, by the frame CRC | — (the tail is truncated) | `WalTornTail` | the recovered runtime, up to the last whole record | `durability::crash_recovery_differential`, `crates/core/src/durability/wal.rs::torn_tail_is_truncated_and_survivors_replay` |
 //! | A damaged segment header, checkpoint or manifest | `recover`, `open_durable` | `wal_corrupt` (70), or `wire_*` from a checkpoint payload | — | nothing is built | `durability::recovery_rejects_corruption_with_stable_errors`, `crates/core/src/durability/store.rs::mutated_manifests_are_rejected_or_reread` |
 //! | A hole in the record sequence, or a replay that diverges from the log | `recover`, `open_durable` | `recover_mismatch` (73) | — | nothing is built | `durability::recovery_rejects_corruption_with_stable_errors` |

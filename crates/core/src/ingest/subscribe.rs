@@ -39,9 +39,10 @@
 //!
 //! Subscriptions filter per query ([`SubscriptionFilter::Query`]) or
 //! receive everything ([`SubscriptionFilter::All`]). Dropping a
-//! [`Subscription`] closes its queue; publishers skip closed queues and
-//! the registry prunes them on the next subscribe. Runtime shutdown
-//! closes every channel from the other side
+//! [`Subscription`], or [`Subscription::close`], closes its queue: a
+//! consumer's untimed wait (`Duration::MAX`) then returns, publishers
+//! skip the queue, and the registry prunes it on the next subscribe.
+//! Runtime shutdown closes every channel from the other side
 //! ([`SubscriptionRegistry::close_all`]) — waking publishers parked on
 //! full `Block` channels so the shard workers can exit — while events
 //! already queued stay readable by the consumer.
@@ -320,23 +321,28 @@ impl SubQueue {
         }
     }
 
-    /// Consumer side: lock the queue, first waiting until `deadline`
-    /// (none: not at all) for it to hold an event or be closed. A closed
-    /// empty channel can never fill again (the runtime shut down), so
-    /// the wait ends early instead of sleeping out the deadline.
-    fn lock_when_ready(&self, deadline: Option<Instant>) -> MutexGuard<'_, SubInner> {
+    /// Consumer side: lock the queue, first waiting up to `timeout` for
+    /// it to hold an event or be closed. A timeout too long to be a
+    /// deadline (`Duration::MAX`) waits without one. A closed empty
+    /// channel can never fill again, so the wait ends early instead of
+    /// sleeping out the timeout.
+    fn lock_when_ready(&self, timeout: Duration) -> MutexGuard<'_, SubInner> {
         let mut inner = self.lock();
+        if inner.len > 0 || timeout.is_zero() {
+            return inner;
+        }
+        let deadline = Instant::now().checked_add(timeout);
         while inner.len == 0 && !self.is_closed() {
             let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            let Some(left) = left.filter(|l| !l.is_zero()) else {
+            if left.is_some_and(|l| l.is_zero()) {
                 break;
-            };
+            }
             inner.parked_consumers += 1;
-            inner = self
-                .not_empty
-                .wait_timeout(inner, left)
-                .expect("subscription queue poisoned")
-                .0;
+            let poisoned = "subscription queue poisoned";
+            inner = match left {
+                Some(left) => self.not_empty.wait_timeout(inner, left).expect(poisoned).0,
+                None => self.not_empty.wait(inner).expect(poisoned),
+            };
             inner.parked_consumers -= 1;
         }
         inner
@@ -457,17 +463,17 @@ pub struct Subscription {
 impl Subscription {
     /// Take one event if one is queued.
     pub fn try_recv(&self) -> Option<MatchEvent> {
-        self.recv_one(None)
+        self.recv_one(Duration::ZERO)
     }
 
     /// Wait up to `timeout` for one event. Returns `None` early on a
     /// closed, empty channel.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<MatchEvent> {
-        self.recv_one(Some(Instant::now() + timeout))
+        self.recv_one(timeout)
     }
 
-    fn recv_one(&self, deadline: Option<Instant>) -> Option<MatchEvent> {
-        let mut inner = self.queue.lock_when_ready(deadline);
+    fn recv_one(&self, timeout: Duration) -> Option<MatchEvent> {
+        let mut inner = self.queue.lock_when_ready(timeout);
         let front = inner.chunks.front()?;
         let ev = front.event(inner.taken);
         let done = inner.taken + 1 == front.len();
@@ -488,32 +494,33 @@ impl Subscription {
     /// counterpart of chunked publishing: under load one call takes a
     /// whole backlog, at rest it returns single events as they arrive.
     pub fn recv_all(&self, timeout: Duration, out: &mut Vec<MatchEvent>) -> usize {
-        self.take_events(Some(Instant::now() + timeout), out)
+        self.take_events(timeout, out)
     }
 
     /// [`recv_all`](Self::recv_all) without building a match: moves the
     /// queued chunks themselves onto the end of `out`, in order, and
     /// returns how many events they hold. What a consumer that only
-    /// reads the matches — an encoder — takes.
+    /// reads the matches — an encoder — takes. `Duration::MAX` waits
+    /// with no deadline, until an event arrives or the channel closes.
     pub fn recv_chunks(&self, timeout: Duration, out: &mut Vec<MatchChunk>) -> usize {
-        self.take_all(Some(Instant::now() + timeout), |chunk| out.push(chunk))
+        self.take_all(timeout, |chunk| out.push(chunk))
     }
 
     /// Take everything currently queued, without waiting.
     pub fn drain(&self) -> Vec<MatchEvent> {
         let mut out = Vec::new();
-        self.take_events(None, &mut out);
+        self.take_events(Duration::ZERO, &mut out);
         out
     }
 
-    fn take_events(&self, deadline: Option<Instant>, out: &mut Vec<MatchEvent>) -> usize {
-        self.take_all(deadline, |chunk| {
+    fn take_events(&self, timeout: Duration, out: &mut Vec<MatchEvent>) -> usize {
+        self.take_all(timeout, |chunk| {
             out.extend((0..chunk.len()).map(|i| chunk.event(i)));
         })
     }
 
-    fn take_all(&self, deadline: Option<Instant>, mut each: impl FnMut(MatchChunk)) -> usize {
-        let mut inner = self.queue.lock_when_ready(deadline);
+    fn take_all(&self, timeout: Duration, mut each: impl FnMut(MatchChunk)) -> usize {
+        let mut inner = self.queue.lock_when_ready(timeout);
         let n = inner.len;
         if n > 0 {
             inner.take_chunks().for_each(&mut each);
@@ -541,6 +548,21 @@ impl Subscription {
     /// The subscription's filter.
     pub fn filter(&self) -> SubscriptionFilter {
         self.queue.filter
+    }
+
+    /// Close the channel, as dropping the subscription does, while
+    /// keeping the events already queued readable: publishers stop
+    /// delivering to it, and a receive waiting on it — another thread's
+    /// untimed [`recv_chunks`](Self::recv_chunks) too — returns as soon
+    /// as the queue is empty.
+    pub fn close(&self) {
+        self.queue.close();
+    }
+
+    /// Whether the channel was closed: by [`close`](Self::close), or by
+    /// the runtime's shutdown.
+    pub fn is_closed(&self) -> bool {
+        self.queue.is_closed()
     }
 }
 
@@ -769,6 +791,46 @@ mod tests {
         });
         // Appended after what `out` already held.
         assert_eq!(positions(&got), [99, 0, 1, 2, 3, 4]);
+    }
+
+    /// An untimed take (`Duration::MAX`, which is no deadline) sleeps
+    /// until a chunk arrives, and returns 0 once another thread closes
+    /// the channel — the events queued before the close stay readable.
+    #[test]
+    fn an_untimed_take_ends_on_a_chunk_or_a_close() {
+        let reg = SubscriptionRegistry::default();
+        let sub = reg.subscribe(SubscriptionFilter::All, 64, BackpressurePolicy::Block);
+        let wait_parked_consumer = || {
+            while sub.queue.lock().parked_consumers == 0 {
+                std::thread::yield_now();
+            }
+        };
+        let mut chunks = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                wait_parked_consumer();
+                reg.publish(&mut chunk(0, 0..3));
+            });
+            assert_eq!(sub.recv_chunks(Duration::MAX, &mut chunks), 3);
+        });
+        reg.publish(&mut chunk(0, 3..5));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(sub.recv_chunks(Duration::MAX, &mut chunks), 2);
+                assert_eq!(sub.recv_chunks(Duration::MAX, &mut chunks), 0);
+            });
+            while !sub.is_empty() {
+                std::thread::yield_now();
+            }
+            wait_parked_consumer();
+            assert!(!sub.is_closed());
+            sub.close();
+        });
+        assert!(sub.is_closed());
+        assert_eq!(positions(&events_of(&chunks)), [0, 1, 2, 3, 4]);
+        // A closed channel takes no more publishes.
+        reg.publish(&mut chunk(0, 5..6));
+        assert!(sub.is_empty());
     }
 
     /// A whole shard chunk into a `Block` channel far smaller than it:

@@ -711,14 +711,24 @@ impl Runtime {
     /// workers. Outstanding [`IngestHandle`]s observe
     /// [`Error::RuntimeClosed`] afterwards.
     ///
+    /// A durable runtime whose stream moved past its last checkpoint
+    /// writes a *shutdown checkpoint* after the drain, so that
+    /// [`open_durable`](Self::open_durable) after a clean stop restores
+    /// it and replays no WAL record. It is skipped when the WAL failed
+    /// (recovery then behaves as after a crash), and a checkpoint that
+    /// fails is journaled as [`PipelineEvent::CheckpointFailed`] while
+    /// `shutdown` still returns. Dropping the runtime instead is a
+    /// crash as far as the disk is concerned: nothing is checkpointed.
+    ///
     /// The initial drain is a lossless fence, so it shares `drain`'s
     /// caveat about full `Block` subscribers. Dropping the runtime
     /// *without* `shutdown` never hangs, even with a live, undrained
     /// `Block` subscription: `Drop` closes the subscriber channels along
     /// with the queues, waking any parked worker (in-flight, undelivered
     /// events are discarded — already-queued ones stay readable).
-    pub fn shutdown(self) -> RuntimeStats {
+    pub fn shutdown(mut self) -> RuntimeStats {
         self.drain();
+        self.shutdown_checkpoint();
         // `Drop` then closes the queues and joins the workers.
         self.stats()
     }

@@ -533,13 +533,41 @@ impl Runtime {
     /// the durability check is journaled as
     /// [`PipelineEvent::CheckpointFailed`] with its code.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, Error> {
+        self.write_checkpoint(true)
+    }
+
+    /// The checkpoint [`shutdown`](Self::shutdown) writes on a durable
+    /// runtime whose WAL is healthy, when the stream moved past the
+    /// last checkpoint (past 0 when there is none): after a clean stop,
+    /// [`open_durable`](Self::open_durable) restores it and replays
+    /// nothing. A suffix of registrations only is left to the WAL — it
+    /// replays in microseconds. The WAL segment the checkpoint seals is
+    /// kept until the next checkpoint (recovery skips it unread), so
+    /// the stopped run's log stays readable. A failure is journaled as
+    /// in [`checkpoint`](Self::checkpoint) and the WAL stays the
+    /// recovery point.
+    pub(super) fn shutdown_checkpoint(&mut self) {
+        let Some(handle) = &self.durability else {
+            return;
+        };
+        let last = handle.store.last_entry().map_or(0, |e| e.position);
+        if handle.wal.healthy() && self.next_position() > last {
+            let _ = self.write_checkpoint(false);
+        }
+    }
+
+    /// [`checkpoint`](Self::checkpoint), deleting the WAL segments it
+    /// covers when `truncate` is set.
+    fn write_checkpoint(&mut self, truncate: bool) -> Result<CheckpointStats, Error> {
         if self.durability.is_none() {
             return Err(Error::NotDurable);
         }
         let written = self.snapshot().and_then(|snap| {
             let handle = self.durability.as_mut().expect("durable checked above");
             let mut stats = handle.store.write(&snap)?;
-            stats.wal_segments_removed = handle.wal.truncate_below(snap.wal_seq);
+            if truncate {
+                stats.wal_segments_removed = handle.wal.truncate_below(snap.wal_seq);
+            }
             Ok(stats)
         });
         let stats = written.inspect_err(|e| {

@@ -6,11 +6,10 @@
 //! * one **accept thread** blocks on [`TcpListener::accept`] and spawns
 //!   a handler thread per connection;
 //! * each **connection thread** loops `read_frame → decode → handle →
-//!   reply`, with a short read timeout so it can observe the
-//!   server-wide shutdown flag between frames; a reply is one frame in
-//!   one write;
-//! * a connection that subscribes gets a **pusher thread** that takes
-//!   everything its [`Subscription`]
+//!   reply`, blocked in its read while the peer is quiet; a reply is
+//!   one frame in one write;
+//! * a connection that subscribes gets a **pusher thread** that sleeps
+//!   on its [`Subscription`] until events arrive, takes everything it
 //!   holds, encodes the [`Response::Event`] frames back to back into
 //!   one reused buffer and writes it — so a backlog leaves as a few
 //!   large writes, while an idle connection still sends every event the
@@ -26,10 +25,17 @@
 //!   a cloned lock-free [`IngestHandle`], so concurrent producers never
 //!   serialize on the control-plane lock.
 //!
-//! Graceful shutdown ([`Request::Shutdown`] or [`Server::stop`]) sets a
-//! flag, wakes the accept loop with a self-connection, joins every
-//! connection (their read timeouts bound the latency), and finally
-//! shuts the runtime down, returning its final [`RuntimeStats`].
+//! Nothing polls. Graceful shutdown ([`Request::Shutdown`], once its
+//! reply is written, or [`Server::stop`]) raises a flag and signals it
+//! on a condvar, which wakes the autoscaler and
+//! [`Server::run_until_shutdown`]; a self-connection wakes the accept
+//! loop, which keeps a clone of every live connection's socket and
+//! shuts them all down. That ends a handler's blocking read and a
+//! pusher's blocked write, even to a peer that stopped reading; each
+//! handler then closes its subscription, which wakes its pusher. So
+//! stop shuts their sockets, joins every connection, and finally shuts
+//! the runtime down — a durable one writes its shutdown checkpoint —
+//! returning its final [`RuntimeStats`].
 //!
 //! Every failure a request can hit — schema conflicts, parse/compile
 //! rejections, unknown queries, wire corruption — maps through
@@ -47,10 +53,10 @@ use cer_core::ingest::{IngestHandle, Subscription, SubscriptionFilter};
 use cer_core::runtime::{QuerySpec, Runtime, RuntimeStats};
 use cer_core::{AutoscalePolicy, Controller, Error, RuntimeConfig};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -65,10 +71,6 @@ pub struct ServeConfig {
     /// Subscription channel capacity used when a
     /// [`Request::Subscribe`] asks for capacity 0 ("server default").
     pub default_sub_capacity: usize,
-    /// Socket read timeout: how often idle connection (and pusher)
-    /// threads wake to observe the shutdown flag. Bounds shutdown
-    /// latency, not request latency.
-    pub poll_interval: Duration,
     /// Hysteresis policy for the autoscale controller (the loop itself
     /// starts paused; [`Request::SetAutoscale`] turns it on).
     pub autoscale: AutoscalePolicy,
@@ -90,7 +92,6 @@ impl Default for ServeConfig {
             runtime: RuntimeConfig::default(),
             max_frame: DEFAULT_MAX_FRAME,
             default_sub_capacity: 1 << 16,
-            poll_interval: Duration::from_millis(50),
             autoscale: AutoscalePolicy::default(),
             autoscale_interval: Duration::from_millis(100),
             data_dir: None,
@@ -121,7 +122,10 @@ struct Shared {
     schema: Mutex<Schema>,
     /// Cloned once at bind: ingest never touches the `runtime` mutex.
     ingest: IngestHandle,
-    shutdown: AtomicBool,
+    /// Up once a stop was asked for, locally or by a client; `stop`
+    /// is signalled when it goes up.
+    stopping: Mutex<bool>,
+    stop: Condvar,
     /// Whether the autoscale control loop is running. The controller
     /// thread exists for the server's whole life and idles while this
     /// is false.
@@ -148,6 +152,42 @@ impl Shared {
     /// Take the runtime out for shutdown (`None` the second time).
     fn take_runtime(&self) -> Option<Runtime> {
         self.runtime.lock().expect("runtime mutex poisoned").take()
+    }
+
+    /// The stop flag's lock. A lone `bool` is valid whatever a panicking
+    /// holder did, so a poisoned lock is taken as it is: `Server::drop`
+    /// raises the flag too, and must not panic.
+    fn stopping(&self) -> MutexGuard<'_, bool> {
+        self.stopping.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn is_stopping(&self) -> bool {
+        *self.stopping()
+    }
+
+    /// Raise the stop flag, wake every thread waiting on it, and wake
+    /// the blocking accept with a throwaway connection.
+    fn request_stop(&self) {
+        *self.stopping() = true;
+        self.stop.notify_all();
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    /// Wait for a stop, at most `timeout` (`None`: however long it
+    /// takes); whether one was asked for.
+    fn wait_stop(&self, timeout: Option<Duration>) -> bool {
+        let stopping = self.stopping();
+        let stopping = match timeout {
+            Some(timeout) => {
+                let waited = self.stop.wait_timeout_while(stopping, timeout, |up| !*up);
+                waited.unwrap_or_else(PoisonError::into_inner).0
+            }
+            None => self
+                .stop
+                .wait_while(stopping, |up| !*up)
+                .unwrap_or_else(PoisonError::into_inner),
+        };
+        *stopping
     }
 }
 
@@ -177,7 +217,8 @@ impl Server {
             runtime: Mutex::new(Some(runtime)),
             schema: Mutex::new(Schema::new()),
             ingest,
-            shutdown: AtomicBool::new(false),
+            stopping: Mutex::new(false),
+            stop: Condvar::new(),
             autoscale_on: AtomicBool::new(false),
             controller: Mutex::new(Controller::new(config.autoscale)),
             config,
@@ -205,21 +246,20 @@ impl Server {
 
     /// Whether a shutdown has been requested (locally or by a client).
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.is_stopping()
     }
 
-    /// Park until some client sends [`Request::Shutdown`] (or another
-    /// thread calls for shutdown), then stop and return the runtime's
-    /// final stats.
+    /// Park until some client's [`Request::Shutdown`] has been answered,
+    /// then stop and return the runtime's final stats.
     pub fn run_until_shutdown(self) -> RuntimeStats {
-        while !self.is_shutting_down() {
-            thread::sleep(self.shared.config.poll_interval);
-        }
+        self.shared.wait_stop(None);
         self.stop()
     }
 
-    /// Graceful shutdown: close the listener and every connection, then
-    /// drain and stop the runtime, returning its final stats.
+    /// Graceful shutdown: close the listener and shut every
+    /// connection's socket, join their threads, then drain and stop the
+    /// runtime — a durable one writes its shutdown checkpoint — and
+    /// return its final stats.
     pub fn stop(mut self) -> RuntimeStats {
         let conns = self.begin_stop();
         for c in conns {
@@ -229,15 +269,14 @@ impl Server {
         runtime.expect("server stopped twice").shutdown()
     }
 
-    /// Raise the flag, wake the accept loop, and join it, returning the
+    /// Raise the flag, join the autoscaler and the accept loop (which
+    /// shuts every connection's socket on its way out), returning the
     /// live connection handles.
     fn begin_stop(&mut self) -> Vec<JoinHandle<()>> {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.request_stop();
         if let Some(h) = self.autoscaler.take() {
             let _ = h.join();
         }
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.shared.addr);
         match self.accept.take() {
             Some(h) => h.join().unwrap_or_default(),
             None => Vec::new(),
@@ -260,53 +299,43 @@ impl Drop for Server {
     }
 }
 
+/// Accept connections until a stop, each on its own handler thread.
+/// The loop keeps a clone of every live connection's socket; on the way
+/// out it shuts them all down, so no handler or pusher outlives the
+/// stop blocked on a quiet or stalled peer.
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) -> Vec<JoinHandle<()>> {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let conn_shared = shared.clone();
-                if let Ok(handle) = thread::Builder::new()
-                    .name("cer-serve-conn".into())
-                    .spawn(move || handle_connection(conn_shared, stream))
-                {
-                    conns.push(handle);
-                }
-                // Opportunistically reap finished connections so a
-                // long-lived server does not accumulate dead handles.
-                conns.retain(|h| !h.is_finished());
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
+    let mut conns: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    for stream in listener.incoming() {
+        if shared.is_stopping() {
+            break;
         }
+        let Ok((stream, socket)) = stream.and_then(|s| Ok((s.try_clone()?, s))) else {
+            continue;
+        };
+        let conn_shared = shared.clone();
+        if let Ok(handle) = thread::Builder::new()
+            .name("cer-serve-conn".into())
+            .spawn(move || handle_connection(conn_shared, stream))
+        {
+            conns.push((handle, socket));
+        }
+        // Opportunistically reap finished connections so a long-lived
+        // server does not accumulate dead handles and sockets.
+        conns.retain(|(h, _)| !h.is_finished());
     }
-    conns
+    for (_, socket) in &conns {
+        let _ = socket.shutdown(Shutdown::Both);
+    }
+    conns.into_iter().map(|(h, _)| h).collect()
 }
 
-/// The autoscale control loop: one tick per `autoscale_interval`,
-/// sleeping in `poll_interval` slices so shutdown never waits out a
-/// long interval. Each tick (while enabled) feeds current load signals
-/// through the shared [`Controller`] and rescales on a confirmed
-/// streak; a failed rescale leaves the flag up and retries next tick.
+/// The autoscale control loop: one tick per `autoscale_interval`, in a
+/// wait a stop cuts short. Each tick (while enabled) feeds current load
+/// signals through the shared [`Controller`] and rescales on a
+/// confirmed streak; a failed rescale leaves the flag up and retries
+/// next tick.
 fn autoscale_loop(shared: Arc<Shared>) {
-    let slice = shared
-        .config
-        .poll_interval
-        .min(shared.config.autoscale_interval);
-    let mut slept = Duration::ZERO;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        thread::sleep(slice);
-        slept += slice;
-        if slept < shared.config.autoscale_interval {
-            continue;
-        }
-        slept = Duration::ZERO;
+    while !shared.wait_stop(Some(shared.config.autoscale_interval)) {
         if !shared.autoscale_on.load(Ordering::SeqCst) {
             continue;
         }
@@ -378,9 +407,9 @@ impl<W: Write> ConnWriter<W> {
     }
 }
 
-/// The pusher thread's loop: wait for the subscription to hold events,
-/// take *all* of them — whole [`MatchChunk`](cer_core::MatchChunk)s,
-/// no match is ever built — encode them back to back as
+/// The pusher thread's loop: sleep on the subscription, with no
+/// deadline, until it holds events, take *all* of them — whole
+/// [`MatchChunk`](cer_core::MatchChunk)s, no match is ever built — encode them back to back as
 /// [`Response::Event`] frames straight from the chunks' words into one
 /// reused buffer, and write that buffer whenever it reaches
 /// [`PUSH_BUF_BYTES`] and when the taken events run out. An idle
@@ -388,23 +417,24 @@ impl<W: Write> ConnWriter<W> {
 /// frame per write, and frames coalesce only while the socket is the
 /// slower side — there is no timer and nothing to tune. The byte stream
 /// is the same either way: the events' frames in channel order.
-fn push_events<W: Write>(
-    sub: &Subscription,
-    writer: &ConnWriter<W>,
-    tick: Duration,
-    stopped: impl Fn() -> bool,
-) {
+///
+/// Returns once the subscription is closed — at the next buffer
+/// boundary, or at once when it is idle — or when a write fails.
+fn push_events<W: Write>(sub: &Subscription, writer: &ConnWriter<W>) {
     let mut chunks = Vec::new();
     let mut frames = Vec::new();
-    while !stopped() {
-        let mut left = sub.recv_chunks(tick, &mut chunks);
+    loop {
+        let mut left = sub.recv_chunks(Duration::MAX, &mut chunks);
+        if left == 0 {
+            return; // closed and empty
+        }
         for (position, query, valuation) in chunks.iter().flat_map(|chunk| chunk.iter()) {
             left -= 1;
             if encode_event_frame(&mut frames, position, query, valuation).is_err() {
                 return;
             }
             if frames.len() >= PUSH_BUF_BYTES || left == 0 {
-                if writer.push(&frames).is_err() || stopped() {
+                if writer.push(&frames).is_err() || sub.is_closed() {
                     return;
                 }
                 frames.clear();
@@ -414,24 +444,25 @@ fn push_events<W: Write>(
     }
 }
 
-/// The per-connection subscription: a stop flag shared with the pusher
-/// thread plus the pusher's handle.
+/// The per-connection subscription, shared with its pusher thread, and
+/// the pusher's handle.
 struct ActiveSubscription {
-    stop: Arc<AtomicBool>,
+    sub: Arc<Subscription>,
     pusher: JoinHandle<()>,
 }
 
 impl ActiveSubscription {
+    /// Close the subscription, which wakes the pusher, and join it.
     fn stop(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.sub.close();
         let _ = self.pusher.join();
     }
 }
 
 fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
     let Ok(write_half) = stream.try_clone() else {
+        let _ = stream.shutdown(Shutdown::Both);
         return;
     };
     let writer = Arc::new(ConnWriter::new(write_half));
@@ -439,22 +470,10 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     let mut subscription: Option<ActiveSubscription> = None;
 
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
         let payload = match read_frame(&mut read_half, shared.config.max_frame) {
             Ok(Some(payload)) => payload,
-            Ok(None) => break, // peer closed
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue;
-            }
+            Ok(None) => break, // peer closed, or the server shut the socket
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break, // corrupt framing or dead socket
         };
         let response = match decode_message::<Request>(&payload) {
@@ -462,13 +481,23 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
             Ok(request) => handle_request(&shared, &writer, &mut subscription, request)
                 .unwrap_or_else(|e| error_response(&e)),
         };
-        if send(&writer, &response).is_err() {
+        let sent = send(&writer, &response);
+        // The stop goes out only once the answer is written (or cannot
+        // be): a client never sees its connection shut first.
+        if matches!(response, Response::ShuttingDown) {
+            shared.request_stop();
+            break;
+        }
+        if sent.is_err() {
             break;
         }
     }
     if let Some(sub) = subscription.take() {
         sub.stop();
     }
+    // The accept loop still holds a clone of this socket: shut it, so
+    // the peer sees the close now.
+    let _ = read_half.shutdown(Shutdown::Both);
 }
 
 fn error_response(e: &Error) -> Response {
@@ -561,25 +590,13 @@ fn handle_request(
                 };
                 Ok(runtime.subscribe_with(filter, capacity, policy))
             })?;
-            let stop = Arc::new(AtomicBool::new(false));
-            let pusher_stop = stop.clone();
-            let pusher_shared = shared.clone();
-            let pusher_writer = writer.clone();
+            let sub = Arc::new(sub);
+            let (pusher_sub, pusher_writer) = (sub.clone(), writer.clone());
             let pusher = thread::Builder::new()
                 .name("cer-serve-push".into())
-                .spawn(move || {
-                    push_events(
-                        &sub,
-                        &pusher_writer,
-                        pusher_shared.config.poll_interval,
-                        || {
-                            pusher_stop.load(Ordering::SeqCst)
-                                || pusher_shared.shutdown.load(Ordering::SeqCst)
-                        },
-                    )
-                })
+                .spawn(move || push_events(&pusher_sub, &pusher_writer))
                 .map_err(|e| Error::Protocol(format!("cannot spawn pusher thread: {e}")))?;
-            *subscription = Some(ActiveSubscription { stop, pusher });
+            *subscription = Some(ActiveSubscription { sub, pusher });
             Ok(Response::Subscribed)
         }
         Request::Unsubscribe => match subscription.take() {
@@ -615,13 +632,8 @@ fn handle_request(
             Ok(Response::Drained)
         }),
         Request::Ping => Ok(Response::Pong),
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the accept loop so `run_until_shutdown`/`stop` can
-            // join it promptly.
-            let _ = TcpStream::connect(shared.addr);
-            Ok(Response::ShuttingDown)
-        }
+        // The connection loop raises the stop after this reply is sent.
+        Request::Shutdown => Ok(Response::ShuttingDown),
         Request::Rescale { shards } => shared.with_runtime(|runtime| {
             let from = runtime.num_shards() as u64;
             runtime.rescale(shards)?;
@@ -781,8 +793,14 @@ mod tests {
                 let stream = writer.stream.lock().unwrap();
                 stream.writes.iter().map(Vec::len).sum()
             };
-            push_events(&sub, &writer, Duration::from_millis(1), || {
-                written() >= expected.len()
+            // Everything written, the pusher sleeps until the close.
+            thread::scope(|s| {
+                let pusher = s.spawn(|| push_events(&sub, &writer));
+                while written() < expected.len() {
+                    thread::yield_now();
+                }
+                sub.close();
+                pusher.join().unwrap();
             });
             let writes = &writer.stream.lock().unwrap().writes;
             assert_eq!(writes.concat(), expected, "side {side}");
@@ -843,7 +861,6 @@ mod tests {
         });
         let mut pong = Vec::new();
         encode_frame_into(&mut pong, &Response::Pong).unwrap();
-        let done = AtomicBool::new(false);
         let event_bytes_before_pong = thread::scope(|s| {
             // The peer reads to the end of the stream, so the pusher
             // never stalls on a full socket.
@@ -860,11 +877,7 @@ mod tests {
                 assert!(seen_pong);
                 before
             });
-            let pusher = s.spawn(|| {
-                push_events(&sub, &writer, Duration::from_millis(1), || {
-                    done.load(Ordering::SeqCst)
-                })
-            });
+            let pusher = s.spawn(|| push_events(&sub, &writer));
             // The pusher is inside its second write, holding the lock.
             has_entered.recv().unwrap();
             let replier = s.spawn(|| writer.reply(&pong).unwrap());
@@ -873,7 +886,7 @@ mod tests {
             }
             resume.send(()).unwrap();
             replier.join().unwrap();
-            done.store(true, Ordering::SeqCst);
+            sub.close();
             pusher.join().unwrap();
             let gated = writer.stream.lock().unwrap();
             gated.stream.shutdown(std::net::Shutdown::Write).unwrap();

@@ -11,6 +11,12 @@
 //! matches trigger at position 5, *after* the restart, off state that
 //! only survived through the disk.
 //!
+//! Then a clean leg: the recovered server ingests a little more and is
+//! stopped with `Request::Shutdown`, which writes a shutdown
+//! checkpoint. A third child on the same directory must stand on that
+//! checkpoint — its `last_checkpoint_position` is the stopped server's
+//! position — and acknowledge the next batch right there.
+//!
 //! ```sh
 //! cargo run --release --example durable_serving
 //! ```
@@ -133,11 +139,38 @@ fn main() {
     // A post-recovery checkpoint truncates the replayed log.
     let (position, ..) = client.checkpoint().expect("post-recovery checkpoint");
     assert_eq!(position, stream.len() as u64);
+
+    // ── Clean stop: the shutdown checkpoint covers the last batch ────
+    let (_, stopped_at, _) = client.ingest(stream[..3].to_vec()).expect("ingest past it");
+    assert_eq!(stopped_at, stream.len() as u64 + 3);
     client.shutdown_server().expect("shutdown handshake");
     let code = child.wait().expect("server exit");
     assert!(code.success(), "graceful shutdown after recovery");
+    drop(client);
+
+    // ── Generation 3: same dir, restored from the shutdown checkpoint
+    let (mut child, addr) = spawn_server(&dir);
+    let mut client = Client::connect(&addr).expect("reconnect");
+    let status = client.durability_status().expect("durability status");
+    assert_eq!(
+        status.last_checkpoint_position,
+        Some(stopped_at),
+        "the clean stop checkpointed where it stood"
+    );
+    assert!(status.healthy);
+    assert_eq!(client.declare_relation("T", 1).expect("redeclare T"), t);
+    assert_eq!(client.declare_relation("S", 2).expect("redeclare S"), s);
+    assert_eq!(client.declare_relation("R", 2).expect("redeclare R"), r);
+    let (start, ..) = client
+        .ingest(stream[..1].to_vec())
+        .expect("ingest after restart");
+    assert_eq!(start, stopped_at, "the next batch is acknowledged there");
+    println!("clean restart: checkpoint@{stopped_at}, next batch acked at {start}");
+    client.shutdown_server().expect("shutdown handshake");
+    let code = child.wait().expect("server exit");
+    assert!(code.success(), "graceful shutdown after the clean restart");
     let _ = std::fs::remove_dir_all(&dir);
-    println!("durable server killed, recovered and shut down cleanly");
+    println!("durable server killed, recovered, stopped and restarted cleanly");
 }
 
 /// Child mode: bind an ephemeral port durably over the given data

@@ -11,6 +11,12 @@
 //! even a cut landing inside the query-registration records is a valid
 //! crash: recovery then yields a runtime knowing only a prefix of the
 //! queries, and the oracle is built from that same prefix.
+//!
+//! A *clean* stop is the other half: `Runtime::shutdown` writes a
+//! shutdown checkpoint when the stream moved past the last one, so the
+//! next `open_durable` restores it and replays nothing — unless the WAL
+//! failed, or the checkpoint itself did, and then the WAL stays the
+//! recovery point.
 
 use pcea::prelude::*;
 use proptest::prelude::*;
@@ -602,4 +608,216 @@ fn live_wal_failure_fails_open() {
     got.extend(rt.push_batch(&stream[200..]));
     assert_eq!(sorted(got), want, "matches survive the dead log");
     assert!(!rt.durability_status().expect("durable").healthy);
+}
+
+// ---------------------------------------------------------------------
+// A clean stop checkpoints: the restart replays nothing
+// ---------------------------------------------------------------------
+
+/// What the journal of a freshly opened runtime says about its
+/// recovery: `(position, replayed)`.
+fn recovered(rt: &Runtime) -> (u64, u64) {
+    let found = rt.events().into_iter().find_map(|e| match e.item {
+        PipelineEvent::Recovered { position, replayed } => Some((position, replayed)),
+        _ => None,
+    });
+    found.expect("open_durable journals its recovery")
+}
+
+/// Continue `stream` from `rt`'s position and compare with the
+/// uninterrupted run from that position on.
+fn continues_exactly(
+    rt: &mut Runtime,
+    specs: &[(String, Pcea, Partition)],
+    window: &WindowPolicy,
+    stream: &[Tuple],
+    shards: usize,
+) {
+    let from = rt.next_position();
+    let want: Vec<MatchEvent> = uninterrupted(specs, window, stream, shards)
+        .into_iter()
+        .filter(|e| e.position >= from)
+        .collect();
+    let got = sorted(rt.push_batch(&stream[from as usize..]));
+    assert_eq!(got, want, "continuation from {from}");
+}
+
+/// `shutdown()`, then `open_durable`: the restart restores the shutdown
+/// checkpoint, replays zero WAL records, and goes on exactly as the
+/// uninterrupted run — at 1 and 2 shards, with an earlier checkpoint in
+/// the chain.
+#[test]
+fn a_clean_shutdown_checkpoints_and_the_restart_replays_nothing() {
+    let mut schema = Schema::new();
+    let specs = spec_set(&mut schema);
+    let stream = mixed_stream(&schema, 240);
+    let window = WindowPolicy::Count(40);
+    for shards in [1, 2] {
+        let scratch = Scratch::new("clean-stop");
+        let config = durable_config(shards, FsyncPolicy::EveryN(4));
+        let mut rt = Runtime::open_durable(scratch.path(), config).expect("open fresh");
+        register_all(&mut rt, &specs, &window);
+        for batch in stream[..60].chunks(17) {
+            rt.push_batch(batch);
+        }
+        rt.checkpoint().expect("mid-stream checkpoint");
+        for batch in stream[60..150].chunks(17) {
+            rt.push_batch(batch);
+        }
+        rt.shutdown();
+
+        let mut rt = Runtime::open_durable(scratch.path(), config).expect("reopen");
+        assert_eq!(recovered(&rt), (150, 0), "{shards} shards");
+        let status = rt.durability_status().expect("durable");
+        assert_eq!(status.last_checkpoint_position, Some(150));
+        assert_eq!(status.chain_len, 2);
+        assert_eq!(rt.num_queries(), specs.len());
+        continues_exactly(&mut rt, &specs, &window, &stream, shards);
+    }
+}
+
+/// Registrations alone do not move the stream: `shutdown()` leaves
+/// them to the WAL and adds no checkpoint to the chain — from a fresh
+/// directory, and behind an existing checkpoint.
+#[test]
+fn registrations_alone_add_no_shutdown_checkpoint() {
+    let mut schema = Schema::new();
+    let specs = spec_set(&mut schema);
+    let stream = mixed_stream(&schema, 120);
+    let window = WindowPolicy::Count(30);
+    let scratch = Scratch::new("register-stop");
+    let config = durable_config(2, FsyncPolicy::EveryN(4));
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("open fresh");
+    register_all(&mut rt, &specs[..3], &window);
+    rt.shutdown();
+
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("reopen");
+    assert_eq!(recovered(&rt), (0, 3), "the registrations replay");
+    let status = rt.durability_status().expect("durable");
+    assert_eq!((status.last_checkpoint_epoch, status.chain_len), (None, 0));
+    rt.push_batch(&stream[..50]);
+    let ckpt = rt.checkpoint().expect("checkpoint");
+    register_all(&mut rt, &specs[3..], &window);
+    rt.shutdown();
+
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("reopen");
+    assert_eq!(recovered(&rt), (50, 1), "one registration replays");
+    let status = rt.durability_status().expect("durable");
+    assert_eq!(status.last_checkpoint_epoch, Some(ckpt.epoch));
+    assert_eq!(status.chain_len, 1);
+    assert_eq!(rt.num_queries(), specs.len());
+    // The last query joined at position 50: the oracle registers it
+    // there too.
+    let mut oracle = Runtime::new(2);
+    register_all(&mut oracle, &specs[..3], &window);
+    oracle.push_batch(&stream[..50]);
+    register_all(&mut oracle, &specs[3..], &window);
+    let want = sorted(oracle.push_batch(&stream[50..]));
+    assert_eq!(sorted(rt.push_batch(&stream[50..])), want);
+}
+
+/// Five clean stop/open cycles, tuples pushed in the first only, add
+/// one checkpoint to the chain in total, and the WAL directory keeps
+/// the same files and bytes from the first stop on.
+#[test]
+fn clean_stop_open_cycles_add_one_checkpoint_and_keep_the_wal_steady() {
+    let mut schema = Schema::new();
+    let specs = spec_set(&mut schema);
+    let stream = mixed_stream(&schema, 200);
+    let window = WindowPolicy::Count(30);
+    let scratch = Scratch::new("cycles");
+    let config = durable_config(2, FsyncPolicy::EveryN(4));
+    let wal_state = || (wal_files(scratch.path()), wal_bytes_total(scratch.path()));
+    let mut steady = None;
+    for cycle in 0..5 {
+        let mut rt = Runtime::open_durable(scratch.path(), config).expect("open");
+        if cycle == 0 {
+            register_all(&mut rt, &specs, &window);
+            for batch in stream[..90].chunks(17) {
+                rt.push_batch(batch);
+            }
+        } else {
+            assert_eq!(recovered(&rt), (90, 0), "cycle {cycle}");
+        }
+        rt.shutdown();
+        let steady = steady.get_or_insert_with(wal_state);
+        assert_eq!(
+            &wal_state(),
+            steady,
+            "cycle {cycle}: the WAL directory grew"
+        );
+    }
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("open");
+    let status = rt.durability_status().expect("durable");
+    assert_eq!(status.chain_len, 1);
+    assert_eq!(status.last_checkpoint_position, Some(90));
+    continues_exactly(&mut rt, &specs, &window, &stream, 2);
+}
+
+/// A shutdown checkpoint that cannot be written — the `ckpt` directory
+/// swapped for a plain file — does not stop `shutdown()` from
+/// returning. With the directory put back, the next `open_durable`
+/// restores the previous checkpoint, replays the WAL behind it and
+/// continues exactly.
+#[test]
+fn a_failed_shutdown_checkpoint_leaves_the_wal_the_recovery_point() {
+    let mut schema = Schema::new();
+    let specs = spec_set(&mut schema);
+    let stream = mixed_stream(&schema, 240);
+    let window = WindowPolicy::Count(40);
+    let scratch = Scratch::new("ckpt-fails");
+    let config = durable_config(2, FsyncPolicy::Always);
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("open fresh");
+    register_all(&mut rt, &specs, &window);
+    rt.push_batch(&stream[..60]);
+    rt.checkpoint().expect("checkpoint at 60");
+    for batch in stream[60..150].chunks(17) {
+        rt.push_batch(batch);
+    }
+    let ckpt = scratch.path().join("ckpt");
+    let aside = scratch.path().join("ckpt-aside");
+    std::fs::rename(&ckpt, &aside).unwrap();
+    std::fs::write(&ckpt, b"not a directory").unwrap();
+    rt.shutdown();
+    std::fs::remove_file(&ckpt).unwrap();
+    std::fs::rename(&aside, &ckpt).unwrap();
+
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("reopen");
+    let (position, replayed) = recovered(&rt);
+    assert_eq!(position, 150);
+    assert!(replayed > 0, "the WAL is the recovery point");
+    let status = rt.durability_status().expect("durable");
+    assert_eq!(status.last_checkpoint_position, Some(60));
+    continues_exactly(&mut rt, &specs, &window, &stream, 2);
+}
+
+/// After the WAL failed (`WalFailed`), `shutdown()` writes no
+/// checkpoint, even into a data directory that could take one again:
+/// recovery from that state behaves as after a crash.
+#[test]
+fn after_a_wal_failure_shutdown_writes_no_checkpoint() {
+    let mut schema = Schema::new();
+    let specs = spec_set(&mut schema);
+    let stream = mixed_stream(&schema, 200);
+    let scratch = Scratch::new("failed-stop");
+    let config = durable_config(2, FsyncPolicy::Always);
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("open fresh");
+    register_all(&mut rt, &specs, &WindowPolicy::Count(40));
+    rt.push_batch(&stream[..20]);
+    std::fs::remove_dir_all(scratch.path()).expect("remove data dir");
+    for chunk in stream[20..].chunks(10) {
+        rt.push_batch(chunk);
+    }
+    let failed = rt
+        .events()
+        .into_iter()
+        .any(|e| matches!(e.item, PipelineEvent::WalFailed { .. }));
+    assert!(failed && !rt.durability_status().expect("durable").healthy);
+    // Everything a checkpoint writes has a home again.
+    std::fs::create_dir_all(scratch.path().join("ckpt")).unwrap();
+    std::fs::create_dir_all(scratch.path().join("wal")).unwrap();
+    rt.shutdown();
+    assert!(!scratch.path().join("MANIFEST").exists(), "no checkpoint");
+    let written = std::fs::read_dir(scratch.path().join("ckpt")).unwrap();
+    assert_eq!(written.count(), 0, "no checkpoint file");
 }

@@ -13,6 +13,9 @@
 //!   match, and drives the autoscale controller on and off.
 //! * Every protocol error path maps to the right [`ErrorCode`] and
 //!   leaves the connection usable; framing violations close it.
+//! * `Server::stop` returns with a peer that never reads its pushed
+//!   events and with one that is connected but silent: stop shuts their
+//!   sockets instead of waiting on them.
 
 use pcea::prelude::*;
 use pcea::serve::protocol::{
@@ -24,7 +27,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Collect everything a subscribed client has been pushed, stopping
 /// after `quiet` of silence.
@@ -502,4 +506,99 @@ fn a_tuple_without_a_timestamp_is_clamped_and_the_server_keeps_serving() {
     let clamped: u64 = counter.rsplit(' ').next().unwrap().parse().unwrap();
     assert!(clamped >= 1, "{counter}");
     server.stop();
+}
+
+// ---------------------------------------------------------------------
+// Stop wakes every connection thread; it waits on none
+// ---------------------------------------------------------------------
+
+/// Run `server.stop()` on a helper thread and wait at most five
+/// seconds for it: a stop that hangs fails the test instead of hanging
+/// the suite.
+fn stop_within_five_seconds(server: Server) {
+    let (done, stopped) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(5))
+        .expect("Server::stop returned within 5 s");
+    stopper.join().expect("the stopping thread");
+}
+
+/// A subscriber that never reads: 400 000 matches are pushed at a
+/// socket whose peer reads nothing, so the pusher blocks in a write
+/// and the shard worker parks on the full `Block` channel behind it.
+/// `stop` shuts the socket, which fails that write, and completes.
+#[test]
+fn stop_returns_with_a_subscriber_that_never_reads() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut control = Client::connect(server.local_addr()).unwrap();
+    let a = control.declare_relation("A", 1).unwrap();
+    let b = control.declare_relation("B", 2).unwrap();
+    let c = control.declare_relation("C", 2).unwrap();
+    let text = "Q(x, y, z) <- A(x), B(x, y), C(x, z)";
+    control
+        .submit_query(
+            "star",
+            Frontend::Hcq,
+            text,
+            WindowPolicy::Count(1_000_000),
+            None,
+        )
+        .unwrap();
+
+    let mut silent = TcpStream::connect(server.local_addr()).unwrap();
+    let subscribe = Request::Subscribe {
+        query: None,
+        capacity: 0,
+        policy: BackpressurePolicy::Block,
+    };
+    write_frame(&mut silent, &encode_message(&subscribe).unwrap()).unwrap();
+    let arm = |rel| (0..200i64).map(move |i| Tuple::new(rel, vec![Value::Int(1), Value::Int(i)]));
+    let hubs = (0..10).map(|_| Tuple::new(a, vec![Value::Int(1)]));
+    let tuples: Vec<Tuple> = arm(b).chain(arm(c)).chain(hubs).collect();
+    let ingest = Request::IngestBatch { tuples };
+    write_frame(&mut silent, &encode_message(&ingest).unwrap()).unwrap();
+
+    // Wait until the bytes queued at the silent peer stop growing: the
+    // socket buffers are full and the pusher is stuck in a write.
+    let mut window = vec![0u8; 32 << 20];
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let (mut queued, mut still) = (0, 0);
+    while still < 4 {
+        assert!(Instant::now() < deadline, "the pusher never stalled");
+        std::thread::sleep(Duration::from_millis(50));
+        let now = silent.peek(&mut window).unwrap();
+        still = if now > 0 && now == queued {
+            still + 1
+        } else {
+            0
+        };
+        queued = now;
+    }
+    assert!(
+        queued < window.len(),
+        "the peer's buffer bounds what is queued"
+    );
+    stop_within_five_seconds(server);
+    drop((silent, control));
+}
+
+/// A client that connects and then neither sends nor closes: its
+/// handler sits in a blocking read, which the stop's socket shutdown
+/// ends.
+#[test]
+fn stop_returns_with_an_idle_live_client() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut idle = TcpStream::connect(server.local_addr()).unwrap();
+    // A round trip on another connection: by its answer the accept
+    // loop has long handed the idle one to its handler.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.ping().unwrap();
+    stop_within_five_seconds(server);
+    // The server closed its end.
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(idle.read(&mut [0u8; 16]).unwrap_or(0), 0);
 }
