@@ -66,8 +66,10 @@
 //! by the window, not by the log. Registrations after the last moved
 //! position are left to the WAL, and dropping the runtime is a crash:
 //! recovery from it replays the suffix as always. The WAL segment a
-//! shutdown checkpoint seals stays on disk until the next checkpoint,
-//! and recovery skips such covered segments unread. Matches delivered to subscribers are *not*
+//! shutdown checkpoint seals stays on disk until the next checkpoint —
+//! an explicit one, or the next shutdown checkpoint, which deletes the
+//! segments its predecessor covers — and recovery skips such covered
+//! segments unread. Matches delivered to subscribers are *not*
 //! journaled: recovery reproduces the runtime's state (and re-derives
 //! any matches the replayed suffix completes), but push deliveries
 //! that happened before the crash are gone with their sockets.

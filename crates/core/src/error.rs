@@ -41,7 +41,8 @@
 //! | A remote tuple of an unknown relation or the wrong arity | the server's `validate_tuple`, before stamping | `unknown_relation` (3), `arity_mismatch` (2) | — | everything; the batch is refused whole | the same |
 //! | Query text a front-end rejects | `cer_cq` / `cer_lang`, in the server | `parse` (50), `compile` (51) | — | everything | the same |
 //! | Protocol misuse (a second subscribe, an unsubscribe without one) | the server's request handler | `protocol` (60) | — | the connection | the same |
-//! | A subscriber that stops reading while the server stops | `Server::stop`, which shuts the socket of every live connection | — | — | nothing, by design: the pusher's blocked write fails and the stop completes | `net_serving::stop_returns_with_a_subscriber_that_never_reads` |
+//! | A subscriber that stops reading while the server stops | `Server::stop`, which shuts the socket of every live connection | — | — | nothing, by design: the pusher's blocked write fails, its exit closes the subscription — freeing a worker parked on the full `Block` channel and the connection's own ingest behind it — and the stop completes | `net_serving::stop_returns_with_a_subscriber_that_never_reads`, `net_serving::stop_returns_with_a_silent_subscriber_parked_in_ingest` |
+//! | A `Block` subscriber's peer dies while its pusher is stalled | the pusher's failed write | — | — | everything: the pusher's exit closes the subscription, which frees the parked shard worker and every producer's ingest behind it | `net_serving::a_dead_silent_subscriber_does_not_stall_other_clients` |
 //! | Hostile bytes in a protocol frame | `decode_message` | `wire_truncated` (11), `wire_corrupt` (12), `wire_unsupported` (10) | — | the connection; an over-cap length prefix closes it | `net_serving::garbage_frames_get_wire_errors_and_framing_violations_close`, `hostile_bytes::mutated_requests_are_rejected_or_reencode` |
 //! | A `ByKey` placement whose joins do not project the key | `register`, `replace`; `restore` | `key_partition_unsound` (20); `bad_definition` (43) | — | everything; nothing is registered | `crates/core/src/runtime/mod.rs::unsound_key_partition_rejected` |
 //! | An unknown or retired query id | `deregister`, `replace`, a subscribe over the wire | `unknown_query` (21) | — | everything | `checkpoint_restore::restore_preserves_ids_across_deregistration` |

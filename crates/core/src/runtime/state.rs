@@ -533,7 +533,7 @@ impl Runtime {
     /// the durability check is journaled as
     /// [`PipelineEvent::CheckpointFailed`] with its code.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, Error> {
-        self.write_checkpoint(true)
+        self.write_checkpoint(None)
     }
 
     /// The checkpoint [`shutdown`](Self::shutdown) writes on a durable
@@ -542,32 +542,36 @@ impl Runtime {
     /// [`open_durable`](Self::open_durable) restores it and replays
     /// nothing. A suffix of registrations only is left to the WAL — it
     /// replays in microseconds. The WAL segment the checkpoint seals is
-    /// kept until the next checkpoint (recovery skips it unread), so
-    /// the stopped run's log stays readable. A failure is journaled as
-    /// in [`checkpoint`](Self::checkpoint) and the WAL stays the
-    /// recovery point.
+    /// kept until the next checkpoint, explicit or shutdown (recovery
+    /// skips it unread), so the stopped run's log stays readable: this
+    /// one deletes only the segments the *previous* checkpoint covers,
+    /// which keeps a directory that is only ever stopped cleanly
+    /// bounded. A failure is journaled as in
+    /// [`checkpoint`](Self::checkpoint) and the WAL stays the recovery
+    /// point.
     pub(super) fn shutdown_checkpoint(&mut self) {
         let Some(handle) = &self.durability else {
             return;
         };
-        let last = handle.store.last_entry().map_or(0, |e| e.position);
-        if handle.wal.healthy() && self.next_position() > last {
-            let _ = self.write_checkpoint(false);
+        let last = handle.store.last_entry();
+        let (position, wal_seq) = last.map_or((0, 0), |e| (e.position, e.wal_seq));
+        if handle.wal.healthy() && self.next_position() > position {
+            let _ = self.write_checkpoint(Some(wal_seq));
         }
     }
 
-    /// [`checkpoint`](Self::checkpoint), deleting the WAL segments it
-    /// covers when `truncate` is set.
-    fn write_checkpoint(&mut self, truncate: bool) -> Result<CheckpointStats, Error> {
+    /// [`checkpoint`](Self::checkpoint), deleting the sealed WAL
+    /// segments wholly below `keep_from` — by default, every one the new
+    /// checkpoint covers.
+    fn write_checkpoint(&mut self, keep_from: Option<u64>) -> Result<CheckpointStats, Error> {
         if self.durability.is_none() {
             return Err(Error::NotDurable);
         }
         let written = self.snapshot().and_then(|snap| {
             let handle = self.durability.as_mut().expect("durable checked above");
             let mut stats = handle.store.write(&snap)?;
-            if truncate {
-                stats.wal_segments_removed = handle.wal.truncate_below(snap.wal_seq);
-            }
+            let below = keep_from.unwrap_or(snap.wal_seq);
+            stats.wal_segments_removed = handle.wal.truncate_below(below);
             Ok(stats)
         });
         let stats = written.inspect_err(|e| {

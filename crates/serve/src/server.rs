@@ -419,8 +419,13 @@ impl<W: Write> ConnWriter<W> {
 /// is the same either way: the events' frames in channel order.
 ///
 /// Returns once the subscription is closed — at the next buffer
-/// boundary, or at once when it is idle — or when a write fails.
+/// boundary, or at once when it is idle — or when a write fails. It
+/// closes the subscription on every way out, a panic included:
+/// otherwise a `Block` channel nobody reads any more would keep the
+/// shard worker parked, and every producer's ingest behind it — this
+/// connection's handler's too, so nothing would ever close it.
 fn push_events<W: Write>(sub: &Subscription, writer: &ConnWriter<W>) {
+    let _close = OnDrop(|| sub.close());
     let mut chunks = Vec::new();
     let mut frames = Vec::new();
     loop {
@@ -444,6 +449,15 @@ fn push_events<W: Write>(sub: &Subscription, writer: &ConnWriter<W>) {
     }
 }
 
+/// Runs its closure when dropped: on return and on unwind alike.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
 /// The per-connection subscription, shared with its pusher thread, and
 /// the pusher's handle.
 struct ActiveSubscription {
@@ -460,13 +474,17 @@ impl ActiveSubscription {
 }
 
 fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
+    // The accept loop still holds a clone of this socket: shut it on
+    // every way out, a panic included, so the peer sees the close now.
+    let _shut = OnDrop(|| {
+        let _ = stream.shutdown(Shutdown::Both);
+    });
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
-        let _ = stream.shutdown(Shutdown::Both);
         return;
     };
     let writer = Arc::new(ConnWriter::new(write_half));
-    let mut read_half = stream;
+    let mut read_half = &stream;
     let mut subscription: Option<ActiveSubscription> = None;
 
     loop {
@@ -495,9 +513,6 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     if let Some(sub) = subscription.take() {
         sub.stop();
     }
-    // The accept loop still holds a clone of this socket: shut it, so
-    // the peer sees the close now.
-    let _ = read_half.shutdown(Shutdown::Both);
 }
 
 fn error_response(e: &Error) -> Response {

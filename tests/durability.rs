@@ -754,6 +754,44 @@ fn clean_stop_open_cycles_add_one_checkpoint_and_keep_the_wal_steady() {
     continues_exactly(&mut rt, &specs, &window, &stream, 2);
 }
 
+/// Five clean stop/open cycles that each push tuples: every stop
+/// writes a shutdown checkpoint, and each deletes the WAL segments its
+/// predecessor covers, so a directory that is only ever stopped cleanly
+/// keeps a bounded log — the same number of segment files from the
+/// second stop on, and the last restart still replays nothing and
+/// continues exactly.
+#[test]
+fn clean_stop_open_cycles_with_tuples_keep_the_wal_bounded() {
+    let mut schema = Schema::new();
+    let specs = spec_set(&mut schema);
+    let stream = mixed_stream(&schema, 260);
+    let window = WindowPolicy::Count(30);
+    let scratch = Scratch::new("cycles-tuples");
+    let config = durable_config(2, FsyncPolicy::EveryN(4));
+    let mut files = Vec::new();
+    for cycle in 0..5 {
+        let mut rt = Runtime::open_durable(scratch.path(), config).expect("open");
+        if cycle == 0 {
+            register_all(&mut rt, &specs, &window);
+        } else {
+            assert_eq!(recovered(&rt), (cycle * 40, 0), "cycle {cycle}");
+        }
+        let from = cycle as usize * 40;
+        for batch in stream[from..from + 40].chunks(17) {
+            rt.push_batch(batch);
+        }
+        rt.shutdown();
+        files.push(wal_files(scratch.path()).len());
+    }
+    assert!(
+        files[1..].iter().all(|&n| n == files[1]),
+        "segment files per stop: {files:?}"
+    );
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("open");
+    assert_eq!(recovered(&rt), (200, 0));
+    continues_exactly(&mut rt, &specs, &window, &stream, 2);
+}
+
 /// A shutdown checkpoint that cannot be written — the `ckpt` directory
 /// swapped for a plain file — does not stop `shutdown()` from
 /// returning. With the directory put back, the next `open_durable`

@@ -527,13 +527,17 @@ fn stop_within_five_seconds(server: Server) {
     stopper.join().expect("the stopping thread");
 }
 
-/// A subscriber that never reads: 400 000 matches are pushed at a
-/// socket whose peer reads nothing, so the pusher blocks in a write
-/// and the shard worker parks on the full `Block` channel behind it.
-/// `stop` shuts the socket, which fails that write, and completes.
-#[test]
-fn stop_returns_with_a_subscriber_that_never_reads() {
-    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+/// Declare `A/1`, `B/2`, `C/2` and submit the star query
+/// `Q(x, y, z) <- A(x), B(x, y), C(x, z)` under `Count(1_000_000)`;
+/// then, from a raw socket that never reads, subscribe with `Block`
+/// and send one `IngestBatch` of 200 `B(1, i)`, 200 `C(1, i)` and 10
+/// `A(1)` — 400 000 matches — followed by `more` batches of 200
+/// `B(2, i)`, which match nothing. Returns once the bytes queued at the
+/// silent peer stop growing: the socket buffers are full, the pusher is
+/// stuck in a write, and the shard worker parks on the full channel
+/// behind it. With the runtime's `queue_capacity` below `200 * more`,
+/// the silent connection's handler is then parked in ingest too.
+fn stall_a_silent_subscriber(server: &Server, more: usize) -> (TcpStream, Client) {
     let mut control = Client::connect(server.local_addr()).unwrap();
     let a = control.declare_relation("A", 1).unwrap();
     let b = control.declare_relation("B", 2).unwrap();
@@ -556,14 +560,20 @@ fn stop_returns_with_a_subscriber_that_never_reads() {
         policy: BackpressurePolicy::Block,
     };
     write_frame(&mut silent, &encode_message(&subscribe).unwrap()).unwrap();
-    let arm = |rel| (0..200i64).map(move |i| Tuple::new(rel, vec![Value::Int(1), Value::Int(i)]));
+    let arm =
+        |rel, x| (0..200i64).map(move |i| Tuple::new(rel, vec![Value::Int(x), Value::Int(i)]));
     let hubs = (0..10).map(|_| Tuple::new(a, vec![Value::Int(1)]));
-    let tuples: Vec<Tuple> = arm(b).chain(arm(c)).chain(hubs).collect();
+    let tuples: Vec<Tuple> = arm(b, 1).chain(arm(c, 1)).chain(hubs).collect();
     let ingest = Request::IngestBatch { tuples };
     write_frame(&mut silent, &encode_message(&ingest).unwrap()).unwrap();
+    for _ in 0..more {
+        let ingest = Request::IngestBatch {
+            tuples: arm(b, 2).collect(),
+        };
+        write_frame(&mut silent, &encode_message(&ingest).unwrap()).unwrap();
+    }
 
-    // Wait until the bytes queued at the silent peer stop growing: the
-    // socket buffers are full and the pusher is stuck in a write.
+    // Wait until the bytes queued at the silent peer stop growing.
     let mut window = vec![0u8; 32 << 20];
     let deadline = Instant::now() + Duration::from_secs(60);
     let (mut queued, mut still) = (0, 0);
@@ -582,8 +592,76 @@ fn stop_returns_with_a_subscriber_that_never_reads() {
         queued < window.len(),
         "the peer's buffer bounds what is queued"
     );
+    (silent, control)
+}
+
+/// A server whose shard queue holds at most 256 tuples, so that
+/// [`stall_a_silent_subscriber`]'s extra batches park the silent
+/// connection's handler in ingest.
+fn small_queue_server() -> Server {
+    let ingest = IngestConfig {
+        queue_capacity: 256,
+        ..IngestConfig::default()
+    };
+    let config = ServeConfig::from(RuntimeConfig::new(1).with_ingest(ingest));
+    Server::bind("127.0.0.1:0", config).unwrap()
+}
+
+/// A subscriber that never reads: 400 000 matches are pushed at a
+/// socket whose peer reads nothing, so the pusher blocks in a write
+/// and the shard worker parks on the full `Block` channel behind it.
+/// `stop` shuts the socket, which fails that write, and completes.
+#[test]
+fn stop_returns_with_a_subscriber_that_never_reads() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let (silent, control) = stall_a_silent_subscriber(&server, 0);
     stop_within_five_seconds(server);
     drop((silent, control));
+}
+
+/// As above, but the silent connection also pipelined more tuples than
+/// the shard queue holds, so its handler is parked in ingest behind the
+/// stalled worker. `stop` fails the pusher's write; the pusher's exit
+/// closes the subscription, which frees the worker, then the handler.
+#[test]
+fn stop_returns_with_a_silent_subscriber_parked_in_ingest() {
+    let server = small_queue_server();
+    let (silent, control) = stall_a_silent_subscriber(&server, 4);
+    stop_within_five_seconds(server);
+    drop((silent, control));
+}
+
+/// The silent subscriber's peer goes away while its handler is parked
+/// in ingest (the unread bytes make the close a reset): the pusher's
+/// write fails, its exit closes the subscription, and the runtime
+/// serves on — another client's ingest completes.
+#[test]
+fn a_dead_silent_subscriber_does_not_stall_other_clients() {
+    let server = small_queue_server();
+    let (silent, control) = stall_a_silent_subscriber(&server, 4);
+    drop(silent);
+    let addr = server.local_addr();
+    let (done, acked) = mpsc::channel();
+    let other = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        // Declaring a known relation again returns its id.
+        let b = client.declare_relation("B", 2).unwrap();
+        let tuples = (0..400i64)
+            .map(|i| Tuple::new(b, vec![Value::Int(3), Value::Int(i)]))
+            .collect();
+        let _ = done.send(client.ingest(tuples));
+    });
+    let Ok(acked) = acked.recv_timeout(Duration::from_secs(5)) else {
+        // A stalled runtime would hang the server's `Drop` too: leak
+        // the server, so the test fails instead of hanging.
+        std::mem::forget(server);
+        panic!("another client's ingest did not complete within 5 s");
+    };
+    let (start, end, dropped) = acked.expect("ingest acked");
+    assert_eq!((end - start, dropped), (400, 0));
+    other.join().expect("the other client");
+    drop(control);
+    stop_within_five_seconds(server);
 }
 
 /// A client that connects and then neither sends nor closes: its
